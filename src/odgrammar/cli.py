@@ -32,8 +32,8 @@ from .serialize import (
     canonical_structure,
     parse_structure_text,
     parse_tree_text,
-    render_structure_json,
     render_structure_text,
+    structure_obj,
 )
 from .validate import validate_structure
 
@@ -85,10 +85,6 @@ def _machine(payload: dict, args, seconds: float) -> int:
     return exit_code
 
 
-def _structure_obj(ds, lex) -> dict:
-    return json.loads(render_structure_json(ds, lex))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -97,9 +93,7 @@ def _cmd_parse(args) -> int:
     lex = _load_lexicon(args)
     tokens = _sentence_tokens(args)
     start = time.monotonic()
-    result = engine.parse(
-        tokens, lex, prune=not args.no_prune, max_candidates=args.max_candidates
-    )
+    result = engine.parse(tokens, lex, max_candidates=args.max_candidates)
     seconds = time.monotonic() - start
     status = "ok" if result.structures else "empty"
     if args.format == "machine":
@@ -107,7 +101,7 @@ def _cmd_parse(args) -> int:
             "command": "parse",
             "tokens": tokens,
             "status": status,
-            "structures": [_structure_obj(ds, lex) for ds in result.structures],
+            "structures": [structure_obj(ds, lex) for ds in result.structures],
             "diagnostics": list(result.diagnostics),
             "_exit": EXIT_OK if result.structures else EXIT_EMPTY,
         }
@@ -132,9 +126,7 @@ def _cmd_generate(args) -> int:
     lex = _load_lexicon(args)
     tree = parse_tree_text(_read_input(args), lex)
     start = time.monotonic()
-    result = engine.generate(
-        tree, lex, prune=not args.no_prune, max_candidates=args.max_candidates
-    )
+    result = engine.generate(tree, lex, max_candidates=args.max_candidates)
     seconds = time.monotonic() - start
     status = "ok" if result.pairs else "empty"
     if args.format == "machine":
@@ -142,7 +134,7 @@ def _cmd_generate(args) -> int:
             "command": "generate",
             "status": status,
             "pairs": [
-                {"surface": surface, "structure": _structure_obj(ds, lex)}
+                {"surface": surface, "structure": structure_obj(ds, lex)}
                 for surface, ds in result.pairs
             ],
             "surfaces": list(result.surfaces()),
@@ -250,7 +242,7 @@ def _cmd_oracle(args) -> int:
             "mode": "parse",
             "tokens": tokens,
             "status": "ok" if structures else "empty",
-            "structures": [_structure_obj(ds, lex) for ds in structures],
+            "structures": [structure_obj(ds, lex) for ds in structures],
             "_exit": EXIT_OK if structures else EXIT_EMPTY,
         }
         return _machine(payload, args, seconds)
@@ -375,13 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("parse", help="parse a sentence into structures")
     p.add_argument("sentence", nargs="?", help="sentence (default: read stdin)")
     p.add_argument("--file", metavar="PATH", help="read the sentence from a file")
-    p.add_argument("--no-prune", action="store_true", help="run the naive search")
     _add_common(p)
     p.set_defaults(func=_cmd_parse)
 
     g = subs.add_parser("generate", help="linearize a tree read in text form")
     g.add_argument("--file", metavar="PATH", help="tree file (default: stdin)")
-    g.add_argument("--no-prune", action="store_true", help="run the naive search")
     g.add_argument(
         "--surfaces-only",
         action="store_true",

@@ -163,6 +163,60 @@ class DependencyTree:
         return {e.dependent: e.dtype for e in self.edges}
 
 
+def is_tree(parent: dict[int, int], root: int, n: int) -> bool:
+    """Does every word of ``range(n)`` reach ``root`` without a cycle?
+
+    ``parent`` must map every word but the root to a word in range.
+    """
+    state = [0] * n  # 0 unseen, 1 on current path, 2 reaches the root
+    state[root] = 2
+    for start in range(n):
+        if state[start]:
+            continue
+        path = []
+        w = start
+        while state[w] == 0:
+            state[w] = 1
+            path.append(w)
+            w = parent[w]
+        if state[w] == 1:
+            return False
+        for p in path:
+            state[p] = 2
+    return True
+
+
+def ancestor_chain(head_of: dict[int, int], w: int) -> tuple[int, ...]:
+    """Transitive heads of ``w``, nearest first; ``head_of`` must be acyclic."""
+    chain = []
+    while w in head_of:
+        w = head_of[w]
+        chain.append(w)
+    return tuple(chain)
+
+
+def permute_tree(
+    tree: DependencyTree, order: Iterable[int]
+) -> tuple[DependencyTree, dict[int, int]]:
+    """The same tree with its words laid out in ``order``.
+
+    ``order`` lists old word indices by new position.  Forms, entries,
+    classes, heads and dependency types move with their words; the map
+    from old to new index is returned alongside the tree.
+    """
+    new_index = {old: new for new, old in enumerate(order)}
+    words = tuple(
+        WordToken(new, tree.words[old].form, tree.words[old].entry)
+        for old, new in new_index.items()
+    )
+    edges = tuple(
+        DependencyEdge(new_index[e.head], new_index[e.dependent], e.dtype)
+        for e in tree.edges
+    )
+    classes = {new_index[w]: c for w, c in tree.classes.items()}
+    return DependencyTree(words, new_index[tree.root], edges, classes), new_index
+
+
 @dataclass(frozen=True)
 class OrderDomain:
     """A named contiguous set of word indices."""
@@ -480,12 +534,7 @@ class StructureIndex:
 
     def ancestors(self, w: int) -> tuple[int, ...]:
         """Transitive heads of w, nearest first."""
-        out = []
-        cur = w
-        while cur in self.head_of:
-            cur = self.head_of[cur]
-            out.append(cur)
-        return tuple(out)
+        return ancestor_chain(self.head_of, w)
 
     def self_domain(self, w: int) -> str | None:
         entry = self.ds.tree.words[w].entry
@@ -574,14 +623,9 @@ def iter_condition_violations(ds: DependencyStructure) -> Iterator[Violation]:
                 "two are required",
             )
             continue
-        ancestors = set()
-        cur = w
-        while cur in head_of:
-            cur = head_of[cur]
-            ancestors.add(cur)
         hosted = any(
             did in containing
-            for a in ancestors
+            for a in ancestor_chain(head_of, w)
             for did in ods.realized(a)
         )
         if not hosted:

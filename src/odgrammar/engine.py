@@ -6,13 +6,13 @@ word, a template-slot choice at each positional head, and (for generation)
 an arrangement of every realized domain.  A candidate is kept when the
 validator accepts the realized structure.
 
-In pruned mode (the default) the search skips candidates that some
-validator check is guaranteed to reject: unusable head slots, extraction
-paths outside a slot's set, hosts whose domain features the dependent
-cannot satisfy, cardinality-breaking slot choices, and arrangements that
-break a precedence predicate.  Pruning never changes the result set; with
-``prune=False`` the naive product is enumerated and candidates are
-filtered only by the validators, which is what the differential tests run.
+The search skips candidates that some validator check is guaranteed to
+reject: unusable head slots, cyclic head maps, extraction paths outside a
+slot's set, hosts whose domain features the dependent cannot satisfy,
+cardinality-breaking slot choices, and arrangements that break sequence
+order or a precedence predicate.  Pruning must never change the result
+set; the tests check this against the brute-force enumeration in
+`odgrammar.oracle`.
 
 Every candidate counts against ``max_candidates``; exceeding the budget
 raises ResourceLimitError rather than returning a truncated answer.
@@ -33,6 +33,9 @@ from .core import (
     StructureError,
     UnknownTokenError,
     WordToken,
+    ancestor_chain,
+    is_tree,
+    permute_tree,
     realize_structure,
     validate_tree,
 )
@@ -109,60 +112,41 @@ class _Stats:
         return tuple(out)
 
 
-def _tree_maps(tree: DependencyTree):
-    parent = tree.head_of()
-    dtype_of = tree.dtype_of()
-    ancestors: dict[int, list[int]] = {}
-    for w in range(tree.n):
-        if w == tree.root:
-            continue
-        chain = []
-        cur = w
-        while cur != tree.root:
-            cur = parent[cur]
-            chain.append(cur)
-        ancestors[w] = chain
-    return parent, dtype_of, ancestors
-
-
 # ---------------------------------------------------------------------------
 # realization search shared by parse and generate
 
 
-def _positional_options(tree, parent, dtype_of, ancestors, prune):
-    """Per-word candidate positional heads, nearest ancestor first."""
+def _positional_options(tree):
+    """Per non-root word, its candidate positional heads, nearest first."""
+    parent = tree.head_of()
+    dtype_of = tree.dtype_of()
     options = []
-    for w in sorted(ancestors):
-        chain = ancestors[w]
-        if not prune:
-            options.append((w, list(chain)))
+    for w in range(tree.n):
+        if w == tree.root:
             continue
         slot = tree.words[parent[w]].entry.slot_for(dtype_of[w])
         if slot is None:
-            options.append((w, []))
+            options.append([])
             continue
         allowed = []
+        chain = ancestor_chain(parent, w)
         for i, anc in enumerate(chain):
             # dtypes crossed so far grow as we climb; once one falls outside
             # the slot's extraction set, every higher head is blocked too
             if i > 0 and dtype_of[chain[i - 1]] not in slot.extraction:
                 break
             allowed.append(anc)
-        options.append((w, allowed))
+        options.append(allowed)
     return options
 
 
-def _slot_options(tree, positional, prune):
+def _slot_options(tree, positional):
     options = []
     for w in sorted(positional):
         host = tree.words[positional[w]].entry
-        slots = range(len(host.template.slots))
-        if not prune:
-            options.append((w, list(slots)))
-            continue
         feats = tree.words[w].entry.features
         keep = []
-        for s in slots:
+        for s in range(len(host.template.slots)):
             required = None
             for req in host.domain_features:
                 if req.slot == s:
@@ -171,7 +155,7 @@ def _slot_options(tree, positional, prune):
             if required and any(feats.get(a) != v for a, v in required.items()):
                 continue
             keep.append(s)
-        options.append((w, keep))
+        options.append(keep)
     return options
 
 
@@ -203,20 +187,16 @@ def _cardinality_ok(tree, positional, slot_of) -> bool:
     return True
 
 
-def _iter_realizations(tree, lex, prune, budget, stats):
+def _iter_realizations(tree, budget):
     """Yield (positional, slot_of) choices for a valency-checked tree."""
-    parent, dtype_of, ancestors = _tree_maps(tree)
-    non_root = sorted(ancestors)
-    pos_opts = _positional_options(tree, parent, dtype_of, ancestors, prune)
-    for pos_combo in itertools.product(*(opts for _, opts in pos_opts)):
+    non_root = [w for w in range(tree.n) if w != tree.root]
+    for pos_combo in itertools.product(*_positional_options(tree)):
         positional = dict(zip(non_root, pos_combo))
-        slot_opts = _slot_options(tree, positional, prune)
-        for slot_combo in itertools.product(*(opts for _, opts in slot_opts)):
+        for slot_combo in itertools.product(*_slot_options(tree, positional)):
             budget.tick()
             slot_of = dict(zip(non_root, slot_combo))
-            if prune and not _cardinality_ok(tree, positional, slot_of):
-                continue
-            yield positional, slot_of
+            if _cardinality_ok(tree, positional, slot_of):
+                yield positional, slot_of
 
 
 def _judge(ds, lex, stats) -> bool:
@@ -232,32 +212,23 @@ def _judge(ds, lex, stats) -> bool:
 # parsing
 
 
-def _iter_head_maps(words, lex, prune, budget, stats):
+def _iter_head_maps(words, lex, budget, stats):
     """Labeled trees over the words, as (root, parent, dtype_of) triples."""
     n = len(words)
     slot_names = [tuple(s.dtype for s in w.entry.valency) for w in words]
     for root in range(n):
-        if prune and lex.root_classes:
-            if words[root].entry.word_class not in lex.root_classes:
-                continue
+        if lex.root_classes and words[root].entry.word_class not in lex.root_classes:
+            continue
         rest = [w for w in range(n) if w != root]
         parent: dict[int, int] = {}
         dtype_of: dict[int, str] = {}
         used: set[tuple[int, str]] = set()
 
-        def creates_cycle(h: int, w: int) -> bool:
-            cur = h
-            while cur in parent:
-                cur = parent[cur]
-                if cur == w:
-                    return True
-            return False
-
         def rec(k: int):
             if k == len(rest):
                 budget.tick()
                 stats.bump("maps")
-                if _acyclic(parent, root, n):
+                if is_tree(parent, root, n):
                     yield root, dict(parent), dict(dtype_of)
                 return
             w = rest[k]
@@ -266,17 +237,16 @@ def _iter_head_maps(words, lex, prune, budget, stats):
                     continue
                 entry = words[h].entry
                 for dt in slot_names[h]:
-                    if prune:
-                        if (h, dt) in used:
-                            continue
-                        slot = entry.slot_for(dt)
-                        if slot.dep_class and words[w].entry.word_class != slot.dep_class:
-                            continue
-                        wf = words[w].entry.features
-                        if any(wf.get(a) != v for a, v in slot.features.items()):
-                            continue
-                        if creates_cycle(h, w):
-                            continue
+                    if (h, dt) in used:
+                        continue
+                    slot = entry.slot_for(dt)
+                    if slot.dep_class and words[w].entry.word_class != slot.dep_class:
+                        continue
+                    wf = words[w].entry.features
+                    if any(wf.get(a) != v for a, v in slot.features.items()):
+                        continue
+                    if w in ancestor_chain(parent, h):
+                        continue
                     parent[w] = h
                     dtype_of[w] = dt
                     used.add((h, dt))
@@ -286,25 +256,6 @@ def _iter_head_maps(words, lex, prune, budget, stats):
                     used.discard((h, dt))
 
         yield from rec(0)
-
-
-def _acyclic(parent: dict[int, int], root: int, n: int) -> bool:
-    state = [0] * n
-    state[root] = 2
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        w = start
-        while state[w] == 0:
-            state[w] = 1
-            path.append(w)
-            w = parent[w]
-        if state[w] == 1:
-            return False
-        for p in path:
-            state[p] = 2
-    return True
 
 
 _PARSE_STAGES = (
@@ -319,7 +270,6 @@ def parse(
     tokens: list[str] | tuple[str, ...],
     lex: Lexicon,
     *,
-    prune: bool = True,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> ParseResult:
     """All valid structures whose surface order is exactly ``tokens``.
@@ -343,7 +293,7 @@ def parse(
             for i, (tok, entry) in enumerate(zip(tokens, entry_combo))
         )
         classes = {w.index: w.entry.word_class for w in words}
-        for root, parent, dtype_of in _iter_head_maps(words, lex, prune, budget, stats):
+        for root, parent, dtype_of in _iter_head_maps(words, lex, budget, stats):
             edges = tuple(
                 DependencyEdge(parent[w], w, dtype_of[w]) for w in sorted(parent)
             )
@@ -355,9 +305,7 @@ def parse(
                 stats.rejections[first.condition] += 1
                 continue
             stats.bump("trees")
-            for positional, slot_of in _iter_realizations(
-                tree, lex, prune, budget, stats
-            ):
+            for positional, slot_of in _iter_realizations(tree, budget):
                 ds = realize_structure(tree, positional, slot_of)
                 if _judge(ds, lex, stats):
                     found.setdefault(canonical_structure(ds, lex), ds)
@@ -369,33 +317,29 @@ def parse(
 # generation
 
 
-def _arrangements(items, sequenced):
+def _arrangements(items):
     """Orderings of one domain's immediate members.
 
-    ``items`` are ("self", owner) or ("dom", word, slot) markers.  With
-    ``sequenced`` set, orderings that put a word's own domains out of
-    template-slot order are dropped, since they can never satisfy the
-    sequence-order condition; naive mode keeps them and lets the validator
-    reject them.
+    ``items`` are ("self", owner) or ("dom", word, slot) markers.  Orderings
+    that put a word's own domains out of template-slot order are dropped,
+    since they can never satisfy the sequence-order condition.
     """
     if len(items) <= 1:
         yield tuple(items)
         return
     for perm in itertools.permutations(items):
-        if sequenced:
-            last: dict[int, int] = {}
-            ok = True
-            for item in perm:
-                if item[0] != "dom":
-                    continue
-                _, word, slot = item
-                if last.get(word, -1) > slot:
-                    ok = False
-                    break
-                last[word] = slot
-            if not ok:
+        last: dict[int, int] = {}
+        ok = True
+        for item in perm:
+            if item[0] != "dom":
                 continue
-        yield perm
+            _, word, slot = item
+            if last.get(word, -1) > slot:
+                ok = False
+                break
+            last[word] = slot
+        if ok:
+            yield perm
 
 
 def _order_allowed(owner: int, slot: int, perm, entry, dtype_of) -> bool:
@@ -437,7 +381,6 @@ def generate(
     tree: DependencyTree,
     lex: Lexicon,
     *,
-    prune: bool = True,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
 ) -> GenerationResult:
     """All (surface, structure) pairs realizing ``tree`` in any word order.
@@ -462,12 +405,12 @@ def generate(
     budget = _Budget(max_candidates)
     stats = _Stats()
     # valency is order-independent: when it fails, no permutation validates
-    if prune and not check_valency(tree, lex).ok:
+    if not check_valency(tree, lex).ok:
         return GenerationResult((), stats.lines(_GEN_STAGES))
 
     dtype_of = tree.dtype_of()
     found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
-    for positional, slot_of in _iter_realizations(tree, lex, prune, budget, stats):
+    for positional, slot_of in _iter_realizations(tree, budget):
         stats.bump("placements")
         inserted: dict[tuple[int, int], list[int]] = {}
         for w, p in positional.items():
@@ -494,12 +437,13 @@ def generate(
         for did in ordered_ids:
             w, s = did
             entry = tree.words[w].entry
-            perms = []
-            for perm in _arrangements(domain_items[did], sequenced=prune):
-                if prune and not _order_allowed(w, s, perm, entry, dtype_of):
-                    continue
-                perms.append(perm)
-            choice_lists.append(perms)
+            choice_lists.append(
+                [
+                    perm
+                    for perm in _arrangements(domain_items[did])
+                    if _order_allowed(w, s, perm, entry, dtype_of)
+                ]
+            )
 
         for combo in itertools.product(*choice_lists):
             budget.tick()
@@ -518,22 +462,12 @@ def generate(
             # are the root's domains, fixed in sequence order
             for s in realized_of[tree.root]:
                 emit((tree.root, s), layout)
-            new_index = {old: i for i, old in enumerate(layout)}
-            words = tuple(
-                WordToken(i, tree.words[old].form, tree.words[old].entry)
-                for i, old in enumerate(layout)
-            )
-            edges = tuple(
-                DependencyEdge(new_index[e.head], new_index[e.dependent], e.dtype)
-                for e in tree.edges
-            )
-            classes = {new_index[w]: c for w, c in tree.classes.items()}
-            permuted = DependencyTree(words, new_index[tree.root], edges, classes)
+            permuted, new_index = permute_tree(tree, layout)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}
             ds = realize_structure(permuted, pos2, slot2)
             if _judge(ds, lex, stats):
-                surface = " ".join(w.form for w in words)
+                surface = " ".join(permuted.forms())
                 found.setdefault((surface, canonical_structure(ds, lex)), (surface, ds))
     pairs = tuple(found[key] for key in sorted(found))
     return GenerationResult(pairs, stats.lines(_GEN_STAGES))

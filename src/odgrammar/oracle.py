@@ -5,9 +5,10 @@ The functions in this module answer the same questions as the engine
 positional-head choice, every slot assignment, and (for ordering) every
 permutation of the input is generated and handed to the validator.  Nothing
 here knows about the engine's search order or its pruning; the only code
-shared with the engine is the validator itself and the core constructors.
-That makes the oracle slow but trustworthy, which is the point: engine
-results are tested against it on a corpus of short inputs.
+shared with the engine is the validator and the data model in `core`
+(constructors, realization, and the tree helpers).  That makes the oracle
+slow but trustworthy, which is the point: it is the one reference the
+engine's pruned search is tested against, on a corpus of short inputs.
 
 Inputs longer than ``OracleConfig.max_tokens`` raise ``TokenLimitError``
 rather than silently taking hours.
@@ -26,6 +27,9 @@ from .core import (
     TokenLimitError,
     UnknownTokenError,
     WordToken,
+    ancestor_chain,
+    is_tree,
+    permute_tree,
     realize_structure,
     validate_tree,
 )
@@ -77,39 +81,10 @@ def _parent_maps(words, slot_names):
             continue
         for combo in itertools.product(*choices):
             parent = {w: hd for w, (hd, _) in zip(rest, combo)}
-            if not _is_tree(parent, root, n):
+            if not is_tree(parent, root, n):
                 continue
             dtype_of = {w: dt for w, (_, dt) in zip(rest, combo)}
             yield root, parent, dtype_of
-
-
-def _is_tree(parent: dict[int, int], root: int, n: int) -> bool:
-    # every word must reach the root without revisiting anything
-    state = [0] * n  # 0 unseen, 1 on current path, 2 done
-    state[root] = 2
-    for start in range(n):
-        if state[start]:
-            continue
-        path = []
-        w = start
-        while state[w] == 0:
-            state[w] = 1
-            path.append(w)
-            w = parent[w]
-        if state[w] == 1:
-            return False
-        for p in path:
-            state[p] = 2
-    return True
-
-
-def _ancestor_chain(parent: dict[int, int], root: int, w: int) -> list[int]:
-    chain = []
-    cur = w
-    while cur != root:
-        cur = parent[cur]
-        chain.append(cur)
-    return chain
 
 
 def _valid_structures(tree: DependencyTree, lex: Lexicon):
@@ -118,13 +93,9 @@ def _valid_structures(tree: DependencyTree, lex: Lexicon):
         return
     if not check_valency(tree, lex).ok:
         return
-    n = tree.n
-    parent = {e.dependent: e.head for e in tree.edges}
-    ancestors = {
-        w: _ancestor_chain(parent, tree.root, w) for w in range(n) if w != tree.root
-    }
-    non_root = sorted(ancestors)
-    pos_choices = [ancestors[w] for w in non_root]
+    head_of = tree.head_of()
+    non_root = [w for w in range(tree.n) if w != tree.root]
+    pos_choices = [ancestor_chain(head_of, w) for w in non_root]
     for pos_combo in itertools.product(*pos_choices):
         positional = dict(zip(non_root, pos_combo))
         slot_choices = [
@@ -175,6 +146,36 @@ def oracle_parse(
     return tuple(found[key] for key in sorted(found))
 
 
+def oracle_generate(
+    tree: DependencyTree,
+    lex: Lexicon,
+    config: OracleConfig | None = None,
+) -> tuple[tuple[str, DependencyStructure], ...]:
+    """All (surface, structure) pairs realizing `tree` in any word order.
+
+    Every permutation of the words is tried with every choice of positional
+    heads and slots.  Pairs are sorted by surface, then by canonical
+    serialization, as in `GenerationResult.pairs`.  Head relations,
+    dependency types, and entries are preserved under permutation; only
+    indices change.
+    """
+    config = config or _DEFAULT_CONFIG
+    _check_size(tree.n, config)
+    if not validate_tree(tree, lex).ok:
+        return ()
+    # valency does not depend on surface order, so one failed check here
+    # rules out every permutation
+    if not check_valency(tree, lex).ok:
+        return ()
+    found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
+    for order in itertools.permutations(range(tree.n)):
+        permuted, _ = permute_tree(tree, order)
+        surface = " ".join(permuted.forms())
+        for ds in _valid_structures(permuted, lex):
+            found.setdefault((surface, canonical_structure(ds, lex)), (surface, ds))
+    return tuple(found[key] for key in sorted(found))
+
+
 def oracle_orders(
     tree: DependencyTree,
     lex: Lexicon,
@@ -182,36 +183,7 @@ def oracle_orders(
 ) -> tuple[str, ...]:
     """All surface orders of `tree`'s words that admit a valid structure.
 
-    Every permutation of the words is tried; a permutation is accepted when
-    at least one choice of positional heads and slots validates.  Returns
-    the sorted surface strings.  Head relations, dependency types, and
-    entries are preserved under permutation; only indices change.
+    These are the sorted distinct surfaces of `oracle_generate`.
     """
-    config = config or _DEFAULT_CONFIG
-    n = tree.n
-    _check_size(n, config)
-    if not validate_tree(tree, lex).ok:
-        return ()
-    # valency does not depend on surface order, so one failed check here
-    # rules out every permutation
-    if not check_valency(tree, lex).ok:
-        return ()
-    accepted: set[str] = set()
-    old_words = tree.words
-    for perm in itertools.permutations(range(n)):
-        # perm[i] is the old index of the word now at position i
-        new_index = {old: new for new, old in enumerate(perm)}
-        words = tuple(
-            WordToken(i, old_words[old].form, old_words[old].entry)
-            for i, old in enumerate(perm)
-        )
-        edges = tuple(
-            DependencyEdge(new_index[e.head], new_index[e.dependent], e.dtype)
-            for e in tree.edges
-        )
-        classes = {new_index[w]: c for w, c in tree.classes.items()}
-        permuted = DependencyTree(words, new_index[tree.root], edges, classes)
-        for _ in _valid_structures(permuted, lex):
-            accepted.add(" ".join(w.form for w in words))
-            break
-    return tuple(sorted(accepted))
+    pairs = oracle_generate(tree, lex, config)
+    return tuple(sorted({surface for surface, _ in pairs}))

@@ -125,6 +125,8 @@ def parse_tree_text(text: str, lex: Lexicon) -> DependencyTree:
         if kind == "token":
             token_records.append((line_no, fields))
         elif kind == "root":
+            if len(fields) != 2:
+                raise SerializationError(f"line {line_no}: root lines are 'root INDEX'")
             root = _int(fields[1], line_no)
         elif kind == "edge":
             if len(fields) != 4:
@@ -186,6 +188,8 @@ def parse_structure_text(text: str, lex: Lexicon) -> DependencyStructure:
         if kind == "token":
             token_records.append((line_no, fields))
         elif kind == "root":
+            if len(fields) != 2:
+                raise SerializationError(f"line {line_no}: root lines are 'root INDEX'")
             root = _int(fields[1], line_no)
         elif kind == "edge":
             if len(fields) != 4:
@@ -235,7 +239,8 @@ def parse_structure_text(text: str, lex: Lexicon) -> DependencyStructure:
 # JSON renderings
 
 
-def _structure_obj(ds: DependencyStructure, lex: Lexicon) -> dict:
+def structure_obj(ds: DependencyStructure, lex: Lexicon) -> dict:
+    """The JSON-ready dict that `render_structure_json` writes out."""
     tree = ds.tree
     return {
         "tokens": [
@@ -263,7 +268,7 @@ def _structure_obj(ds: DependencyStructure, lex: Lexicon) -> dict:
 
 
 def render_structure_json(ds: DependencyStructure, lex: Lexicon) -> str:
-    return json.dumps(_structure_obj(ds, lex), sort_keys=True, separators=(",", ":"))
+    return json.dumps(structure_obj(ds, lex), sort_keys=True, separators=(",", ":"))
 
 
 def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
@@ -296,6 +301,8 @@ def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
         positional = {int(w): p for w, p in obj["positional"].items()}
     except (KeyError, TypeError) as exc:
         raise SerializationError(f"structure JSON misses field: {exc}") from None
+    except ValueError as exc:
+        raise SerializationError(f"structure JSON has a bad value: {exc}") from None
     return DependencyStructure(
         tree=tree,
         features=features,

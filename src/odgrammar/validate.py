@@ -26,6 +26,7 @@ from .core import (
     StructureIndex,
     ValidationReport,
     Violation,
+    ancestor_chain,
     derived_member_sets,
     iter_condition_violations,
     iter_ods_violations,
@@ -113,12 +114,7 @@ def _iter_linking_violations(
                 "ds.positional-missing", (w,), f"word {w} has no positional head"
             )
             continue
-        ancestors = set()
-        cur = w
-        while cur in head_of:
-            cur = head_of[cur]
-            ancestors.add(cur)
-        if p not in ancestors:
+        if p not in ancestor_chain(head_of, w):
             yield True, Violation(
                 "ds.positional-head",
                 (w, p),

@@ -52,6 +52,12 @@ class TestParseCommand:
         assert code == 2
         assert "Hund" in err
 
+    def test_no_prune_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["parse", KEY_SENTENCE, "--no-prune"])
+        assert exc.value.code == 2
+        assert "--no-prune" in capsys.readouterr().err
+
     def test_machine_format(self, capsys):
         code, out, _ = run(capsys, "parse", KEY_SENTENCE, "--format", "machine")
         assert code == 0
@@ -139,6 +145,13 @@ class TestValidateCommand:
         path.write_text("banana banana\n")
         code, _, err = run(capsys, "validate", "--file", str(path))
         assert code == 2
+
+    def test_bare_root_line(self, capsys, tmp_path):
+        path = tmp_path / "root.txt"
+        path.write_text("root\n")
+        code, _, err = run(capsys, "validate", "--file", str(path))
+        assert code == 2
+        assert "root" in err
 
 
 class TestOracleCommand:

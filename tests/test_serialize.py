@@ -77,6 +77,11 @@ class TestTreeText:
         with pytest.raises(SerializationError):
             parse_tree_text("banana 0 1 2\n", lex)
 
+    def test_bare_root_line(self, tree, lex):
+        text = render_tree_text(tree, lex).replace("root 2", "root")
+        with pytest.raises(SerializationError):
+            parse_tree_text(text, lex)
+
 
 class TestStructureText:
     def test_round_trip(self, ds, lex):
@@ -89,6 +94,11 @@ class TestStructureText:
     def test_unrealized_slot_dash(self, ds, lex):
         text = render_structure_text(ds, lex)
         assert "assoc 2 d2.0 d2.1 -" in text
+
+    def test_bare_root_line(self, ds, lex):
+        text = render_structure_text(ds, lex).replace("root 2", "root")
+        with pytest.raises(SerializationError):
+            parse_structure_text(text, lex)
 
     def test_invalid_structure_round_trips(self, ds, lex):
         # serialization must preserve structures the validator rejects
@@ -121,6 +131,15 @@ class TestJson:
         blob = render_structure_json(ds, lex)
         obj = json.loads(blob)
         assert json.dumps(obj, sort_keys=True, separators=(",", ":")) == blob
+
+    @pytest.mark.parametrize(
+        "field, value", [("assoc", {"x": []}), ("positional", {"x": 1})]
+    )
+    def test_json_rejects_non_integer_word_key(self, ds, lex, field, value):
+        obj = json.loads(render_structure_json(ds, lex))
+        obj[field] = value
+        with pytest.raises(SerializationError):
+            parse_structure_json(json.dumps(obj), lex)
 
     def test_json_rejects_junk(self, lex):
         with pytest.raises(SerializationError):
