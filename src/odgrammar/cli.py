@@ -192,22 +192,26 @@ def _cmd_oracle(args) -> int:
     start = time.monotonic()
     if args.orders:
         tree = parse_tree_text(_read_input(args), lex)
-        accepted = oracle.oracle_orders(tree, lex, config)
         if args.diff:
-            engine_surfaces = tuple(
-                sorted(
-                    engine.generate(
-                        tree, lex, max_candidates=args.max_candidates
-                    ).surfaces()
-                )
-            )
+            # whole (surface, structure) pairs: a right surface realized by
+            # a wrong structure is a difference too
+            def keys(pairs):
+                return [
+                    f"{surface}\n{canonical_structure(ds, lex)}"
+                    for surface, ds in pairs
+                ]
+
+            engine_pairs = engine.generate(
+                tree, lex, max_candidates=args.max_candidates
+            ).pairs
             return _diff_report(
                 args,
                 "orders",
-                list(engine_surfaces),
-                list(accepted),
+                keys(engine_pairs),
+                keys(oracle.oracle_generate(tree, lex, config)),
                 time.monotonic() - start,
             )
+        accepted = oracle.oracle_orders(tree, lex, config)
         seconds = time.monotonic() - start
         if args.format == "machine":
             payload = {

@@ -7,6 +7,10 @@ maximal sub-domains; each counts as one unit regardless of how many words
 it spans.  A member carries the dependency label of its head word, so a
 label can reach material that was extracted into the introducer's domain
 from deeper in the tree.
+
+The checks that read the domain layer navigate a `StructureIndex`.  They
+use the one passed as ``index`` or build their own, and raise
+StructureError when that index reports a linking problem.
 """
 
 from __future__ import annotations
@@ -103,6 +107,16 @@ class DomainFeatureRequirement:
 ExtractionPathSet = frozenset
 
 
+def _linked_index(
+    ds: DependencyStructure, index: StructureIndex | None
+) -> StructureIndex:
+    """The given index, or a new one; StructureError if its linking failed."""
+    idx = index if index is not None else StructureIndex(ds)
+    if idx.problems:
+        raise StructureError("; ".join(v.message for v in idx.problems))
+    return idx
+
+
 def check_precedence(
     pred: PrecedencePredicate,
     introducer: int,
@@ -114,14 +128,13 @@ def check_precedence(
     Words outside the introducer's realized domains never participate; a
     topicalized constituent therefore escapes predicates scoped to the
     domain it left.  Pairs whose members share a head word are skipped.
+    Raises StructureError when the structure's linking is ill defined.
     """
-    idx = index if index is not None else StructureIndex(ds)
+    idx = _linked_index(ds, index)
     violations: list[Violation] = []
 
     if pred.kind == SELF_VS_ALL:
         did = idx.self_domain(introducer)
-        if did is None:
-            raise StructureError(f"word {introducer} has no realized self domain")
         for member in idx.immediate_members(did):
             if member == ("w", introducer):
                 continue
@@ -180,8 +193,11 @@ def check_cardinality(
     ds: DependencyStructure,
     index: StructureIndex | None = None,
 ) -> ValidationReport:
-    """Count immediate members of the slot's realized domain; empty counts 0."""
-    idx = index if index is not None else StructureIndex(ds)
+    """Count immediate members of the slot's realized domain; empty counts 0.
+
+    Raises StructureError when the structure's linking is ill defined.
+    """
+    idx = _linked_index(ds, index)
     seq = ds.domains.assoc[introducer]
     if not 0 <= constraint.slot < len(seq):
         raise IndexError(
@@ -217,8 +233,11 @@ def check_domain_features(
     ds: DependencyStructure,
     index: StructureIndex | None = None,
 ) -> ValidationReport:
-    """Every member head of the slot's realized domain must carry the features."""
-    idx = index if index is not None else StructureIndex(ds)
+    """Every member head of the slot's realized domain must carry the features.
+
+    Raises StructureError when the structure's linking is ill defined.
+    """
+    idx = _linked_index(ds, index)
     seq = ds.domains.assoc[introducer]
     if not 0 <= req.slot < len(seq):
         raise IndexError(f"slot {req.slot} out of range for word {introducer}")
@@ -253,25 +272,16 @@ def check_extraction(
     Every dependency type between the positional head and the direct head
     (the dependent's own edge excluded) must lie in the slot's extraction
     set.  An empty set therefore pins the positional head to the direct
-    head.
+    head.  Raises StructureError for the root, which has no direct head, and
+    when the structure's linking is ill defined.
     """
-    idx = index if index is not None else StructureIndex(ds)
-    head = idx.head_of.get(dependent)
-    if head is None:
+    idx = _linked_index(ds, index)
+    if dependent not in idx.head_of:
         raise StructureError(f"word {dependent} has no direct head")
-    pos = ds.positional.get(dependent)
-    if pos is None:
-        raise StructureError(f"word {dependent} has no positional head")
-
+    chain = idx.ancestors(dependent)
     violations = []
-    cur = head
-    hops = 0
-    while cur != pos:
-        dtype = idx.dtype_of.get(cur)
-        if dtype is None:
-            raise StructureError(
-                f"positional head {pos} is not a transitive head of {dependent}"
-            )
+    for cur in chain[: chain.index(ds.positional[dependent])]:
+        dtype = idx.dtype_of[cur]
         if dtype not in slot.extraction:
             violations.append(
                 Violation(
@@ -280,12 +290,6 @@ def check_extraction(
                     f"extraction of word {dependent} crosses a {dtype!r} edge "
                     f"not licensed by slot {slot.dtype!r}",
                 )
-            )
-        cur = idx.head_of[cur]
-        hops += 1
-        if hops > idx.n:
-            raise StructureError(
-                f"positional head {pos} is not a transitive head of {dependent}"
             )
     return ValidationReport(tuple(violations))
 

@@ -30,7 +30,7 @@ derivation, along with the four linking conditions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
     from .lexicon import LexicalEntry, Lexicon
@@ -193,6 +193,23 @@ def ancestor_chain(head_of: dict[int, int], w: int) -> tuple[int, ...]:
         w = head_of[w]
         chain.append(w)
     return tuple(chain)
+
+
+def head_walk(head_of: dict[int, int], w: int) -> tuple[tuple[int, ...], bool]:
+    """``w`` and its transitive heads, nearest first, on any head map.
+
+    The walk stops at a word without a head, or before the first word it
+    would visit twice; the flag says whether it ran into such a cycle.
+    """
+    path = [w]
+    seen = {w}
+    while w in head_of:
+        w = head_of[w]
+        if w in seen:
+            return tuple(path), True
+        seen.add(w)
+        path.append(w)
+    return tuple(path), False
 
 
 def permute_tree(
@@ -372,17 +389,15 @@ def iter_tree_violations(
     if structural:
         return
     head_of = tree.head_of()
+    if is_tree(head_of, tree.root, n):
+        return
     for w in tree.words:
-        seen = {w.index}
-        cur = w.index
-        while cur != tree.root:
-            cur = head_of[cur]
-            if cur in seen:
-                yield Violation(
-                    "tree.cycle", tuple(sorted(seen)), "dependency cycle detected"
-                )
-                return
-            seen.add(cur)
+        path, cyclic = head_walk(head_of, w.index)
+        if cyclic:
+            yield Violation(
+                "tree.cycle", tuple(sorted(path)), "dependency cycle detected"
+            )
+            return
 
 
 def validate_tree(tree: DependencyTree, lex: "Lexicon | None" = None) -> ValidationReport:
@@ -392,6 +407,36 @@ def validate_tree(tree: DependencyTree, lex: "Lexicon | None" = None) -> Validat
 
 # ---------------------------------------------------------------------------
 # order domain structure validation
+
+
+def _gap(d: OrderDomain) -> Violation | None:
+    """The contiguity violation of a non-empty domain of words, if any."""
+    lo, hi = d.span()
+    if len(d.members) == hi - lo + 1:
+        return None
+    return Violation(
+        "ods.contiguity",
+        (d.id,),
+        f"domain {d.id!r} is not contiguous: {sorted(d.members)}",
+    )
+
+
+def _iter_sequence_order(
+    seqs: Iterable[tuple[int, Sequence[str]]], by_id: dict[str, OrderDomain]
+) -> Iterator[Violation]:
+    """Condition 4 on (word, sequence) pairs; pairs with an empty domain pass."""
+    for w, seq in seqs:
+        for left_id, right_id in zip(seq, seq[1:]):
+            left, right = by_id[left_id], by_id[right_id]
+            if left.members and right.members and max(left.members) >= min(
+                right.members
+            ):
+                yield Violation(
+                    "ds.cond4",
+                    (w, left.id, right.id),
+                    f"sequence of word {w} is not ordered: {left.id!r} must "
+                    f"precede {right.id!r} on the surface",
+                )
 
 
 def iter_ods_violations(
@@ -413,13 +458,9 @@ def iter_ods_violations(
                 f"domain {d.id!r} contains out-of-range indices",
             )
             continue
-        lo, hi = d.span()
-        if len(d.members) != hi - lo + 1:
-            yield Violation(
-                "ods.contiguity",
-                (d.id,),
-                f"domain {d.id!r} is not contiguous: {sorted(d.members)}",
-            )
+        gap = _gap(d)
+        if gap is not None:
+            yield gap
 
     # Any two domains must be nested or disjoint.
     domains = ods.domains
@@ -471,70 +512,143 @@ Member = tuple[str, int | str]
 
 
 class StructureIndex:
-    """Precomputed navigation over one dependency structure.
+    """The linking between the two layers of one structure, and navigation.
 
-    Builds the insertion relation (which domain hosts each word), the
-    resulting tree of domains, and per-domain immediate member lists in
-    surface order.  Requires both layers to be individually valid and the
-    linking to be well defined; raises StructureError otherwise.
+    Derives, once, which word and slot own each domain, the top domain,
+    each word's insertion (the one domain of its positional head's
+    sequence that holds it), the resulting tree of domains, and per-domain
+    immediate member lists in surface order.  This is the validator's
+    linking stage: every linking fault is recorded in ``problems``, in the
+    order the validator reports them, instead of being raised.  The domain
+    tree and the navigation below are only defined when ``problems`` is
+    empty.  Both layers must already pass their own checks (the tree and
+    domain stages); on other input the index may be incomplete.
     """
 
     def __init__(self, ds: DependencyStructure):
         self.ds = ds
         tree = ds.tree
-        self.n = tree.n
+        n = self.n = tree.n
         self.head_of = tree.head_of()
         self.dtype_of = tree.dtype_of()
-        self.by_id = ds.domains.by_id()
+        self._chains = {w: head_walk(self.head_of, w)[0][1:] for w in range(n)}
+        by_id = self.by_id = ds.domains.by_id()
+        assoc = ds.domains.assoc
+        self.problems: list[Violation] = []
+
+        def fault(condition: str, subjects: tuple, message: str) -> None:
+            self.problems.append(Violation(condition, subjects, message))
+
+        for w in assoc:
+            if not 0 <= w < n:
+                fault(
+                    "ds.assoc-extra",
+                    (w,),
+                    f"domain sequence given for unknown word {w}",
+                )
+        for w in range(n):
+            if w not in assoc:
+                fault("ds.assoc-missing", (w,), f"word {w} has no domain sequence")
+                continue
+            template = tree.words[w].entry.template
+            seq = assoc[w]
+            if len(seq) != len(template.slots):
+                fault(
+                    "ds.assoc-arity",
+                    (w,),
+                    f"word {w} realizes {len(seq)} slots but its template has "
+                    f"{len(template.slots)}",
+                )
+                continue
+            self_id = seq[template.self_slot]
+            if self_id not in by_id or w not in by_id[self_id].members:
+                fault(
+                    "ds.self-domain",
+                    (w,),
+                    f"the self slot of word {w} must be realized and contain it",
+                )
 
         self.owner: dict[str, tuple[int, int]] = {}
-        for w, seq in ds.domains.assoc.items():
-            for slot, did in enumerate(seq):
+        for w in range(n):
+            for slot, did in enumerate(assoc.get(w, ())):
                 if did is None:
                     continue
                 if did in self.owner:
-                    raise StructureError(f"domain {did!r} owned by two sequences")
+                    fault(
+                        "ds.domain-shared",
+                        (did, self.owner[did][0], w),
+                        f"domain {did!r} appears in two sequences",
+                    )
                 self.owner[did] = (w, slot)
-
         unowned = [d.id for d in ds.domains.domains if d.id not in self.owner]
-        if len(unowned) != 1:
-            raise StructureError(
-                f"expected exactly one top domain, found {unowned!r}"
+        if len(unowned) != 1 or by_id[unowned[0]].members != frozenset(range(n)):
+            fault(
+                "ds.top-owner",
+                tuple(unowned),
+                "exactly one domain (the top, spanning all words) may stay "
+                "outside every word's sequence",
             )
-        self.top_id = unowned[0]
+        self.top_id = unowned[0] if unowned else None
 
-        self.insertion: dict[int, str] = {tree.root: self.top_id}
-        for w in range(self.n):
+        for w in ds.positional:
+            if not 0 <= w < n:
+                fault(
+                    "ds.positional-extra",
+                    (w,),
+                    f"positional head recorded for unknown word {w}",
+                )
+        self.insertion: dict[int, str | None] = {tree.root: self.top_id}
+        for w in range(n):
             if w == tree.root:
+                if w in ds.positional:
+                    fault(
+                        "ds.positional-root",
+                        (w,),
+                        "the root has no positional head; it sits in the top domain",
+                    )
                 continue
             p = ds.positional.get(w)
             if p is None:
-                raise StructureError(f"word {w} has no positional head")
+                fault("ds.positional-missing", (w,), f"word {w} has no positional head")
+                continue
+            if p not in self.ancestors(w):
+                fault(
+                    "ds.positional-head",
+                    (w, p),
+                    f"positional head {p} is not a transitive head of word {w}",
+                )
+                continue
             hosts = [
                 did
-                for did in ds.domains.assoc.get(p, ())
-                if did is not None and w in self.by_id[did].members
+                for did in assoc.get(p, ())
+                if did is not None and did in by_id and w in by_id[did].members
             ]
             if len(hosts) != 1:
-                raise StructureError(
+                fault(
+                    "ds.insertion",
+                    (w, p),
                     f"word {w} must lie in exactly one domain of word {p}'s "
-                    f"sequence, found {len(hosts)}"
+                    f"sequence, found {len(hosts)}",
                 )
+                continue
             self.insertion[w] = hosts[0]
 
+        self.domain_children: dict[str, tuple[str, ...]] = {}
+        if self.problems:
+            return
         children: dict[str, list[str]] = {d.id: [] for d in ds.domains.domains}
-        for w in range(self.n):
+        for w in range(n):
             target = self.insertion[w]
             for did in ds.domains.realized(w):
                 children[target].append(did)
         self.domain_children = {
-            did: tuple(sorted(kids, key=lambda k: min(self.by_id[k].members)))
+            did: tuple(sorted(kids, key=lambda k: min(by_id[k].members)))
             for did, kids in children.items()
         }
 
     def ancestors(self, w: int) -> tuple[int, ...]:
-        """Transitive heads of w, nearest first."""
-        return ancestor_chain(self.head_of, w)
+        """Transitive heads of word w, nearest first; stops short of a cycle."""
+        return self._chains[w]
 
     def self_domain(self, w: int) -> str | None:
         entry = self.ds.tree.words[w].entry
@@ -635,17 +749,9 @@ def iter_condition_violations(ds: DependencyStructure) -> Iterator[Violation]:
                 f"no domain containing word {w} belongs to a transitive head",
             )
 
-    for w in range(tree.n):
-        seq = ods.realized(w)
-        for i in range(len(seq) - 1):
-            left, right = by_id[seq[i]], by_id[seq[i + 1]]
-            if max(left.members) >= min(right.members):
-                yield Violation(
-                    "ds.cond4",
-                    (w, left.id, right.id),
-                    f"sequence of word {w} is not ordered: {left.id!r} must "
-                    f"precede {right.id!r} on the surface",
-                )
+    yield from _iter_sequence_order(
+        ((w, ods.realized(w)) for w in range(tree.n)), by_id
+    )
 
 
 def derived_member_sets(
@@ -731,27 +837,17 @@ def iter_order_violations(ds: DependencyStructure) -> Iterator[Violation]:
     n = ds.tree.n
     for d in ds.domains.domains:
         if d.members and all(0 <= m < n for m in d.members):
-            lo, hi = d.span()
-            if len(d.members) != hi - lo + 1:
-                yield Violation(
-                    "ods.contiguity",
-                    (d.id,),
-                    f"domain {d.id!r} is not contiguous: {sorted(d.members)}",
-                )
+            gap = _gap(d)
+            if gap is not None:
+                yield gap
     by_id = ds.domains.by_id()
-    for w in range(n):
-        seq = [did for did in ds.domains.assoc.get(w, ()) if did in by_id]
-        for i in range(len(seq) - 1):
-            left, right = by_id[seq[i]], by_id[seq[i + 1]]
-            if not left.members or not right.members:
-                continue
-            if max(left.members) >= min(right.members):
-                yield Violation(
-                    "ds.cond4",
-                    (w, left.id, right.id),
-                    f"sequence of word {w} is not ordered: {left.id!r} must "
-                    f"precede {right.id!r} on the surface",
-                )
+    yield from _iter_sequence_order(
+        (
+            (w, [did for did in ds.domains.assoc.get(w, ()) if did in by_id])
+            for w in range(n)
+        ),
+        by_id,
+    )
 
 
 def surface_order(ds: DependencyStructure) -> tuple[int, ...]:

@@ -34,7 +34,6 @@ from .core import (
     UnknownTokenError,
     WordToken,
     ancestor_chain,
-    is_tree,
     permute_tree,
     realize_structure,
     validate_tree,
@@ -228,8 +227,9 @@ def _iter_head_maps(words, lex, budget, stats):
             if k == len(rest):
                 budget.tick()
                 stats.bump("maps")
-                if is_tree(parent, root, n):
-                    yield root, dict(parent), dict(dtype_of)
+                # every head choice below kept the partial map acyclic, so
+                # the complete map is a tree
+                yield root, dict(parent), dict(dtype_of)
                 return
             w = rest[k]
             for h in range(n):

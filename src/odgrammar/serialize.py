@@ -18,6 +18,7 @@ from .core import (
     DependencyEdge,
     DependencyStructure,
     DependencyTree,
+    FeatureMap,
     OrderDomain,
     OrderDomainStructure,
     WordToken,
@@ -61,10 +62,11 @@ def _resolve_entry(
 
 
 # ---------------------------------------------------------------------------
-# trees
+# text form
 
 
-def render_tree_text(tree: DependencyTree, lex: Lexicon) -> str:
+def _tree_lines(tree: DependencyTree, lex: Lexicon, features: FeatureMap) -> list[str]:
+    """Token, root and edge lines; a tree passes no features."""
     lines = []
     for w in tree.words:
         fields = [
@@ -74,10 +76,27 @@ def render_tree_text(tree: DependencyTree, lex: Lexicon) -> str:
             str(lex.entry_ordinal(w.entry)),
             tree.classes[w.index],
         ]
+        fields.extend(_feat_fields(features.get(w.index, {})))
         lines.append(" ".join(fields))
     lines.append(f"root {tree.root}")
     for e in tree.edges:
         lines.append(f"edge {e.head} {e.dtype} {e.dependent}")
+    return lines
+
+
+def render_tree_text(tree: DependencyTree, lex: Lexicon) -> str:
+    return "\n".join(_tree_lines(tree, lex, {})) + "\n"
+
+
+def render_structure_text(ds: DependencyStructure, lex: Lexicon) -> str:
+    lines = _tree_lines(ds.tree, lex, ds.features)
+    for d in ds.domains.domains:
+        lines.append(f"domain {d.id} " + " ".join(str(m) for m in d.sorted_members()))
+    for w, seq in ds.domains.assoc.items():
+        rendered = " ".join("-" if did is None else did for did in seq)
+        lines.append(f"assoc {w} {rendered}")
+    for w, p in ds.positional.items():
+        lines.append(f"positional {w} {p}")
     return "\n".join(lines) + "\n"
 
 
@@ -86,25 +105,6 @@ def _scan_lines(text: str):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield i, line.split()
-
-
-def _build_tokens(records, lex: Lexicon):
-    words = []
-    classes = {}
-    features = {}
-    for line_no, fields in records:
-        if len(fields) < 5:
-            raise SerializationError(
-                f"line {line_no}: token lines need index, form, entry, class"
-            )
-        index = _int(fields[1], line_no)
-        form = fields[2]
-        ordinal = _int(fields[3], line_no)
-        entry = _resolve_entry(form, ordinal, lex, line_no)
-        words.append(WordToken(index, form, entry))
-        classes[index] = fields[4]
-        features[index] = _parse_feats(fields[5:], line_no)
-    return words, classes, features
 
 
 def _int(field: str, line_no: int) -> int:
@@ -116,67 +116,16 @@ def _int(field: str, line_no: int) -> int:
         ) from None
 
 
-def parse_tree_text(text: str, lex: Lexicon) -> DependencyTree:
-    token_records = []
-    root = None
-    edges = []
-    for line_no, fields in _scan_lines(text):
-        kind = fields[0]
-        if kind == "token":
-            token_records.append((line_no, fields))
-        elif kind == "root":
-            if len(fields) != 2:
-                raise SerializationError(f"line {line_no}: root lines are 'root INDEX'")
-            root = _int(fields[1], line_no)
-        elif kind == "edge":
-            if len(fields) != 4:
-                raise SerializationError(
-                    f"line {line_no}: edge lines are 'edge HEAD DTYPE DEP'"
-                )
-            edges.append(
-                DependencyEdge(_int(fields[1], line_no), _int(fields[3], line_no), fields[2])
-            )
-        else:
-            raise SerializationError(
-                f"line {line_no}: unknown record {kind!r} in a tree"
-            )
-    if root is None:
-        raise SerializationError("tree input lacks a root record")
-    words, classes, _ = _build_tokens(token_records, lex)
-    return DependencyTree(tuple(words), root, tuple(edges), classes)
+_TREE_RECORDS = frozenset({"token", "root", "edge"})
+_STRUCTURE_RECORDS = _TREE_RECORDS | {"domain", "assoc", "positional"}
 
 
-# ---------------------------------------------------------------------------
-# structures
+def _read_text(text: str, lex: Lexicon, what: str) -> DependencyStructure:
+    """Read the text form of a ``what`` ("tree" or "structure").
 
-
-def render_structure_text(ds: DependencyStructure, lex: Lexicon) -> str:
-    tree = ds.tree
-    lines = []
-    for w in tree.words:
-        fields = [
-            "token",
-            str(w.index),
-            w.form,
-            str(lex.entry_ordinal(w.entry)),
-            tree.classes[w.index],
-        ]
-        fields.extend(_feat_fields(ds.features.get(w.index, {})))
-        lines.append(" ".join(fields))
-    lines.append(f"root {tree.root}")
-    for e in tree.edges:
-        lines.append(f"edge {e.head} {e.dtype} {e.dependent}")
-    for d in ds.domains.domains:
-        lines.append(f"domain {d.id} " + " ".join(str(m) for m in d.sorted_members()))
-    for w, seq in ds.domains.assoc.items():
-        rendered = " ".join("-" if did is None else did for did in seq)
-        lines.append(f"assoc {w} {rendered}")
-    for w, p in ds.positional.items():
-        lines.append(f"positional {w} {p}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_structure_text(text: str, lex: Lexicon) -> DependencyStructure:
+    A tree is returned inside a structure whose other fields stay empty.
+    """
+    allowed = _TREE_RECORDS if what == "tree" else _STRUCTURE_RECORDS
     token_records = []
     root = None
     edges = []
@@ -185,6 +134,10 @@ def parse_structure_text(text: str, lex: Lexicon) -> DependencyStructure:
     positional = {}
     for line_no, fields in _scan_lines(text):
         kind = fields[0]
+        if kind not in allowed:
+            raise SerializationError(
+                f"line {line_no}: unknown record {kind!r} in a {what}"
+            )
         if kind == "token":
             token_records.append((line_no, fields))
         elif kind == "root":
@@ -213,51 +166,75 @@ def parse_structure_text(text: str, lex: Lexicon) -> DependencyStructure:
                 )
             word = _int(fields[1], line_no)
             assoc[word] = tuple(None if f == "-" else f for f in fields[2:])
-        elif kind == "positional":
+        else:
             if len(fields) != 3:
                 raise SerializationError(
                     f"line {line_no}: positional lines are 'positional WORD HEAD'"
                 )
             positional[_int(fields[1], line_no)] = _int(fields[2], line_no)
-        else:
-            raise SerializationError(
-                f"line {line_no}: unknown record {kind!r} in a structure"
-            )
     if root is None:
-        raise SerializationError("structure input lacks a root record")
-    words, classes, features = _build_tokens(token_records, lex)
-    tree = DependencyTree(tuple(words), root, tuple(edges), classes)
+        raise SerializationError(f"{what} input lacks a root record")
+    words = []
+    classes = {}
+    features = {}
+    for line_no, fields in token_records:
+        if len(fields) < 5:
+            raise SerializationError(
+                f"line {line_no}: token lines need index, form, entry, class"
+            )
+        index = _int(fields[1], line_no)
+        form = fields[2]
+        entry = _resolve_entry(form, _int(fields[3], line_no), lex, line_no)
+        words.append(WordToken(index, form, entry))
+        classes[index] = fields[4]
+        features[index] = _parse_feats(fields[5:], line_no)
     return DependencyStructure(
-        tree=tree,
+        tree=DependencyTree(tuple(words), root, tuple(edges), classes),
         features=features,
         domains=OrderDomainStructure(tuple(domains), assoc),
         positional=positional,
     )
 
 
+def parse_tree_text(text: str, lex: Lexicon) -> DependencyTree:
+    return _read_text(text, lex, "tree").tree
+
+
+def parse_structure_text(text: str, lex: Lexicon) -> DependencyStructure:
+    return _read_text(text, lex, "structure")
+
+
 # ---------------------------------------------------------------------------
-# JSON renderings
+# JSON form
 
 
-def structure_obj(ds: DependencyStructure, lex: Lexicon) -> dict:
-    """The JSON-ready dict that `render_structure_json` writes out."""
-    tree = ds.tree
+def _tree_obj(tree: DependencyTree, lex: Lexicon, features: FeatureMap | None) -> dict:
+    """Tokens, root and edges; a tree passes None and its tokens get no features."""
+    tokens = []
+    for w in tree.words:
+        tok = {
+            "index": w.index,
+            "form": w.form,
+            "entry": lex.entry_ordinal(w.entry),
+            "class": tree.classes[w.index],
+        }
+        if features is not None:
+            tok["features"] = dict(sorted(features.get(w.index, {}).items()))
+        tokens.append(tok)
     return {
-        "tokens": [
-            {
-                "index": w.index,
-                "form": w.form,
-                "entry": lex.entry_ordinal(w.entry),
-                "class": tree.classes[w.index],
-                "features": dict(sorted(ds.features.get(w.index, {}).items())),
-            }
-            for w in tree.words
-        ],
+        "tokens": tokens,
         "root": tree.root,
         "edges": [
             {"head": e.head, "dtype": e.dtype, "dependent": e.dependent}
             for e in tree.edges
         ],
+    }
+
+
+def structure_obj(ds: DependencyStructure, lex: Lexicon) -> dict:
+    """The JSON-ready dict that `render_structure_json` writes out."""
+    return {
+        **_tree_obj(ds.tree, lex, ds.features),
         "domains": [
             {"id": d.id, "members": list(d.sorted_members())}
             for d in ds.domains.domains
@@ -267,93 +244,74 @@ def structure_obj(ds: DependencyStructure, lex: Lexicon) -> dict:
     }
 
 
+def _dump(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def render_tree_json(tree: DependencyTree, lex: Lexicon) -> str:
+    return _dump(_tree_obj(tree, lex, None))
+
+
 def render_structure_json(ds: DependencyStructure, lex: Lexicon) -> str:
-    return json.dumps(structure_obj(ds, lex), sort_keys=True, separators=(",", ":"))
+    return _dump(structure_obj(ds, lex))
 
 
-def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
+def _tree_from_obj(obj, lex: Lexicon, features: FeatureMap | None) -> DependencyTree:
+    """The tree of a decoded JSON form; token features go into ``features``."""
+    words = []
+    classes = {}
+    for tok in obj["tokens"]:
+        entry = _resolve_entry(tok["form"], tok["entry"], lex)
+        words.append(WordToken(tok["index"], tok["form"], entry))
+        classes[tok["index"]] = tok["class"]
+        if features is not None:
+            features[tok["index"]] = dict(tok["features"])
+    return DependencyTree(
+        tuple(words),
+        obj["root"],
+        tuple(
+            DependencyEdge(e["head"], e["dependent"], e["dtype"])
+            for e in obj["edges"]
+        ),
+        classes,
+    )
+
+
+def _read_json(text: str, what: str, build):
+    """``build`` applied to the decoded text; errors name the form ``what``."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SerializationError(f"not valid JSON: {exc}") from None
     try:
-        words = []
-        classes = {}
-        features = {}
-        for tok in obj["tokens"]:
-            entry = _resolve_entry(tok["form"], tok["entry"], lex)
-            words.append(WordToken(tok["index"], tok["form"], entry))
-            classes[tok["index"]] = tok["class"]
-            features[tok["index"]] = dict(tok["features"])
-        tree = DependencyTree(
-            tuple(words),
-            obj["root"],
-            tuple(
-                DependencyEdge(e["head"], e["dependent"], e["dtype"])
-                for e in obj["edges"]
-            ),
-            classes,
-        )
+        return build(obj)
+    except (KeyError, TypeError) as exc:
+        raise SerializationError(f"{what} JSON misses field: {exc}") from None
+    except ValueError as exc:
+        raise SerializationError(f"{what} JSON has a bad value: {exc}") from None
+
+
+def parse_tree_json(text: str, lex: Lexicon) -> DependencyTree:
+    return _read_json(text, "tree", lambda obj: _tree_from_obj(obj, lex, None))
+
+
+def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
+    def build(obj) -> DependencyStructure:
+        features: FeatureMap = {}
+        tree = _tree_from_obj(obj, lex, features)
         domains = tuple(
             OrderDomain(d["id"], frozenset(d["members"])) for d in obj["domains"]
         )
         assoc = {int(w): tuple(seq) for w, seq in obj["assoc"].items()}
         positional = {int(w): p for w, p in obj["positional"].items()}
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"structure JSON misses field: {exc}") from None
-    except ValueError as exc:
-        raise SerializationError(f"structure JSON has a bad value: {exc}") from None
-    return DependencyStructure(
-        tree=tree,
-        features=features,
-        domains=OrderDomainStructure(domains, assoc),
-        positional=positional,
-    )
-
-
-def render_tree_json(tree: DependencyTree, lex: Lexicon) -> str:
-    obj = {
-        "tokens": [
-            {
-                "index": w.index,
-                "form": w.form,
-                "entry": lex.entry_ordinal(w.entry),
-                "class": tree.classes[w.index],
-            }
-            for w in tree.words
-        ],
-        "root": tree.root,
-        "edges": [
-            {"head": e.head, "dtype": e.dtype, "dependent": e.dependent}
-            for e in tree.edges
-        ],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def parse_tree_json(text: str, lex: Lexicon) -> DependencyTree:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SerializationError(f"not valid JSON: {exc}") from None
-    try:
-        words = []
-        classes = {}
-        for tok in obj["tokens"]:
-            entry = _resolve_entry(tok["form"], tok["entry"], lex)
-            words.append(WordToken(tok["index"], tok["form"], entry))
-            classes[tok["index"]] = tok["class"]
-        return DependencyTree(
-            tuple(words),
-            obj["root"],
-            tuple(
-                DependencyEdge(e["head"], e["dependent"], e["dtype"])
-                for e in obj["edges"]
-            ),
-            classes,
+        return DependencyStructure(
+            tree=tree,
+            features=features,
+            domains=OrderDomainStructure(domains, assoc),
+            positional=positional,
         )
-    except (KeyError, TypeError) as exc:
-        raise SerializationError(f"tree JSON misses field: {exc}") from None
+
+    return _read_json(text, "structure", build)
 
 
 def canonical_structure(ds: DependencyStructure, lex: Lexicon) -> str:

@@ -4,8 +4,10 @@ Checks run in three stages because later stages are only meaningful on a
 sound base: first each layer on its own (tree, domain hierarchy), then the
 linking between the layers (sequences, ownership, positional heads,
 insertion), and finally the four linking conditions, the derived member
-sets, and every lexical constraint.  Within the final stage nothing stops
-at the first finding; the report lists all violations.
+sets, and every lexical constraint.  The linking stage is building the
+structure's `StructureIndex`: the index reports the linking problems it
+finds, and the final stage navigates the same index.  Within the final
+stage nothing stops at the first finding; the report lists all violations.
 """
 
 from __future__ import annotations
@@ -20,13 +22,10 @@ from .constraints import (
     check_valency,
 )
 from .core import (
-    TOP_DOMAIN_ID,
     DependencyStructure,
-    StructureError,
     StructureIndex,
     ValidationReport,
     Violation,
-    ancestor_chain,
     derived_member_sets,
     iter_condition_violations,
     iter_ods_violations,
@@ -35,116 +34,23 @@ from .core import (
 from .lexicon import Lexicon
 
 
-def _iter_linking_violations(
-    ds: DependencyStructure,
-) -> Iterator[tuple[bool, Violation]]:
-    """Yield (hard, violation); hard findings block the final stage."""
+def _iter_entry_violations(ds: DependencyStructure) -> Iterator[Violation]:
+    """Class and feature columns that disagree with the words' entries.
+
+    These findings do not block the later stages.
+    """
     tree = ds.tree
-    n = tree.n
-    by_id = ds.domains.by_id()
-    full = frozenset(range(n))
-
-    assoc_words = set(ds.domains.assoc)
-    for w in sorted(assoc_words - set(range(n))):
-        yield True, Violation(
-            "ds.assoc-extra", (w,), f"domain sequence given for unknown word {w}"
-        )
-    for w in range(n):
-        if w not in assoc_words:
-            yield True, Violation(
-                "ds.assoc-missing", (w,), f"word {w} has no domain sequence"
-            )
-            continue
-        entry = tree.words[w].entry
-        seq = ds.domains.assoc[w]
-        if len(seq) != len(entry.template.slots):
-            yield True, Violation(
-                "ds.assoc-arity",
-                (w,),
-                f"word {w} realizes {len(seq)} slots but its template has "
-                f"{len(entry.template.slots)}",
-            )
-            continue
-        self_id = seq[entry.template.self_slot]
-        if self_id is None or w not in by_id[self_id].members:
-            yield True, Violation(
-                "ds.self-domain",
-                (w,),
-                f"the self slot of word {w} must be realized and contain it",
-            )
-
-    owner: dict[str, int] = {}
-    for w in sorted(assoc_words & set(range(n))):
-        for did in ds.domains.realized(w):
-            if did in owner:
-                yield True, Violation(
-                    "ds.domain-shared",
-                    (did, owner[did], w),
-                    f"domain {did!r} appears in two sequences",
-                )
-            owner[did] = w
-    unowned = [d.id for d in ds.domains.domains if d.id not in owner]
-    if len(unowned) != 1 or by_id[unowned[0]].members != full:
-        yield True, Violation(
-            "ds.top-owner",
-            tuple(unowned),
-            "exactly one domain (the top, spanning all words) may stay "
-            "outside every word's sequence",
-        )
-
-    for w in sorted(set(ds.positional) - set(range(n))):
-        yield True, Violation(
-            "ds.positional-extra",
-            (w,),
-            f"positional head recorded for unknown word {w}",
-        )
-    head_of = tree.head_of()
-    for w in range(n):
-        if w == tree.root:
-            if w in ds.positional:
-                yield True, Violation(
-                    "ds.positional-root",
-                    (w,),
-                    "the root has no positional head; it sits in the top domain",
-                )
-            continue
-        p = ds.positional.get(w)
-        if p is None:
-            yield True, Violation(
-                "ds.positional-missing", (w,), f"word {w} has no positional head"
-            )
-            continue
-        if p not in ancestor_chain(head_of, w):
-            yield True, Violation(
-                "ds.positional-head",
-                (w, p),
-                f"positional head {p} is not a transitive head of word {w}",
-            )
-            continue
-        hosts = [
-            did
-            for did in ds.domains.assoc.get(p, ())
-            if did is not None and did in by_id and w in by_id[did].members
-        ]
-        if len(hosts) != 1:
-            yield True, Violation(
-                "ds.insertion",
-                (w, p),
-                f"word {w} must lie in exactly one domain of word {p}'s "
-                f"sequence, found {len(hosts)}",
-            )
-
-    for w in range(n):
+    for w in range(tree.n):
         entry = tree.words[w].entry
         if tree.classes.get(w) != entry.word_class:
-            yield False, Violation(
+            yield Violation(
                 "lex.class-entry",
                 (w,),
                 f"word {w} is classed {tree.classes.get(w)!r} but its entry "
                 f"says {entry.word_class!r}",
             )
         if ds.features.get(w, {}) != entry.features:
-            yield False, Violation(
+            yield Violation(
                 "lex.feature-entry",
                 (w,),
                 f"features of word {w} differ from its entry",
@@ -180,12 +86,11 @@ def _iter_constraint_violations(
 
     yield from check_valency(tree, lex).violations
 
-    dtype_of = tree.dtype_of()
     for w in range(tree.n):
         if w == tree.root:
             continue
         head = idx.head_of[w]
-        slot = tree.words[head].entry.slot_for(dtype_of[w])
+        slot = tree.words[head].entry.slot_for(idx.dtype_of[w])
         if slot is not None:
             yield from check_extraction(slot, w, ds, idx).violations
 
@@ -208,24 +113,14 @@ def iter_structure_violations(
         yield from base
         return
 
-    soft: list[Violation] = []
-    hard = False
-    for is_hard, violation in _iter_linking_violations(ds):
-        if is_hard:
-            hard = True
-            yield violation
-        else:
-            soft.append(violation)
-    if hard:
-        yield from soft
+    idx = StructureIndex(ds)
+    if idx.problems:
+        yield from idx.problems
+        yield from _iter_entry_violations(ds)
         return
 
     yield from iter_condition_violations(ds)
-    yield from soft
-    try:
-        idx = StructureIndex(ds)
-    except StructureError:
-        return
+    yield from _iter_entry_violations(ds)
     yield from _iter_constraint_violations(ds, lex, idx)
 
 

@@ -201,6 +201,47 @@ class TestOracleCommand:
         assert code == 0
         assert "agree" in out
 
+    def test_orders_diff_compares_structures(self, capsys, noun_setup, monkeypatch):
+        # an engine that finds the right surface through a wrong structure
+        # must not agree with the oracle
+        import dataclasses
+
+        from odgrammar import engine
+
+        real_generate = engine.generate
+
+        def wrong_generate(tree, lex, **kwargs):
+            result = real_generate(tree, lex, **kwargs)
+            pairs = tuple(
+                (surface, dataclasses.replace(ds, positional={}))
+                for surface, ds in result.pairs
+            )
+            return dataclasses.replace(result, pairs=pairs)
+
+        monkeypatch.setattr(engine, "generate", wrong_generate)
+        lex_path, tree_path = noun_setup
+        code, out, _ = run(
+            capsys,
+            "oracle",
+            "--orders",
+            "--diff",
+            "--file",
+            tree_path,
+            "--lexicon",
+            lex_path,
+            "--format",
+            "machine",
+        )
+        report = json.loads(out)
+        assert code == 1
+        assert report["status"] == "differ"
+        assert (report["engine_count"], report["oracle_count"]) == (1, 1)
+        for side in ("only_engine", "only_oracle"):
+            [item] = report[side]
+            assert item.startswith("der Junge\ntoken 0 der 0 Det\n")
+        assert "positional 0 1" in report["only_oracle"][0]
+        assert "positional" not in report["only_engine"][0]
+
     def test_token_limit(self, capsys):
         code, _, err = run(capsys, "oracle", "hat " * 8)
         assert code == 3

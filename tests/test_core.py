@@ -6,6 +6,7 @@ import pytest
 
 from odgrammar import (
     TOP_DOMAIN_ID,
+    CardinalityConstraint,
     DependencyEdge,
     DependencyStructure,
     DependencyTree,
@@ -15,6 +16,7 @@ from odgrammar import (
     StructureError,
     StructureIndex,
     WordToken,
+    check_cardinality,
     domain_id,
     entries_for,
     realize_structure,
@@ -154,7 +156,7 @@ class TestTreeModel:
         edges = (DependencyEdge(2, 1, "vpart"), DependencyEdge(1, 2, "obj"))
         classes = {0: "Vfin", 1: "Vpart", 2: "N"}
         report = validate_tree(DependencyTree(words, 0, edges, classes), lex)
-        assert "tree.cycle" in report.conditions()
+        assert [v.subjects for v in report.by_condition("tree.cycle")] == [(1, 2)]
 
     def test_nonprojective_tree_is_fine(self, tree, lex):
         # the object-fronted analysis itself is non-projective: the edge
@@ -344,11 +346,18 @@ class TestStructureIndex:
         assert idx.ancestors(0) == (1, 5, 2)
         assert idx.ancestors(2) == ()
 
-    def test_double_owner_raises(self, ds):
+    def test_double_owner_is_reported(self, ds):
         assoc = dict(ds.domains.assoc)
         assoc[3] = ("d0.0",)
         bad = dataclasses.replace(
             ds, domains=OrderDomainStructure(ds.domains.domains, assoc)
         )
-        with pytest.raises(StructureError):
-            StructureIndex(bad)
+        idx = StructureIndex(bad)
+        assert [(v.condition, v.subjects) for v in idx.problems] == [
+            ("ds.self-domain", (3,)),
+            ("ds.domain-shared", ("d0.0", 0, 3)),
+            ("ds.top-owner", ("d3.0", TOP_DOMAIN_ID)),
+        ]
+        # a check that builds its own index refuses the structure
+        with pytest.raises(StructureError, match="appears in two sequences"):
+            check_cardinality(CardinalityConstraint(0, max=1), 0, bad)

@@ -4,17 +4,27 @@ The heavyweight comparison here is validator agreement: the library's
 verdict against the independent re-implementation in harness.py, over
 seeded random structures.  The acceptance suite runs the frozen-seed
 variant of the same trial; this module uses different seeds and smaller
-counts to widen coverage without repeating that work.
+counts to widen coverage without repeating that work.  A guard keeps
+harness.py from importing the library internals it re-implements.
 """
 
+import ast
+import contextlib
+import io
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odgrammar import (
     DependencyStructure,
     DependencyTree,
     OrderDomainStructure,
+    SerializationError,
+    ValidationReport,
     load_lexicon,
     parse,
     parse_structure_json,
@@ -25,7 +35,7 @@ from odgrammar import (
     surface_order,
     validate_structure,
 )
-from odgrammar.cli import tokenize
+from odgrammar.cli import main, tokenize
 
 from corpus import NOUN_ROOT_LEXICON
 from harness import (
@@ -75,6 +85,96 @@ class TestValidatorAgreement:
         for ds, expected in cases:
             assert structure_is_valid(ds, lex) is expected
             assert independent_verdict(ds, lex) is expected
+
+
+class TestHarnessIndependence:
+    # what the harness must decide validity without
+    INTERNALS = {
+        "StructureIndex",
+        "ancestor_chain",
+        "is_tree",
+        "derived_member_sets",
+        "head_walk",
+    }
+
+    def test_harness_imports_no_internals(self):
+        tree = ast.parse((Path(__file__).parent / "harness.py").read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.update(alias.name for alias in node.names)
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert "odgrammar" in imported
+        leaked = {
+            name
+            for name in imported
+            for part in name.split(".")
+            if part in self.INTERNALS
+            or (part.startswith("iter_") and part.endswith("_violations"))
+        }
+        assert leaked == set()
+
+
+# Line-level edits of a serialized structure: drop, copy or swap lines, or
+# change, drop or rename one field of a line.
+_FIELD_VALUES = ["0", "2", "5", "6", "-1", "x", "-", "top", "d2.1", "d0.0", "case=nom"]
+_EDIT = st.tuples(
+    st.sampled_from(["delete", "duplicate", "swap", "field", "drop-field", "keyword"]),
+    st.integers(0, 63),
+    st.integers(0, 63),
+    st.sampled_from(_FIELD_VALUES),
+    st.sampled_from(["token", "root", "edge", "domain", "assoc", "positional", "x"]),
+)
+
+
+def edit_lines(text, edits):
+    lines = text.splitlines()
+    for op, i, j, value, keyword in edits:
+        if not lines:
+            break
+        i %= len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j % (len(lines) + 1), lines[i])
+        elif op == "swap":
+            j %= len(lines)
+            lines[i], lines[j] = lines[j], lines[i]
+        elif lines[i]:
+            fields = lines[i].split()
+            j %= len(fields)
+            if op == "field":
+                fields[j] = value
+            elif op == "drop-field":
+                del fields[j]
+            else:
+                fields[0] = keyword
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+class TestEditedStructureText:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+    def test_edits_end_in_report_or_error(self, lex, key_structure, edits):
+        text = edit_lines(render_structure_text(key_structure, lex), edits)
+        try:
+            ds = parse_structure_text(text, lex)
+        except SerializationError:
+            pass
+        else:
+            assert isinstance(validate_structure(ds, lex), ValidationReport)
+
+        stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                with contextlib.redirect_stderr(io.StringIO()):
+                    code = main(["validate", "--format", "machine"])
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2)
 
 
 @pytest.fixture(scope="module")

@@ -24,6 +24,10 @@ def ds(lex):
     return realize_structure(key_tree(lex), KEY_POSITIONAL, KEY_SLOTS)
 
 
+def triples(report):
+    return [(v.condition, v.subjects, v.message) for v in report.violations]
+
+
 def with_domains(ds, domains, assoc=None):
     return dataclasses.replace(
         ds,
@@ -109,17 +113,73 @@ class TestStages:
         assert "ds.positional-head" in report.conditions()
 
     def test_insertion_needs_exactly_one_host(self, ds, lex):
-        # claim the subject noun is hosted by the verb while sitting in no
-        # domain of the verb's sequence that contains it
-        domains = []
-        for d in ds.domains.domains:
-            if d.id == "d2.1":
-                domains.append(OrderDomain(d.id, d.members - {3}))
-            else:
-                domains.append(d)
-        bad = with_domains(ds, tuple(domains))
-        report = validate_structure(bad, lex)
-        assert not report.ok
+        # the participle is a transitive head of the object's determiner,
+        # but none of the participle's domains holds the determiner
+        bad = dataclasses.replace(ds, positional={**ds.positional, 0: 5})
+        assert triples(validate_structure(bad, lex)) == [
+            (
+                "ds.insertion",
+                (0, 5),
+                "word 0 must lie in exactly one domain of word 5's sequence, "
+                "found 0",
+            )
+        ]
+
+    def test_linking_faults_are_reported_in_stage_order(self, ds, lex):
+        assoc = {**ds.domains.assoc, 3: ("d0.0",)}
+        positional = {**ds.positional, 0: 4, 1: 5, 2: 5, 9: 2}
+        del positional[5]
+        tree = dataclasses.replace(ds.tree, classes={**ds.tree.classes, 0: "N"})
+        bad = dataclasses.replace(
+            ds,
+            tree=tree,
+            domains=OrderDomainStructure(ds.domains.domains, assoc),
+            positional=positional,
+        )
+        top = (
+            "exactly one domain (the top, spanning all words) may stay "
+            "outside every word's sequence"
+        )
+        assert triples(validate_structure(bad, lex)) == [
+            (
+                "ds.self-domain",
+                (3,),
+                "the self slot of word 3 must be realized and contain it",
+            ),
+            (
+                "ds.domain-shared",
+                ("d0.0", 0, 3),
+                "domain 'd0.0' appears in two sequences",
+            ),
+            ("ds.top-owner", ("d3.0", "top"), top),
+            (
+                "ds.positional-extra",
+                (9,),
+                "positional head recorded for unknown word 9",
+            ),
+            (
+                "ds.positional-head",
+                (0, 4),
+                "positional head 4 is not a transitive head of word 0",
+            ),
+            (
+                "ds.insertion",
+                (1, 5),
+                "word 1 must lie in exactly one domain of word 5's sequence, "
+                "found 0",
+            ),
+            (
+                "ds.positional-root",
+                (2,),
+                "the root has no positional head; it sits in the top domain",
+            ),
+            ("ds.positional-missing", (5,), "word 5 has no positional head"),
+            (
+                "lex.class-entry",
+                (0,),
+                "word 0 is classed 'N' but its entry says 'Det'",
+            ),
+        ]
 
     def test_class_disagreement_is_reported(self, ds, lex):
         classes = dict(ds.tree.classes)
