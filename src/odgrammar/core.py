@@ -58,14 +58,6 @@ class TokenLimitError(Exception):
     """Input is longer than the exhaustive enumeration is willing to take."""
 
 
-class OrderInconsistencyError(StructureError):
-    """Surface order contradicts the domain layer (contiguity or sequence order)."""
-
-    def __init__(self, report: "ValidationReport"):
-        super().__init__("; ".join(v.message for v in report.violations))
-        self.report = report
-
-
 @dataclass(frozen=True)
 class Violation:
     """One validator finding: a condition id, the offending indices, a message."""
@@ -489,11 +481,16 @@ def iter_ods_violations(
             )
         for did in seq:
             if did is not None and did not in by_id:
-                yield Violation(
-                    "ods.assoc-unknown",
-                    (w, did),
-                    f"sequence of word {w} names unknown domain {did!r}",
-                )
+                yield _unknown_domain(w, did)
+
+
+def _unknown_domain(w: int, did: str) -> Violation:
+    """The finding for a sequence entry that names no domain of the layer."""
+    return Violation(
+        "ods.assoc-unknown",
+        (w, did),
+        f"sequence of word {w} names unknown domain {did!r}",
+    )
 
 
 def validate_domain_structure(
@@ -572,6 +569,9 @@ class StructureIndex:
         for w in range(n):
             for slot, did in enumerate(assoc.get(w, ())):
                 if did is None:
+                    continue
+                if did not in by_id:
+                    self.problems.append(_unknown_domain(w, did))
                     continue
                 if did in self.owner:
                     fault(
@@ -830,33 +830,3 @@ def realize_structure(
         domains=OrderDomainStructure(tuple(domains), assoc),
         positional=dict(positional),
     )
-
-
-def iter_order_violations(ds: DependencyStructure) -> Iterator[Violation]:
-    """Contiguity plus sequence-order checks; what surface_order asserts."""
-    n = ds.tree.n
-    for d in ds.domains.domains:
-        if d.members and all(0 <= m < n for m in d.members):
-            gap = _gap(d)
-            if gap is not None:
-                yield gap
-    by_id = ds.domains.by_id()
-    yield from _iter_sequence_order(
-        (
-            (w, [did for did in ds.domains.assoc.get(w, ()) if did in by_id])
-            for w in range(n)
-        ),
-        by_id,
-    )
-
-
-def surface_order(ds: DependencyStructure) -> tuple[int, ...]:
-    """Word indices in surface order, after asserting the domain layer agrees.
-
-    Raises OrderInconsistencyError when some domain is discontinuous or a
-    domain sequence contradicts the index order.
-    """
-    report = ValidationReport(tuple(iter_order_violations(ds)))
-    if not report.ok:
-        raise OrderInconsistencyError(report)
-    return tuple(w.index for w in ds.tree.words)

@@ -14,6 +14,10 @@ order or a precedence predicate.  Pruning must never change the result
 set; the tests check this against the brute-force enumeration in
 `odgrammar.oracle`.
 
+Each placement (a positional head and a slot for every non-root word) is
+turned into one layout: the immediate members of every realized domain.
+The cardinality prune counts those members, and generation arranges them.
+
 Every candidate counts against ``max_candidates``; exceeding the budget
 raises ResourceLimitError rather than returning a truncated answer.
 """
@@ -158,44 +162,65 @@ def _slot_options(tree, positional):
     return options
 
 
-def _cardinality_ok(tree, positional, slot_of) -> bool:
-    """Immediate-member counts against every entry's cardinality bounds.
+def _layout(self_slot, positional, slot_of):
+    """Each realized domain (owner, slot) mapped to its immediate members.
 
-    A domain's immediate members are its owner (in the self slot) plus one
-    per realized domain of each word inserted there.
+    ``self_slot[w]`` is word w's self slot, and ``positional`` lists words
+    in ascending order.  A slot is realized when it is the self slot or
+    hosts an inserted word.  Its members are ("self", owner) in the self
+    slot, then ("dom", u, s) for every word u inserted there (ascending)
+    and each of u's realized slots s (ascending).  Keys come in ascending
+    order.
     """
-    realized_of: dict[int, set[int]] = {
-        w: {tree.words[w].entry.template.self_slot} for w in range(tree.n)
-    }
+    inserted: dict[tuple[int, int], list[int]] = {}
     for w, p in positional.items():
-        realized_of[p].add(slot_of[w])
-    # an inserted word contributes one immediate member per realized domain
-    counts: Counter[tuple[int, int]] = Counter()
-    for w, p in positional.items():
-        counts[(p, slot_of[w])] += len(realized_of[w])
-    for w in range(tree.n):
-        entry = tree.words[w].entry
-        self_slot = entry.template.self_slot
-        counts[(w, self_slot)] += 1
-        for card in entry.cardinalities:
-            n = counts.get((w, card.slot), 0)
-            if n < card.min:
-                return False
-            if card.max is not None and n > card.max:
-                return False
-    return True
+        key = (p, slot_of[w])
+        if key in inserted:
+            inserted[key].append(w)
+        else:
+            inserted[key] = [w]
+    realized = [[s] for s in self_slot]
+    for p, s in inserted:
+        if s != self_slot[p]:
+            realized[p].append(s)
+    for slots in realized:
+        slots.sort()
+    layout: dict[tuple[int, int], list[tuple]] = {}
+    for w, slots in enumerate(realized):
+        for s in slots:
+            items: list[tuple] = [("self", w)] if s == self_slot[w] else []
+            for u in inserted.get((w, s), ()):
+                for s2 in realized[u]:
+                    items.append(("dom", u, s2))
+            layout[(w, s)] = items
+    return layout
 
 
 def _iter_realizations(tree, budget):
-    """Yield (positional, slot_of) choices for a valency-checked tree."""
+    """Yield (positional, slot_of, layout) for a valency-checked tree.
+
+    Placements whose layout breaks an entry's cardinality bounds (immediate
+    members of one slot's domain; an unrealized slot counts 0) are skipped.
+    """
     non_root = [w for w in range(tree.n) if w != tree.root]
+    self_slot = [word.entry.template.self_slot for word in tree.words]
+    bounds = [
+        ((w, card.slot), card.min, card.max)
+        for w in range(tree.n)
+        for card in tree.words[w].entry.cardinalities
+    ]
     for pos_combo in itertools.product(*_positional_options(tree)):
         positional = dict(zip(non_root, pos_combo))
         for slot_combo in itertools.product(*_slot_options(tree, positional)):
             budget.tick()
             slot_of = dict(zip(non_root, slot_combo))
-            if _cardinality_ok(tree, positional, slot_of):
-                yield positional, slot_of
+            layout = _layout(self_slot, positional, slot_of)
+            for did, lo, hi in bounds:
+                count = len(layout.get(did, ()))
+                if count < lo or (hi is not None and count > hi):
+                    break
+            else:
+                yield positional, slot_of, layout
 
 
 def _judge(ds, lex, stats) -> bool:
@@ -305,7 +330,7 @@ def parse(
                 stats.rejections[first.condition] += 1
                 continue
             stats.bump("trees")
-            for positional, slot_of in _iter_realizations(tree, budget):
+            for positional, slot_of, _ in _iter_realizations(tree, budget):
                 ds = realize_structure(tree, positional, slot_of)
                 if _judge(ds, lex, stats):
                     found.setdefault(canonical_structure(ds, lex), ds)
@@ -410,37 +435,18 @@ def generate(
 
     dtype_of = tree.dtype_of()
     found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
-    for positional, slot_of in _iter_realizations(tree, budget):
+    for positional, slot_of, layout in _iter_realizations(tree, budget):
         stats.bump("placements")
-        inserted: dict[tuple[int, int], list[int]] = {}
-        for w, p in positional.items():
-            inserted.setdefault((p, slot_of[w]), []).append(w)
-        realized_of: dict[int, list[int]] = {}
-        for w in range(tree.n):
-            slots = {tree.words[w].entry.template.self_slot}
-            slots.update(s for (p, s) in inserted if p == w)
-            realized_of[w] = sorted(slots)
-
-        domain_items: dict[tuple[int, int], list[tuple]] = {}
-        for w in range(tree.n):
-            for s in realized_of[w]:
-                items: list[tuple] = []
-                if s == tree.words[w].entry.template.self_slot:
-                    items.append(("self", w))
-                for u in inserted.get((w, s), ()):
-                    for s2 in realized_of[u]:
-                        items.append(("dom", u, s2))
-                domain_items[(w, s)] = items
-
-        ordered_ids = sorted(domain_items)
+        # the top domain holds the root's whole sequence; its members are
+        # the root's domains, fixed in sequence order
+        top_ids = [did for did in layout if did[0] == tree.root]
         choice_lists = []
-        for did in ordered_ids:
-            w, s = did
+        for (w, s), items in layout.items():
             entry = tree.words[w].entry
             choice_lists.append(
                 [
                     perm
-                    for perm in _arrangements(domain_items[did])
+                    for perm in _arrangements(items)
                     if _order_allowed(w, s, perm, entry, dtype_of)
                 ]
             )
@@ -448,7 +454,7 @@ def generate(
         for combo in itertools.product(*choice_lists):
             budget.tick()
             stats.bump("orders")
-            chosen = dict(zip(ordered_ids, combo))
+            chosen = dict(zip(layout, combo))
 
             def emit(did, out):
                 for item in chosen[did]:
@@ -457,12 +463,10 @@ def generate(
                     else:
                         emit((item[1], item[2]), out)
 
-            layout: list[int] = []
-            # the top domain holds the root's whole sequence; its members
-            # are the root's domains, fixed in sequence order
-            for s in realized_of[tree.root]:
-                emit((tree.root, s), layout)
-            permuted, new_index = permute_tree(tree, layout)
+            order: list[int] = []
+            for did in top_ids:
+                emit(did, order)
+            permuted, new_index = permute_tree(tree, order)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}
             ds = realize_structure(permuted, pos2, slot2)

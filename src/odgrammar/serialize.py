@@ -295,6 +295,14 @@ def parse_tree_json(text: str, lex: Lexicon) -> DependencyTree:
     return _read_json(text, "tree", lambda obj: _tree_from_obj(obj, lex, None))
 
 
+def _word_keyed(obj, name: str):
+    """The (key, value) pairs of the JSON object ``obj[name]``."""
+    value = obj[name]
+    if not isinstance(value, dict):
+        raise ValueError(f"{name!r} must be an object keyed by word index")
+    return value.items()
+
+
 def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
     def build(obj) -> DependencyStructure:
         features: FeatureMap = {}
@@ -302,8 +310,8 @@ def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
         domains = tuple(
             OrderDomain(d["id"], frozenset(d["members"])) for d in obj["domains"]
         )
-        assoc = {int(w): tuple(seq) for w, seq in obj["assoc"].items()}
-        positional = {int(w): p for w, p in obj["positional"].items()}
+        assoc = {int(w): tuple(seq) for w, seq in _word_keyed(obj, "assoc")}
+        positional = {int(w): p for w, p in _word_keyed(obj, "positional")}
         return DependencyStructure(
             tree=tree,
             features=features,

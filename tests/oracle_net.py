@@ -1,0 +1,124 @@
+"""Engine-vs-oracle net over the genitive scaling lexicon.
+
+The lexicon is ``bench/genitive.lex`` with its ``root:`` line replaced by
+``root: N``, so bare noun phrases are sentences.  Its nouns realize two
+domains (``[d post]``), so a noun inserted into another noun's domain is
+two immediate members there, and ``feat post case=gen`` is a domain-feature
+demand that genitive nouns can meet.  No other test lexicon has either.
+
+For each sentence, ``parse`` must equal ``oracle_parse`` as canonical
+strings.  For each distinct tree among the analyses, ``generate`` must
+equal ``oracle_generate`` as (surface, canonical structure) pairs.
+
+The Tier-1 slice (``tests/test_oracle_net.py``) runs every sentence of up
+to 3 tokens over the six determiner and noun forms and every 4-token
+sentence over four of them.  The full sweep, every sentence of up to 4
+tokens over all six forms, runs from the repository root with
+
+    PYTHONPATH=src python tests/oracle_net.py
+
+and exits 1 on any disagreement.
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+import sys
+import time
+from dataclasses import dataclass, field
+from pathlib import Path
+
+from odgrammar import (
+    canonical_structure,
+    generate,
+    load_lexicon,
+    oracle_generate,
+    oracle_parse,
+    parse,
+    render_tree_text,
+)
+
+GENITIVE_LEXICON = Path(__file__).resolve().parent.parent / "bench" / "genitive.lex"
+
+FORMS = ("der", "den", "des", "Junge", "Mann", "Mannes")
+SLICE_FORMS = ("der", "des", "Mann", "Mannes")
+
+
+def noun_root_lexicon():
+    text = GENITIVE_LEXICON.read_text()
+    text, n = re.subn(r"(?m)^root: .*$", "root: N", text)
+    if n != 1:
+        raise ValueError(f"{GENITIVE_LEXICON} has {n} root lines, expected 1")
+    return load_lexicon(text)
+
+
+def sentences(forms, lengths):
+    for k in lengths:
+        yield from itertools.product(forms, repeat=k)
+
+
+def slice_sentences():
+    yield from sentences(FORMS, range(1, 4))
+    yield from sentences(SLICE_FORMS, (4,))
+
+
+def full_sentences():
+    yield from sentences(FORMS, range(1, 5))
+
+
+@dataclass
+class NetResult:
+    sentences: int = 0
+    with_analyses: int = 0
+    trees: int = 0
+    pairs: int = 0
+    disagreements: list[str] = field(default_factory=list)
+
+
+def run_net(token_lists, lex) -> NetResult:
+    """Compare engine and oracle on every sentence and every analysed tree."""
+    result = NetResult()
+    trees = {}
+    for tokens in token_lists:
+        result.sentences += 1
+        engine = [canonical_structure(ds, lex) for ds in parse(tokens, lex).structures]
+        oracle = oracle_parse(tokens, lex)
+        if engine != [canonical_structure(ds, lex) for ds in oracle]:
+            result.disagreements.append(f"parse {' '.join(tokens)!r}")
+        if oracle:
+            result.with_analyses += 1
+        for ds in oracle:
+            trees.setdefault(render_tree_text(ds.tree, lex), ds.tree)
+    for text, tree in trees.items():
+        engine = [
+            (surface, canonical_structure(ds, lex))
+            for surface, ds in generate(tree, lex).pairs
+        ]
+        oracle = [
+            (surface, canonical_structure(ds, lex))
+            for surface, ds in oracle_generate(tree, lex)
+        ]
+        result.trees += 1
+        result.pairs += len(oracle)
+        if engine != oracle:
+            result.disagreements.append(f"generate\n{text}")
+    return result
+
+
+def main() -> int:
+    start = time.monotonic()
+    result = run_net(full_sentences(), noun_root_lexicon())
+    print(
+        f"{result.sentences} sentences, {result.with_analyses} with analyses; "
+        f"{result.trees} trees, {result.pairs} (surface, structure) pairs; "
+        f"{len(result.disagreements)} disagreements; "
+        f"{time.monotonic() - start:.1f} s"
+    )
+    for item in result.disagreements:
+        print(f"disagreement: {item}")
+    return 1 if result.disagreements else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

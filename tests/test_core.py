@@ -12,7 +12,6 @@ from odgrammar import (
     DependencyTree,
     OrderDomain,
     OrderDomainStructure,
-    OrderInconsistencyError,
     StructureError,
     StructureIndex,
     WordToken,
@@ -20,8 +19,8 @@ from odgrammar import (
     domain_id,
     entries_for,
     realize_structure,
-    surface_order,
     validate_domain_structure,
+    validate_structure,
     validate_tree,
 )
 from odgrammar.core import derived_member_sets, iter_condition_violations
@@ -281,20 +280,6 @@ class TestRealization:
             v.condition == "ds.cond4" for v in iter_condition_violations(bad)
         )
 
-    def test_surface_order(self, ds):
-        assert surface_order(ds) == (0, 1, 2, 3, 4, 5)
-
-    def test_surface_order_rejects_gaps(self, ds):
-        domains = tuple(
-            OrderDomain(d.id, frozenset({3, 5})) if d.id == "d4.0" else d
-            for d in ds.domains.domains
-        )
-        bad = dataclasses.replace(
-            ds, domains=OrderDomainStructure(domains, ds.domains.assoc)
-        )
-        with pytest.raises(OrderInconsistencyError):
-            surface_order(bad)
-
 
 class TestStructureIndex:
     def test_top_and_owner(self, ds):
@@ -361,3 +346,22 @@ class TestStructureIndex:
         # a check that builds its own index refuses the structure
         with pytest.raises(StructureError, match="appears in two sequences"):
             check_cardinality(CardinalityConstraint(0, max=1), 0, bad)
+
+    def test_unknown_sequence_domain_is_reported(self, ds, lex):
+        assoc = dict(ds.domains.assoc)
+        assoc[2] = ("d2.0", "d2.1", "nope")
+        bad = dataclasses.replace(
+            ds, domains=OrderDomainStructure(ds.domains.domains, assoc)
+        )
+        idx = StructureIndex(bad)
+        assert [(v.condition, v.subjects, v.message) for v in idx.problems] == [
+            (
+                "ods.assoc-unknown",
+                (2, "nope"),
+                "sequence of word 2 names unknown domain 'nope'",
+            ),
+        ]
+        with pytest.raises(StructureError, match="unknown domain 'nope'"):
+            check_cardinality(CardinalityConstraint(0, max=1), 2, bad)
+        # the validator's domain stage reports the same finding and stops
+        assert validate_structure(bad, lex).violations == tuple(idx.problems)

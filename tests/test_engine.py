@@ -18,6 +18,7 @@ from odgrammar import (
     oracle_generate,
     oracle_parse,
     parse,
+    parse_tree_text,
 )
 
 from corpus import (
@@ -28,6 +29,7 @@ from corpus import (
     NOUN_ROOT_LEXICON,
     SENTENCES,
 )
+from oracle_net import GENITIVE_LEXICON
 from test_core import key_tree
 
 
@@ -172,3 +174,73 @@ class TestGenerate:
         )
         result = generate(tree, nlex)
         assert result.surfaces() == ("der Junge",)
+
+
+# der Junge hat den Mann des Mannes gesehen, with "des Mannes" the genitive
+# of "Mann": the benchmark's genitive tree for one "des Mannes"
+GENITIVE_TREE = """\
+token 0 der 0 Det
+token 1 Junge 0 N
+token 2 hat 0 Vfin
+token 3 den 0 Det
+token 4 Mann 1 N
+token 5 des 0 Det
+token 6 Mannes 0 N
+token 7 gesehen 0 Vpart
+root 2
+edge 1 det 0
+edge 2 subj 1
+edge 2 vpart 7
+edge 7 obj 4
+edge 4 det 3
+edge 4 gen 6
+edge 6 det 5
+"""
+
+
+class TestDiagnostics:
+    """Search counts where a noun inserted elsewhere realizes two domains.
+
+    The cardinality prune counts one immediate member per realized domain
+    of each inserted word; a weaker prune lets more candidates reach the
+    validator without changing any result, so only the counts show it.
+    """
+
+    @pytest.fixture(scope="class")
+    def glex(self):
+        return load_lexicon(GENITIVE_LEXICON.read_text())
+
+    @pytest.mark.parametrize(
+        "sentence, structures, rejections",
+        [
+            (
+                "den Mann des Mannes hat der Junge gesehen",
+                0,
+                "ods.contiguity (28), ds.cond4 (5), prec.self (1)",
+            ),
+            (
+                "der Junge hat den Mann des Mannes gesehen",
+                2,
+                "ods.contiguity (18), ds.cond4 (12), prec.self (2)",
+            ),
+        ],
+    )
+    def test_parse_counts(self, glex, sentence, structures, rejections):
+        result = parse(sentence.split(), glex)
+        assert len(result.structures) == structures
+        assert result.diagnostics == (
+            "entry assignments tried: 4",
+            "labeled head maps enumerated: 2",
+            "head maps forming valency-checked trees: 2",
+            "realized structures validated: 34",
+            f"rejections by first failing check: {rejections}",
+        )
+
+    def test_generate_counts(self, glex):
+        result = generate(parse_tree_text(GENITIVE_TREE, glex), glex)
+        assert len(result.pairs) == 42
+        assert result.diagnostics == (
+            "positional and slot assignments tried: 18",
+            "domain arrangements laid out: 42",
+            "realized structures validated: 42",
+        )

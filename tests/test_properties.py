@@ -32,7 +32,6 @@ from odgrammar import (
     render_structure_json,
     render_structure_text,
     structure_is_valid,
-    surface_order,
     validate_structure,
 )
 from odgrammar.cli import main, tokenize
@@ -206,17 +205,6 @@ class TestVerdictConsistency:
             if ds is None:
                 continue
             assert structure_is_valid(ds, lex) == validate_structure(ds, lex).ok
-
-    def test_valid_structures_keep_index_order(self, lex):
-        sampler = StructureSampler(seed=71, lex=lex, bases=grammatical_bases())
-        seen_valid = 0
-        for _ in range(1500):
-            ds = sampler.next_instance()
-            if ds is None or not structure_is_valid(ds, lex):
-                continue
-            seen_valid += 1
-            assert surface_order(ds) == tuple(range(ds.tree.n))
-        assert seen_valid >= 50
 
 
 class TestTokenizeProperties:

@@ -141,6 +141,14 @@ class TestJson:
         with pytest.raises(SerializationError):
             parse_structure_json(json.dumps(obj), lex)
 
+    @pytest.mark.parametrize("field", ["assoc", "positional"])
+    @pytest.mark.parametrize("value", [[], 3, "x", None])
+    def test_json_rejects_non_object_word_map(self, ds, lex, field, value):
+        obj = json.loads(render_structure_json(ds, lex))
+        obj[field] = value
+        with pytest.raises(SerializationError, match="must be an object"):
+            parse_structure_json(json.dumps(obj), lex)
+
     def test_json_rejects_junk(self, lex):
         with pytest.raises(SerializationError):
             parse_structure_json("{\"words\": 3}", lex)
