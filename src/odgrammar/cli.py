@@ -85,6 +85,13 @@ def _machine(payload: dict, args, seconds: float) -> int:
     return exit_code
 
 
+def _print_structures(structures, lex: Lexicon) -> None:
+    print(f"{len(structures)} structure(s).")
+    for i, ds in enumerate(structures, 1):
+        print(f"--- structure {i}")
+        print(render_structure_text(ds, lex), end="")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -113,10 +120,7 @@ def _cmd_parse(args) -> int:
         if args.timing:
             print(f"elapsed: {seconds:.3f}s")
         return EXIT_EMPTY
-    print(f"{len(result.structures)} structure(s).")
-    for i, ds in enumerate(result.structures, 1):
-        print(f"--- structure {i}")
-        print(render_structure_text(ds, lex), end="")
+    _print_structures(result.structures, lex)
     if args.timing:
         print(f"elapsed: {seconds:.3f}s")
     return EXIT_OK
@@ -253,10 +257,7 @@ def _cmd_oracle(args) -> int:
     if not structures:
         print("no structures.")
         return EXIT_EMPTY
-    print(f"{len(structures)} structure(s).")
-    for i, ds in enumerate(structures, 1):
-        print(f"--- structure {i}")
-        print(render_structure_text(ds, lex), end="")
+    _print_structures(structures, lex)
     return EXIT_OK
 
 
@@ -295,15 +296,14 @@ def _cmd_check_lexicon(args) -> int:
         lex = _load_lexicon(args)
     except LexiconError as exc:
         if args.format == "machine":
-            print(
-                json.dumps(
-                    {"command": "check-lexicon", "status": "invalid", "error": str(exc)},
-                    sort_keys=True,
-                    indent=2,
-                )
-            )
-        else:
-            print(f"invalid lexicon: {exc}")
+            payload = {
+                "command": "check-lexicon",
+                "status": "invalid",
+                "error": str(exc),
+                "_exit": EXIT_EMPTY,
+            }
+            return _machine(payload, args, 0.0)
+        print(f"invalid lexicon: {exc}")
         return EXIT_EMPTY
     forms = sorted(lex.entries)
     n_entries = sum(len(es) for es in lex.entries.values())

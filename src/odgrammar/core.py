@@ -14,9 +14,11 @@ the word has been extracted upwards.  The sentence root nests inside an
 implicit top domain spanning all words, introduced by an implicit ROOT
 governor that never surfaces.
 
-Member sets of domains are derived from insertion: a domain contains its
-introducing word (if it is the self slot) plus every word nested under the
-insertions it hosts.  Validators below check the stored sets against this
+The domain layer is derived from insertion alone, once, by
+`domain_layout`: which slots each word realizes and the immediate members
+of each.  Member sets follow from it: a domain contains its introducing
+word (if it is the self slot) plus every word nested under the insertions
+it hosts.  Validators below check the stored sets against this
 derivation, along with the four linking conditions:
 
   1. each word lies in exactly one domain of its own sequence,
@@ -25,6 +27,11 @@ derivation, along with the four linking conditions:
      belonging to the sequence of a transitive head,
   4. the left-to-right order of each sequence is consistent with surface
      precedence.
+
+Condition 3 is enforced by the linking stage, `StructureIndex`: each
+non-root word lies in its own self domain and, by insertion, in exactly
+one domain of its positional head, a transitive head; no domain sits in
+two sequences, so those two domains are distinct.
 """
 
 from __future__ import annotations
@@ -696,13 +703,18 @@ class StructureIndex:
 # linking conditions and derived membership
 
 
-def iter_condition_violations(ds: DependencyStructure) -> Iterator[Violation]:
-    """The four linking conditions, checked literally on the stored sets."""
-    tree = ds.tree
-    ods = ds.domains
-    by_id = ods.by_id()
+def iter_condition_violations(
+    ds: DependencyStructure, idx: StructureIndex
+) -> Iterator[Violation]:
+    """Linking conditions 1, 2 and 4, checked literally on the stored sets.
 
-    for w in range(tree.n):
+    ``idx`` is the structure's index, built without problems, which means
+    condition 3 already holds (see the module docstring).
+    """
+    ods = ds.domains
+    by_id = idx.by_id
+
+    for w in range(idx.n):
         own = [did for did in ods.realized(w) if w in by_id[did].members]
         if len(own) != 1:
             yield Violation(
@@ -712,7 +724,7 @@ def iter_condition_violations(ds: DependencyStructure) -> Iterator[Violation]:
                 "(exactly one required)",
             )
 
-    for w in range(tree.n):
+    for w in range(idx.n):
         seq = ods.realized(w)
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
@@ -724,34 +736,49 @@ def iter_condition_violations(ds: DependencyStructure) -> Iterator[Violation]:
                         "sequence are not pairwise disjoint",
                     )
 
-    head_of = tree.head_of()
-    for w in range(tree.n):
-        if w == tree.root:
-            continue
-        containing = [d.id for d in ods.domains if w in d.members]
-        if len(containing) < 2:
-            yield Violation(
-                "ds.cond3",
-                (w,),
-                f"word {w} lies in only {len(containing)} domain(s); "
-                "two are required",
-            )
-            continue
-        hosted = any(
-            did in containing
-            for a in ancestor_chain(head_of, w)
-            for did in ods.realized(a)
-        )
-        if not hosted:
-            yield Violation(
-                "ds.cond3",
-                (w,),
-                f"no domain containing word {w} belongs to a transitive head",
-            )
-
     yield from _iter_sequence_order(
-        ((w, ods.realized(w)) for w in range(tree.n)), by_id
+        ((w, ods.realized(w)) for w in range(idx.n)), by_id
     )
+
+
+def domain_layout(
+    tree: DependencyTree,
+    positional: dict[int, int],
+    slot_of: dict[int, int],
+) -> dict[tuple[int, int], list[tuple]]:
+    """Each realized domain (owner, slot) mapped to its immediate members.
+
+    This is the one derivation of the domain layer from the insertion
+    choices.  ``slot_of[w]`` names the template slot of positional(w)
+    hosting w.  A slot is realized when it is the self slot or hosts an
+    inserted word.  Its members are ("self", owner) in the self slot, then
+    ("dom", u, s) for every word u inserted there (in the iteration order
+    of ``positional``) and each of u's realized slots s (ascending).  Keys
+    come in ascending order.
+    """
+    self_slot = [word.entry.template.self_slot for word in tree.words]
+    inserted: dict[tuple[int, int], list[int]] = {}
+    for w, p in positional.items():
+        key = (p, slot_of[w])
+        if key in inserted:
+            inserted[key].append(w)
+        else:
+            inserted[key] = [w]
+    realized = [[s] for s in self_slot]
+    for p, s in inserted:
+        if s != self_slot[p]:
+            realized[p].append(s)
+    for slots in realized:
+        slots.sort()
+    layout: dict[tuple[int, int], list[tuple]] = {}
+    for w, slots in enumerate(realized):
+        for s in slots:
+            items: list[tuple] = [("self", w)] if s == self_slot[w] else []
+            for u in inserted.get((w, s), ()):
+                for s2 in realized[u]:
+                    items.append(("dom", u, s2))
+            layout[(w, s)] = items
+    return layout
 
 
 def derived_member_sets(
@@ -759,40 +786,33 @@ def derived_member_sets(
     positional: dict[int, int],
     slot_of: dict[int, int],
 ) -> dict[tuple[int, int], frozenset[int]]:
-    """Member sets every domain must carry, derived from the insertion choices.
+    """Member sets every domain must carry: `domain_layout`, flattened.
 
-    ``slot_of[w]`` names the template slot of positional(w) hosting w.  The
-    word set of w (w plus everything inserted below it) lands in that slot;
-    self slots additionally contain their introducing word.
+    A domain holds its introducing word (if it is the self slot) plus every
+    word of the domains nested in it.  Raises StructureError when the
+    insertions form a cycle.
     """
-    inserted: dict[int, list[int]] = {w: [] for w in range(tree.n)}
-    for w, p in positional.items():
-        inserted[p].append(w)
-
-    wordset: dict[int, frozenset[int]] = {}
-    visiting: set[int] = set()
-
-    def collect(w: int) -> frozenset[int]:
-        if w in wordset:
-            return wordset[w]
-        if w in visiting:
-            raise StructureError(f"insertion cycle through word {w}")
-        visiting.add(w)
-        acc = {w}
-        for u in inserted[w]:
-            acc |= collect(u)
-        visiting.discard(w)
-        wordset[w] = frozenset(acc)
-        return wordset[w]
-
-    out: dict[tuple[int, int], set[int]] = {}
-    for w in range(tree.n):
-        entry = tree.words[w].entry
-        out[(w, entry.template.self_slot)] = {w}
-    for w, p in positional.items():
-        key = (p, slot_of[w])
-        out.setdefault(key, set()).update(collect(w))
-    return {key: frozenset(s) for key, s in out.items()}
+    layout = domain_layout(tree, positional, slot_of)
+    # Domains host first, from those of the uninserted words down; the list
+    # grows as it is walked.  Each domain is an item of one host only, so it
+    # is listed once, and the domains on an insertion cycle are never reached.
+    order = [key for key in layout if key[0] not in positional]
+    for key in order:
+        order.extend(item[1:] for item in layout[key] if item[0] == "dom")
+    if len(order) != len(layout):
+        reached = set(order)
+        w = next(key[0] for key in layout if key not in reached)
+        raise StructureError(f"insertion cycle through word {w}")
+    members: dict[tuple[int, int], frozenset[int]] = {}
+    for key in reversed(order):
+        acc: set[int] = set()
+        for item in layout[key]:
+            if item[0] == "self":
+                acc.add(item[1])
+            else:
+                acc |= members[item[1:]]
+        members[key] = frozenset(acc)
+    return members
 
 
 def domain_id(owner: int, slot: int) -> str:

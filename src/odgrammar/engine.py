@@ -15,11 +15,15 @@ set; the tests check this against the brute-force enumeration in
 `odgrammar.oracle`.
 
 Each placement (a positional head and a slot for every non-root word) is
-turned into one layout: the immediate members of every realized domain.
-The cardinality prune counts those members, and generation arranges them.
+turned into one layout by `odgrammar.core.domain_layout`, the derivation
+that realization reads too: the immediate members of every realized
+domain.  The cardinality prune counts those members, and generation
+arranges them.
 
-Every candidate counts against ``max_candidates``; exceeding the budget
-raises ResourceLimitError rather than returning a truncated answer.
+Every candidate counts against ``max_candidates``: each head map,
+placement, permutation drawn for a domain, and combined order.  Exceeding
+the budget raises ResourceLimitError rather than returning a truncated
+answer.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .core import (
     UnknownTokenError,
     WordToken,
     ancestor_chain,
+    domain_layout,
     permute_tree,
     realize_structure,
     validate_tree,
@@ -162,40 +167,6 @@ def _slot_options(tree, positional):
     return options
 
 
-def _layout(self_slot, positional, slot_of):
-    """Each realized domain (owner, slot) mapped to its immediate members.
-
-    ``self_slot[w]`` is word w's self slot, and ``positional`` lists words
-    in ascending order.  A slot is realized when it is the self slot or
-    hosts an inserted word.  Its members are ("self", owner) in the self
-    slot, then ("dom", u, s) for every word u inserted there (ascending)
-    and each of u's realized slots s (ascending).  Keys come in ascending
-    order.
-    """
-    inserted: dict[tuple[int, int], list[int]] = {}
-    for w, p in positional.items():
-        key = (p, slot_of[w])
-        if key in inserted:
-            inserted[key].append(w)
-        else:
-            inserted[key] = [w]
-    realized = [[s] for s in self_slot]
-    for p, s in inserted:
-        if s != self_slot[p]:
-            realized[p].append(s)
-    for slots in realized:
-        slots.sort()
-    layout: dict[tuple[int, int], list[tuple]] = {}
-    for w, slots in enumerate(realized):
-        for s in slots:
-            items: list[tuple] = [("self", w)] if s == self_slot[w] else []
-            for u in inserted.get((w, s), ()):
-                for s2 in realized[u]:
-                    items.append(("dom", u, s2))
-            layout[(w, s)] = items
-    return layout
-
-
 def _iter_realizations(tree, budget):
     """Yield (positional, slot_of, layout) for a valency-checked tree.
 
@@ -203,7 +174,6 @@ def _iter_realizations(tree, budget):
     members of one slot's domain; an unrealized slot counts 0) are skipped.
     """
     non_root = [w for w in range(tree.n) if w != tree.root]
-    self_slot = [word.entry.template.self_slot for word in tree.words]
     bounds = [
         ((w, card.slot), card.min, card.max)
         for w in range(tree.n)
@@ -214,7 +184,7 @@ def _iter_realizations(tree, budget):
         for slot_combo in itertools.product(*_slot_options(tree, positional)):
             budget.tick()
             slot_of = dict(zip(non_root, slot_combo))
-            layout = _layout(self_slot, positional, slot_of)
+            layout = domain_layout(tree, positional, slot_of)
             for did, lo, hi in bounds:
                 count = len(layout.get(did, ()))
                 if count < lo or (hi is not None and count > hi):
@@ -342,17 +312,17 @@ def parse(
 # generation
 
 
-def _arrangements(items):
+def _arrangements(items, budget):
     """Orderings of one domain's immediate members.
 
     ``items`` are ("self", owner) or ("dom", word, slot) markers.  Orderings
     that put a word's own domains out of template-slot order are dropped,
-    since they can never satisfy the sequence-order condition.
+    since they can never satisfy the sequence-order condition.  Every
+    ordering drawn counts against the budget, so a large domain raises
+    ResourceLimitError before its permutations pile up.
     """
-    if len(items) <= 1:
-        yield tuple(items)
-        return
     for perm in itertools.permutations(items):
+        budget.tick()
         last: dict[int, int] = {}
         ok = True
         for item in perm:
@@ -446,7 +416,7 @@ def generate(
             choice_lists.append(
                 [
                     perm
-                    for perm in _arrangements(items)
+                    for perm in _arrangements(items, budget)
                     if _order_allowed(w, s, perm, entry, dtype_of)
                 ]
             )

@@ -256,21 +256,41 @@ def render_structure_json(ds: DependencyStructure, lex: Lexicon) -> str:
     return _dump(structure_obj(ds, lex))
 
 
+_JSON_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` if it is a JSON value of ``kind``; ``true`` is no integer."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, found {value!r}")
+    return value
+
+
 def _tree_from_obj(obj, lex: Lexicon, features: FeatureMap | None) -> DependencyTree:
     """The tree of a decoded JSON form; token features go into ``features``."""
     words = []
     classes = {}
     for tok in obj["tokens"]:
-        entry = _resolve_entry(tok["form"], tok["entry"], lex)
-        words.append(WordToken(tok["index"], tok["form"], entry))
-        classes[tok["index"]] = tok["class"]
+        index = _typed(tok["index"], int, "token index")
+        form = _typed(tok["form"], str, "token form")
+        entry = _resolve_entry(form, _typed(tok["entry"], int, "token entry"), lex)
+        words.append(WordToken(index, form, entry))
+        classes[index] = _typed(tok["class"], str, "token class")
         if features is not None:
-            features[tok["index"]] = dict(tok["features"])
+            feats = _typed(tok["features"], dict, "token features")
+            features[index] = {
+                attr: _typed(value, str, "feature value")
+                for attr, value in feats.items()
+            }
     return DependencyTree(
         tuple(words),
-        obj["root"],
+        _typed(obj["root"], int, "'root'"),
         tuple(
-            DependencyEdge(e["head"], e["dependent"], e["dtype"])
+            DependencyEdge(
+                _typed(e["head"], int, "edge head"),
+                _typed(e["dependent"], int, "edge dependent"),
+                _typed(e["dtype"], str, "edge dtype"),
+            )
             for e in obj["edges"]
         ),
         classes,
@@ -296,11 +316,9 @@ def parse_tree_json(text: str, lex: Lexicon) -> DependencyTree:
 
 
 def _word_keyed(obj, name: str):
-    """The (key, value) pairs of the JSON object ``obj[name]``."""
-    value = obj[name]
-    if not isinstance(value, dict):
-        raise ValueError(f"{name!r} must be an object keyed by word index")
-    return value.items()
+    """The (word index, value) pairs of the JSON object ``obj[name]``."""
+    value = _typed(obj[name], dict, f"{name!r}")
+    return ((int(w), v) for w, v in value.items())
 
 
 def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
@@ -308,10 +326,26 @@ def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:
         features: FeatureMap = {}
         tree = _tree_from_obj(obj, lex, features)
         domains = tuple(
-            OrderDomain(d["id"], frozenset(d["members"])) for d in obj["domains"]
+            OrderDomain(
+                _typed(d["id"], str, "domain id"),
+                frozenset(
+                    _typed(m, int, "domain member")
+                    for m in _typed(d["members"], list, "domain members")
+                ),
+            )
+            for d in obj["domains"]
         )
-        assoc = {int(w): tuple(seq) for w, seq in _word_keyed(obj, "assoc")}
-        positional = {int(w): p for w, p in _word_keyed(obj, "positional")}
+        assoc = {
+            w: tuple(
+                None if did is None else _typed(did, str, "sequence entry")
+                for did in _typed(seq, list, "sequence")
+            )
+            for w, seq in _word_keyed(obj, "assoc")
+        }
+        positional = {
+            w: _typed(p, int, "positional head")
+            for w, p in _word_keyed(obj, "positional")
+        }
         return DependencyStructure(
             tree=tree,
             features=features,

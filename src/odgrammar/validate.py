@@ -3,8 +3,9 @@
 Checks run in three stages because later stages are only meaningful on a
 sound base: first each layer on its own (tree, domain hierarchy), then the
 linking between the layers (sequences, ownership, positional heads,
-insertion), and finally the four linking conditions, the derived member
-sets, and every lexical constraint.  The linking stage is building the
+insertion, which settle linking condition 3), and finally linking
+conditions 1, 2 and 4, the derived member sets, and every lexical
+constraint.  The linking stage is building the
 structure's `StructureIndex`: the index reports the linking problems it
 finds, and the final stage navigates the same index.  Within the final
 stage nothing stops at the first finding; the report lists all violations.
@@ -119,7 +120,7 @@ def iter_structure_violations(
         yield from _iter_entry_violations(ds)
         return
 
-    yield from iter_condition_violations(ds)
+    yield from iter_condition_violations(ds, idx)
     yield from _iter_entry_violations(ds)
     yield from _iter_constraint_violations(ds, lex, idx)
 

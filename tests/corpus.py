@@ -88,3 +88,27 @@ entry "b" class=B {
   domains [d] self=d;
 }
 """
+
+# the root hosts four optional one-word dependents in its only domain, and
+# its order predicates admit one of the 120 arrangements of that domain
+FAN_LEXICON = """
+dtypes: a b c d
+classes: R X
+root: R
+
+entry "r" class=R {
+  slot a: class=X extract {};
+  slot b: class=X extract {};
+  slot c: class=X extract {};
+  slot d: class=X extract {};
+  domains [f] self=f;
+  order self < * in f;
+  order <a> before <b,c,d>;
+  order <b> before <c,d>;
+  order <c> before <d>;
+}
+
+entry "x" class=X {
+  domains [e] self=e;
+}
+"""

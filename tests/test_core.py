@@ -254,7 +254,7 @@ class TestRealization:
             derived_member_sets(tree, looped, KEY_SLOTS)
 
     def test_conditions_hold(self, ds):
-        assert list(iter_condition_violations(ds)) == []
+        assert list(iter_condition_violations(ds, StructureIndex(ds))) == []
 
     def test_cond1_violated_by_leaking_self(self, ds):
         # move the noun out of its own stored domain
@@ -266,7 +266,8 @@ class TestRealization:
             ds, domains=OrderDomainStructure(domains, ds.domains.assoc)
         )
         assert any(
-            v.condition == "ds.cond1" for v in iter_condition_violations(bad)
+            v.condition == "ds.cond1"
+            for v in iter_condition_violations(bad, StructureIndex(bad))
         )
 
     def test_cond4_violated_by_swapped_sequence(self, ds, tree):
@@ -277,7 +278,8 @@ class TestRealization:
             ds, domains=OrderDomainStructure(ds.domains.domains, assoc)
         )
         assert any(
-            v.condition == "ds.cond4" for v in iter_condition_violations(bad)
+            v.condition == "ds.cond4"
+            for v in iter_condition_violations(bad, StructureIndex(bad))
         )
 
 

@@ -23,6 +23,7 @@ from odgrammar import (
 
 from corpus import (
     CONTRADICTORY_LEXICON,
+    FAN_LEXICON,
     KEY_SENTENCE,
     KEY_TREE_ORDERS,
     KEY_TREE_PAIRS,
@@ -153,6 +154,26 @@ class TestGenerate:
     def test_resource_limit(self, lex, key_structure):
         with pytest.raises(ResourceLimitError):
             generate(key_structure.tree, lex, max_candidates=3)
+
+    def test_budget_counts_permutations(self):
+        flex = load_lexicon(FAN_LEXICON)
+        r, x = entries_for("r", flex)[0], entries_for("x", flex)[0]
+        words = (WordToken(0, "r", r),) + tuple(
+            WordToken(i, "x", x) for i in range(1, 5)
+        )
+        edges = tuple(DependencyEdge(0, i, dt) for i, dt in enumerate("abcd", 1))
+        classes = {w.index: w.entry.word_class for w in words}
+        tree = DependencyTree(words, 0, edges, classes)
+        result = generate(tree, flex)
+        assert result.surfaces() == ("r x x x x",)
+        assert result.diagnostics[:2] == (
+            "positional and slot assignments tried: 1",
+            "domain arrangements laid out: 1",
+        )
+        # one placement and one order, but the root's domain has 120
+        # permutations to draw before its one arrangement is found
+        with pytest.raises(ResourceLimitError):
+            generate(tree, flex, max_candidates=50)
 
     def test_contradictory_orders(self):
         clex = load_lexicon(CONTRADICTORY_LEXICON)

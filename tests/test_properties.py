@@ -93,6 +93,7 @@ class TestHarnessIndependence:
         "ancestor_chain",
         "is_tree",
         "derived_member_sets",
+        "domain_layout",
         "head_walk",
     }
 

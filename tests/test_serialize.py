@@ -1,5 +1,6 @@
 """Text and JSON forms of trees and structures; exact round-trips."""
 
+import copy
 import dataclasses
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from odgrammar import (
     SerializationError,
+    ValidationReport,
     canonical_structure,
     parse_structure_json,
     parse_structure_text,
@@ -17,6 +19,8 @@ from odgrammar import (
     render_structure_text,
     render_tree_json,
     render_tree_text,
+    validate_structure,
+    validate_tree,
 )
 
 from test_core import KEY_POSITIONAL, KEY_SLOTS, key_tree
@@ -149,8 +153,68 @@ class TestJson:
         with pytest.raises(SerializationError, match="must be an object"):
             parse_structure_json(json.dumps(obj), lex)
 
+    def test_wrongly_typed_values_are_reported_or_rejected(self, ds, lex):
+        blob = render_structure_json(ds, lex)
+        outcomes = _substitution_outcomes(
+            blob, lambda text: validate_structure(parse_structure_json(text, lex), lex)
+        )
+        assert outcomes == {"rejected": 971, "reported": 190}
+
+    def test_wrongly_typed_tree_values_are_reported_or_rejected(self, tree, lex):
+        blob = render_tree_json(tree, lex)
+        outcomes = _substitution_outcomes(
+            blob, lambda text: validate_tree(parse_tree_json(text, lex), lex)
+        )
+        assert outcomes == {"rejected": 420, "reported": 66}
+
     def test_json_rejects_junk(self, lex):
         with pytest.raises(SerializationError):
             parse_structure_json("{\"words\": 3}", lex)
         with pytest.raises(SerializationError):
             parse_structure_json("not json", lex)
+
+
+# Values of every JSON type, and integers out of any word range, put in
+# place of each value of a serialized form.
+_SUBSTITUTES = [[], 3, "x", None, {}, -1, 99, 1.5, True]
+
+
+def _json_paths(obj, prefix=()):
+    """The path of ``obj`` itself and of every value nested in it."""
+    yield prefix
+    if isinstance(obj, dict):
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, prefix + (key,))
+
+
+def _substitution_outcomes(blob, read_and_check):
+    """Count how each one-value substitution of ``blob`` ends.
+
+    ``read_and_check`` reads a text and validates the result; it must
+    return a report or raise SerializationError, never anything else.
+    """
+    obj = json.loads(blob)
+    outcomes = {"rejected": 0, "reported": 0}
+    for path in _json_paths(obj):
+        for value in _SUBSTITUTES:
+            if path:
+                edited = copy.deepcopy(obj)
+                parent = edited
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+            else:
+                edited = value
+            try:
+                report = read_and_check(json.dumps(edited))
+            except SerializationError:
+                outcomes["rejected"] += 1
+                continue
+            assert isinstance(report, ValidationReport), (path, value)
+            outcomes["reported"] += 1
+    return outcomes

@@ -125,6 +125,46 @@ class TestStages:
             )
         ]
 
+    @pytest.mark.parametrize(
+        "head, finding",
+        [
+            (
+                2,
+                (
+                    "ds.insertion",
+                    (1, 2),
+                    "word 1 must lie in exactly one domain of word 2's "
+                    "sequence, found 0",
+                ),
+            ),
+            (
+                0,
+                (
+                    "ds.positional-head",
+                    (1, 0),
+                    "positional head 0 is not a transitive head of word 1",
+                ),
+            ),
+        ],
+    )
+    def test_host_outside_the_head_chain_fails_linking(self, ds, lex, head, finding):
+        # the verb's fronted field is gone and the noun sits in its own
+        # determiner's domain instead: no domain of a transitive head holds
+        # it, which the linking stage reports before any condition is checked
+        domains = tuple(
+            OrderDomain(d.id, frozenset({0, 1})) if d.id == "d0.0" else d
+            for d in ds.domains.domains
+            if d.id != "d2.0"
+        )
+        assoc = {**ds.domains.assoc, 2: (None, "d2.1", None)}
+        bad = dataclasses.replace(
+            with_domains(ds, domains, assoc),
+            positional={**ds.positional, 1: head},
+        )
+        report = validate_structure(bad, lex)
+        assert triples(report) == [finding]
+        assert "ds.cond3" not in report.conditions()
+
     def test_linking_faults_are_reported_in_stage_order(self, ds, lex):
         assoc = {**ds.domains.assoc, 3: ("d0.0",)}
         positional = {**ds.positional, 0: 4, 1: 5, 2: 5, 9: 2}
