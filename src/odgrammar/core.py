@@ -408,18 +408,6 @@ def validate_tree(tree: DependencyTree, lex: "Lexicon | None" = None) -> Validat
 # order domain structure validation
 
 
-def _gap(d: OrderDomain) -> Violation | None:
-    """The contiguity violation of a non-empty domain of words, if any."""
-    lo, hi = d.span()
-    if len(d.members) == hi - lo + 1:
-        return None
-    return Violation(
-        "ods.contiguity",
-        (d.id,),
-        f"domain {d.id!r} is not contiguous: {sorted(d.members)}",
-    )
-
-
 def _iter_sequence_order(
     seqs: Iterable[tuple[int, Sequence[str]]], by_id: dict[str, OrderDomain]
 ) -> Iterator[Violation]:
@@ -446,20 +434,24 @@ def iter_ods_violations(
         if d.id in seen_ids:
             yield Violation("ods.dup-id", (d.id,), f"duplicate domain id {d.id!r}")
         seen_ids.add(d.id)
-        if not d.members:
+        members = d.members
+        if not members:
             yield Violation("ods.empty", (d.id,), f"domain {d.id!r} has no members")
             continue
-        bad = [m for m in d.members if not 0 <= m < n_words]
-        if bad:
+        lo, hi = min(members), max(members)
+        if lo < 0 or hi >= n_words:
             yield Violation(
                 "ods.range",
-                (d.id, *sorted(bad)),
+                (d.id, *sorted(m for m in members if not 0 <= m < n_words)),
                 f"domain {d.id!r} contains out-of-range indices",
             )
             continue
-        gap = _gap(d)
-        if gap is not None:
-            yield gap
+        if len(members) != hi - lo + 1:
+            yield Violation(
+                "ods.contiguity",
+                (d.id,),
+                f"domain {d.id!r} is not contiguous: {sorted(members)}",
+            )
 
     # Any two domains must be nested or disjoint.
     domains = ods.domains
@@ -745,6 +737,7 @@ def domain_layout(
     tree: DependencyTree,
     positional: dict[int, int],
     slot_of: dict[int, int],
+    self_slot: Sequence[int] | None = None,
 ) -> dict[tuple[int, int], list[tuple]]:
     """Each realized domain (owner, slot) mapped to its immediate members.
 
@@ -754,31 +747,72 @@ def domain_layout(
     inserted word.  Its members are ("self", owner) in the self slot, then
     ("dom", u, s) for every word u inserted there (in the iteration order
     of ``positional``) and each of u's realized slots s (ascending).  Keys
-    come in ascending order.
+    come in ascending order.  ``self_slot`` is `self_slots(tree)`; a caller
+    deriving many layouts of one tree passes it to compute it once.
     """
-    self_slot = [word.entry.template.self_slot for word in tree.words]
+    if self_slot is None:
+        self_slot = self_slots(tree)
     inserted: dict[tuple[int, int], list[int]] = {}
     for w, p in positional.items():
         key = (p, slot_of[w])
-        if key in inserted:
-            inserted[key].append(w)
-        else:
+        hosted = inserted.get(key)
+        if hosted is None:
             inserted[key] = [w]
+        else:
+            hosted.append(w)
     realized = [[s] for s in self_slot]
     for p, s in inserted:
         if s != self_slot[p]:
             realized[p].append(s)
-    for slots in realized:
-        slots.sort()
+            realized[p].sort()
     layout: dict[tuple[int, int], list[tuple]] = {}
     for w, slots in enumerate(realized):
+        own = self_slot[w]
         for s in slots:
-            items: list[tuple] = [("self", w)] if s == self_slot[w] else []
-            for u in inserted.get((w, s), ()):
-                for s2 in realized[u]:
-                    items.append(("dom", u, s2))
+            items: list[tuple] = [("self", w)] if s == own else []
+            hosted = inserted.get((w, s))
+            if hosted is not None:
+                for u in hosted:
+                    for s2 in realized[u]:
+                        items.append(("dom", u, s2))
             layout[(w, s)] = items
     return layout
+
+
+def self_slots(tree: DependencyTree) -> list[int]:
+    """Each word's template self slot, by word index."""
+    return [word.entry.template.self_slot for word in tree.words]
+
+
+def _member_sets(
+    layout: dict[tuple[int, int], list[tuple]], positional: dict[int, int]
+) -> dict[tuple[int, int], frozenset[int]]:
+    """`domain_layout` flattened: the words each realized domain contains.
+
+    Raises StructureError when the insertions form a cycle.
+    """
+    # Domains host first, from those of the uninserted words down; the list
+    # grows as it is walked.  Each domain is an item of one host only, so it
+    # is listed once, and the domains on an insertion cycle are never reached.
+    order = [key for key in layout if key[0] not in positional]
+    for key in order:
+        for item in layout[key]:
+            if item[0] == "dom":
+                order.append(item[1:])
+    if len(order) != len(layout):
+        reached = set(order)
+        w = next(key[0] for key in layout if key not in reached)
+        raise StructureError(f"insertion cycle through word {w}")
+    members: dict[tuple[int, int], frozenset[int]] = {}
+    for key in reversed(order):
+        acc: set[int] = set()
+        for item in layout[key]:
+            if item[0] == "self":
+                acc.add(item[1])
+            else:
+                acc.update(members[item[1:]])
+        members[key] = frozenset(acc)
+    return members
 
 
 def derived_member_sets(
@@ -792,27 +826,7 @@ def derived_member_sets(
     word of the domains nested in it.  Raises StructureError when the
     insertions form a cycle.
     """
-    layout = domain_layout(tree, positional, slot_of)
-    # Domains host first, from those of the uninserted words down; the list
-    # grows as it is walked.  Each domain is an item of one host only, so it
-    # is listed once, and the domains on an insertion cycle are never reached.
-    order = [key for key in layout if key[0] not in positional]
-    for key in order:
-        order.extend(item[1:] for item in layout[key] if item[0] == "dom")
-    if len(order) != len(layout):
-        reached = set(order)
-        w = next(key[0] for key in layout if key not in reached)
-        raise StructureError(f"insertion cycle through word {w}")
-    members: dict[tuple[int, int], frozenset[int]] = {}
-    for key in reversed(order):
-        acc: set[int] = set()
-        for item in layout[key]:
-            if item[0] == "self":
-                acc.add(item[1])
-            else:
-                acc |= members[item[1:]]
-        members[key] = frozenset(acc)
-    return members
+    return _member_sets(domain_layout(tree, positional, slot_of), positional)
 
 
 def domain_id(owner: int, slot: int) -> str:
@@ -824,29 +838,30 @@ def realize_structure(
     tree: DependencyTree,
     positional: dict[int, int],
     slot_of: dict[int, int],
+    layout: dict[tuple[int, int], list[tuple]] | None = None,
 ) -> DependencyStructure:
     """Build the full structure determined by positional-head and slot choices.
 
     Word indices are taken as the surface order.  Every non-root word must
     appear in ``positional`` and ``slot_of``; member sets and the domain
-    sequences are derived, and the top domain is added.
+    sequences are derived, and the top domain is added.  A caller that has
+    already derived ``domain_layout(tree, positional, slot_of)`` passes it
+    as ``layout``, which is read and not changed.
     """
-    derived = derived_member_sets(tree, positional, slot_of)
-    domains = [
-        OrderDomain(domain_id(w, s), members) for (w, s), members in derived.items()
-    ]
-    domains.append(OrderDomain(TOP_DOMAIN_ID, frozenset(range(tree.n))))
-    assoc = {}
-    for w in range(tree.n):
-        entry = tree.words[w].entry
-        seq: list[str | None] = []
-        for s in range(len(entry.template.slots)):
-            seq.append(domain_id(w, s) if (w, s) in derived else None)
-        assoc[w] = tuple(seq)
-    features = {w.index: dict(w.entry.features) for w in tree.words}
+    if layout is None:
+        layout = domain_layout(tree, positional, slot_of)
+    seqs = [[None] * len(word.entry.template.slots) for word in tree.words]
+    domains = [OrderDomain(TOP_DOMAIN_ID, frozenset(range(tree.n)))]
+    for (w, s), members in _member_sets(layout, positional).items():
+        did = domain_id(w, s)
+        domains.append(OrderDomain(did, members))
+        # a slot beyond the template is realized but in no sequence
+        if 0 <= s < len(seqs[w]):
+            seqs[w][s] = did
+    # the structure copies the feature dicts and ``positional`` itself
     return DependencyStructure(
         tree=tree,
-        features=features,
-        domains=OrderDomainStructure(tuple(domains), assoc),
-        positional=dict(positional),
+        features={w.index: w.entry.features for w in tree.words},
+        domains=OrderDomainStructure(tuple(domains), dict(enumerate(seqs))),
+        positional=positional,
     )

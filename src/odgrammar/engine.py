@@ -15,13 +15,18 @@ set; the tests check this against the brute-force enumeration in
 `odgrammar.oracle`.
 
 Each placement (a positional head and a slot for every non-root word) is
-turned into one layout by `odgrammar.core.domain_layout`, the derivation
-that realization reads too: the immediate members of every realized
-domain.  The cardinality prune counts those members, and generation
-arranges them.
+turned into one layout by `odgrammar.core.domain_layout`: the immediate
+members of every realized domain.  The cardinality prune counts those
+members, parsing realizes the placement from that same layout (it is
+passed to `realize_structure`, not derived again), and generation arranges
+the members.  Per-tree data (each word's self slot, the cardinality bounds)
+is computed once per tree, not once per placement.  The validator is asked
+for one finding per candidate, so a rejected candidate costs only the
+checks up to its first failing one.
 
-Every candidate counts against ``max_candidates``: each head map,
-placement, permutation drawn for a domain, and combined order.  Exceeding
+Every candidate counts against ``max_candidates``: each head choice
+extending a partial head map, each complete head map, placement,
+permutation drawn for a domain, and combined order.  Exceeding
 the budget raises ResourceLimitError rather than returning a truncated
 answer.
 """
@@ -45,6 +50,7 @@ from .core import (
     domain_layout,
     permute_tree,
     realize_structure,
+    self_slots,
     validate_tree,
 )
 from .lexicon import Lexicon, entries_for
@@ -179,12 +185,13 @@ def _iter_realizations(tree, budget):
         for w in range(tree.n)
         for card in tree.words[w].entry.cardinalities
     ]
+    self_slot = self_slots(tree)
     for pos_combo in itertools.product(*_positional_options(tree)):
         positional = dict(zip(non_root, pos_combo))
         for slot_combo in itertools.product(*_slot_options(tree, positional)):
             budget.tick()
             slot_of = dict(zip(non_root, slot_combo))
-            layout = domain_layout(tree, positional, slot_of)
+            layout = domain_layout(tree, positional, slot_of, self_slot)
             for did, lo, hi in bounds:
                 count = len(layout.get(did, ()))
                 if count < lo or (hi is not None and count > hi):
@@ -242,6 +249,9 @@ def _iter_head_maps(words, lex, budget, stats):
                         continue
                     if w in ancestor_chain(parent, h):
                         continue
+                    # a partial map counts too, so a search whose maps
+                    # never complete still meets the budget
+                    budget.tick()
                     parent[w] = h
                     dtype_of[w] = dt
                     used.add((h, dt))
@@ -300,8 +310,8 @@ def parse(
                 stats.rejections[first.condition] += 1
                 continue
             stats.bump("trees")
-            for positional, slot_of, _ in _iter_realizations(tree, budget):
-                ds = realize_structure(tree, positional, slot_of)
+            for positional, slot_of, layout in _iter_realizations(tree, budget):
+                ds = realize_structure(tree, positional, slot_of, layout)
                 if _judge(ds, lex, stats):
                     found.setdefault(canonical_structure(ds, lex), ds)
     structures = tuple(found[key] for key in sorted(found))

@@ -316,9 +316,22 @@ def parse_tree_json(text: str, lex: Lexicon) -> DependencyTree:
 
 
 def _word_keyed(obj, name: str):
-    """The (word index, value) pairs of the JSON object ``obj[name]``."""
+    """The (word index, value) pairs of the JSON object ``obj[name]``.
+
+    A key must be an integer as the writer spells it (``str(int(key))``):
+    ``"01"`` or ``" 1"`` would otherwise name word 1 a second time.
+    """
     value = _typed(obj[name], dict, f"{name!r}")
-    return ((int(w), v) for w, v in value.items())
+    pairs = []
+    for key, item in value.items():
+        w = int(key)
+        if key != str(w):
+            raise SerializationError(
+                f"{name!r} key {key!r} is not a canonical word index "
+                f"(expected {str(w)!r})"
+            )
+        pairs.append((w, item))
+    return pairs
 
 
 def parse_structure_json(text: str, lex: Lexicon) -> DependencyStructure:

@@ -9,6 +9,13 @@ constraint.  The linking stage is building the
 structure's `StructureIndex`: the index reports the linking problems it
 finds, and the final stage navigates the same index.  Within the final
 stage nothing stops at the first finding; the report lists all violations.
+
+`iter_structure_violations` produces the findings lazily, in report order,
+each as soon as its check has found it.  A caller that takes only the first
+finding, as the search and `structure_is_valid` do, pays for the checks up
+to that finding: a candidate with a gapped domain costs the tree stage and
+the domain checks up to the first gap, not every domain and the nesting
+check.
 """
 
 from __future__ import annotations
@@ -108,10 +115,14 @@ def _iter_constraint_violations(
 def iter_structure_violations(
     ds: DependencyStructure, lex: Lexicon
 ) -> Iterator[Violation]:
-    base = list(iter_tree_violations(ds.tree, lex))
-    base.extend(iter_ods_violations(ds.domains, ds.tree.n))
-    if base:
-        yield from base
+    found = False
+    for violation in iter_tree_violations(ds.tree, lex):
+        found = True
+        yield violation
+    for violation in iter_ods_violations(ds.domains, ds.tree.n):
+        found = True
+        yield violation
+    if found:
         return
 
     idx = StructureIndex(ds)
@@ -131,5 +142,9 @@ def validate_structure(ds: DependencyStructure, lex: Lexicon) -> ValidationRepor
 
 
 def structure_is_valid(ds: DependencyStructure, lex: Lexicon) -> bool:
-    """Same verdict as validate_structure, stopping at the first violation."""
+    """Same verdict as validate_structure, stopping at the first violation.
+
+    Only the checks up to the first finding run, so an invalid structure
+    usually costs far less than its full report.
+    """
     return next(iter_structure_violations(ds, lex), None) is None

@@ -1,19 +1,24 @@
 """Engine-vs-oracle net over the genitive scaling lexicon.
 
-The lexicon is ``bench/genitive.lex`` with its ``root:`` line replaced by
-``root: N``, so bare noun phrases are sentences.  Its nouns realize two
-domains (``[d post]``), so a noun inserted into another noun's domain is
-two immediate members there, and ``feat post case=gen`` is a domain-feature
-demand that genitive nouns can meet.  No other test lexicon has either.
+The noun-phrase net reads ``bench/genitive.lex`` with its ``root:`` line
+replaced by ``root: N``, so bare noun phrases are sentences.  Its nouns
+realize two domains (``[d post]``), so a noun inserted into another noun's
+domain is two immediate members there, and ``feat post case=gen`` is a
+domain-feature demand that genitive nouns can meet.  No other test lexicon
+has either.  The clause net reads the lexicon as it is, with the verb as
+root.
 
 For each sentence, ``parse`` must equal ``oracle_parse`` as canonical
-strings.  For each distinct tree among the analyses, ``generate`` must
-equal ``oracle_generate`` as (surface, canonical structure) pairs.
+strings.  In the noun-phrase net, for each distinct tree among the
+analyses, ``generate`` must also equal ``oracle_generate`` as (surface,
+canonical structure) pairs; a clause tree has six or more words, where
+``oracle_generate`` takes minutes, so the clause net compares parses only.
 
-The Tier-1 slice (``tests/test_oracle_net.py``) runs every sentence of up
-to 3 tokens over the six determiner and noun forms and every 4-token
-sentence over four of them.  The full sweep, every sentence of up to 4
-tokens over all six forms, runs from the repository root with
+The Tier-1 slice (``tests/test_oracle_net.py``) runs every noun phrase of up
+to 3 tokens over the six determiner and noun forms, every 4-token one over
+four of them, and the 6-token clauses of ``CLAUSES``.  The full sweep,
+every noun phrase of up to 4 tokens over all six forms and the clauses of
+``FULL_CLAUSES``, runs from the repository root with
 
     PYTHONPATH=src python tests/oracle_net.py
 
@@ -43,6 +48,20 @@ GENITIVE_LEXICON = Path(__file__).resolve().parent.parent / "bench" / "genitive.
 
 FORMS = ("der", "den", "des", "Junge", "Mann", "Mannes")
 SLICE_FORMS = ("der", "des", "Mann", "Mannes")
+
+# the grammatical clause of the benchmark's genitive family at k = 0, its
+# ungrammatical twin, and two clauses with a genitive
+CLAUSES = (
+    "der Junge hat den Mann gesehen",
+    "der Junge hat gesehen den Mann",
+    "der Mann des Mannes hat gesehen",
+    "des Mannes hat der Junge gesehen",
+)
+FULL_CLAUSES = CLAUSES + ("hat der Junge den Mann des Mannes",)
+
+
+def clause_lexicon():
+    return load_lexicon(GENITIVE_LEXICON.read_text())
 
 
 def noun_root_lexicon():
@@ -76,10 +95,11 @@ class NetResult:
     disagreements: list[str] = field(default_factory=list)
 
 
-def run_net(token_lists, lex) -> NetResult:
-    """Compare engine and oracle on every sentence and every analysed tree."""
+def run_net(token_lists, lex, trees: bool = True) -> NetResult:
+    """Compare engine and oracle on every sentence and, unless ``trees`` is
+    false, on every analysed tree."""
     result = NetResult()
-    trees = {}
+    analysed = {}
     for tokens in token_lists:
         result.sentences += 1
         engine = [canonical_structure(ds, lex) for ds in parse(tokens, lex).structures]
@@ -89,8 +109,10 @@ def run_net(token_lists, lex) -> NetResult:
         if oracle:
             result.with_analyses += 1
         for ds in oracle:
-            trees.setdefault(render_tree_text(ds.tree, lex), ds.tree)
-    for text, tree in trees.items():
+            analysed.setdefault(render_tree_text(ds.tree, lex), ds.tree)
+    if not trees:
+        return result
+    for text, tree in analysed.items():
         engine = [
             (surface, canonical_structure(ds, lex))
             for surface, ds in generate(tree, lex).pairs
@@ -107,17 +129,24 @@ def run_net(token_lists, lex) -> NetResult:
 
 
 def main() -> int:
-    start = time.monotonic()
-    result = run_net(full_sentences(), noun_root_lexicon())
-    print(
-        f"{result.sentences} sentences, {result.with_analyses} with analyses; "
-        f"{result.trees} trees, {result.pairs} (surface, structure) pairs; "
-        f"{len(result.disagreements)} disagreements; "
-        f"{time.monotonic() - start:.1f} s"
+    nets = (
+        ("noun phrases", full_sentences(), noun_root_lexicon(), True),
+        ("clauses", (c.split() for c in FULL_CLAUSES), clause_lexicon(), False),
     )
-    for item in result.disagreements:
+    disagreements = []
+    for name, token_lists, lex, trees in nets:
+        start = time.monotonic()
+        result = run_net(token_lists, lex, trees)
+        print(
+            f"{name}: {result.sentences} sentences, {result.with_analyses} with "
+            f"analyses; {result.trees} trees, {result.pairs} (surface, "
+            f"structure) pairs; {len(result.disagreements)} disagreements; "
+            f"{time.monotonic() - start:.1f} s"
+        )
+        disagreements += result.disagreements
+    for item in disagreements:
         print(f"disagreement: {item}")
-    return 1 if result.disagreements else 0
+    return 1 if disagreements else 0
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import odgrammar.engine as engine_module
 from odgrammar import (
     DependencyEdge,
     DependencyTree,
@@ -75,6 +76,16 @@ class TestParse:
     def test_resource_limit(self, lex):
         with pytest.raises(ResourceLimitError):
             parse(KEY_SENTENCE.split(), lex, max_candidates=5)
+
+    def test_resource_limit_counts_partial_head_maps(self, lex):
+        # no labeled head map over these tokens completes, but the search
+        # extends partial maps by 20 head choices on the way
+        tokens = "gesehen Mann hat hat".split()
+        result = parse(tokens, lex, max_candidates=20)
+        assert result.structures == ()
+        assert "labeled head maps enumerated: 0" in result.diagnostics
+        with pytest.raises(ResourceLimitError):
+            parse(tokens, lex, max_candidates=19)
 
     def test_diagnostics_on_failure(self, lex):
         result = parse("hat der Junge den Mann gesehen".split(), lex)
@@ -265,3 +276,33 @@ class TestDiagnostics:
             "domain arrangements laid out: 42",
             "realized structures validated: 42",
         )
+
+
+class TestRealizationFromLayout:
+    """Parsing realizes each placement from the layout its prune derived."""
+
+    def test_layout_gives_the_structure_realization_derives(self, lex, monkeypatch):
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        inputs = [(sentence.split(), lex) for sentence, _ in SENTENCES]
+        for chain in ("", " des Mannes"):
+            inputs.append((f"der Junge hat den Mann{chain} gesehen".split(), glex))
+            inputs.append((f"der Junge hat gesehen den Mann{chain}".split(), glex))
+
+        realize = engine_module.realize_structure
+        compared = 0
+
+        def checked(tree, positional, slot_of, layout=None):
+            nonlocal compared
+            assert layout is not None
+            ds = realize(tree, positional, slot_of, layout)
+            assert ds == realize(tree, positional, slot_of)
+            compared += 1
+            return ds
+
+        monkeypatch.setattr(engine_module, "realize_structure", checked)
+        realized = 0
+        for tokens, lexicon in inputs:
+            for line in parse(tokens, lexicon).diagnostics:
+                if line.startswith("realized structures validated: "):
+                    realized += int(line.rsplit(" ", 1)[1])
+        assert compared == realized == 238

@@ -1,4 +1,4 @@
-"""Engine equals oracle on the genitive lexicon with noun-phrase roots.
+"""Engine equals oracle on the genitive lexicon: noun phrases and clauses.
 
 The sentences and the comparison live in ``oracle_net``; this is its
 Tier-1 slice.  Its nouns are the only test entries whose inserted words
@@ -6,7 +6,13 @@ realize two domains, so a cardinality prune or an arrangement that keeps
 only one of them shows up here.
 """
 
-from oracle_net import noun_root_lexicon, run_net, slice_sentences
+from oracle_net import (
+    CLAUSES,
+    clause_lexicon,
+    noun_root_lexicon,
+    run_net,
+    slice_sentences,
+)
 
 
 def test_engine_equals_oracle_on_genitive_noun_phrases():
@@ -16,3 +22,10 @@ def test_engine_equals_oracle_on_genitive_noun_phrases():
     # 6 and 13 of them have analyses, with 6 and 21 distinct trees
     assert (result.sentences, result.with_analyses, result.trees) == (514, 19, 27)
     assert result.pairs == 253
+
+
+def test_engine_equals_oracle_on_genitive_clauses():
+    # the verb-rooted lexicon: only the grammatical clause has analyses
+    result = run_net((c.split() for c in CLAUSES), clause_lexicon(), trees=False)
+    assert result.disagreements == []
+    assert (result.sentences, result.with_analyses, result.trees) == (4, 1, 0)

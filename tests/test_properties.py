@@ -13,6 +13,7 @@ import contextlib
 import io
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,7 @@ from odgrammar import (
     validate_structure,
 )
 from odgrammar.cli import main, tokenize
+from odgrammar.validate import iter_structure_violations
 
 from corpus import NOUN_ROOT_LEXICON
 from harness import (
@@ -198,6 +200,15 @@ class TestSerializationRoundTrip:
             assert parse_structure_json(render_structure_json(ds, lex), lex) == ds
 
 
+def first_finding_agrees(ds, lex):
+    """The lazy first finding is the full report's first; returns its condition."""
+    report = validate_structure(ds, lex)
+    first = next(iter_structure_violations(ds, lex), None)
+    assert first == (report.violations[0] if report.violations else None)
+    assert structure_is_valid(ds, lex) == report.ok
+    return None if first is None else first.condition
+
+
 class TestVerdictConsistency:
     def test_shortcut_equals_full_report(self, lex):
         sampler = StructureSampler(seed=31, lex=lex, bases=grammatical_bases())
@@ -206,6 +217,29 @@ class TestVerdictConsistency:
             if ds is None:
                 continue
             assert structure_is_valid(ds, lex) == validate_structure(ds, lex).ok
+
+    def test_first_finding_is_first_of_full_report(self, lex):
+        sampler = StructureSampler(seed=41, lex=lex, bases=grammatical_bases())
+        firsts = Counter()
+        while sum(firsts.values()) < 2000:
+            ds = sampler.next_instance()
+            if ds is not None:
+                firsts[first_finding_agrees(ds, lex)] += 1
+        # every stage leads somewhere in the sample: valid structures, tree,
+        # domain, linking, conditions and lexical findings
+        for condition in (None, "tree.no-head", "ods.contiguity", "ods.hierarchy",
+                          "ds.insertion", "ds.cond4", "lex.slot-required"):
+            assert firsts[condition] > 0, condition
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+    def test_first_finding_on_edited_key_structure(self, lex, key_structure, edits):
+        text = edit_lines(render_structure_text(key_structure, lex), edits)
+        try:
+            ds = parse_structure_text(text, lex)
+        except SerializationError:
+            return
+        first_finding_agrees(ds, lex)
 
 
 class TestTokenizeProperties:

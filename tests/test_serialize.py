@@ -146,6 +146,30 @@ class TestJson:
             parse_structure_json(json.dumps(obj), lex)
 
     @pytest.mark.parametrize("field", ["assoc", "positional"])
+    @pytest.mark.parametrize("key", ["01", " 1", "+1", "1_0"])
+    def test_json_rejects_aliased_word_key(self, ds, lex, field, key):
+        # int() reads each of these keys as a word index, so without the
+        # check the later key would silently replace word 1's entry
+        obj = json.loads(render_structure_json(ds, lex))
+        obj[field][key] = obj[field]["1"]
+        with pytest.raises(SerializationError, match="not a canonical word index"):
+            parse_structure_json(json.dumps(obj), lex)
+
+    @pytest.mark.parametrize(
+        "field, value, finding",
+        [
+            ("assoc", ["d2.0"], ("ods.assoc-range", (-1,))),
+            ("positional", 2, ("ds.positional-extra", (-1,))),
+        ],
+    )
+    def test_json_negative_word_key_is_read(self, ds, lex, field, value, finding):
+        # "-1" is canonical: it parses, and the validator reports the word
+        obj = json.loads(render_structure_json(ds, lex))
+        obj[field]["-1"] = value
+        report = validate_structure(parse_structure_json(json.dumps(obj), lex), lex)
+        assert [(v.condition, v.subjects) for v in report.violations] == [finding]
+
+    @pytest.mark.parametrize("field", ["assoc", "positional"])
     @pytest.mark.parametrize("value", [[], 3, "x", None])
     def test_json_rejects_non_object_word_map(self, ds, lex, field, value):
         obj = json.loads(render_structure_json(ds, lex))

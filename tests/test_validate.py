@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+import odgrammar.validate as validate_module
 from odgrammar import (
     OrderDomain,
     OrderDomainStructure,
@@ -50,6 +51,48 @@ class TestStages:
         report = validate_structure(with_domains(ds, domains), lex)
         assert "ods.contiguity" in report.conditions()
         assert all(c.startswith(("ods.", "tree.")) for c in report.conditions())
+
+    def test_first_finding_stops_the_domain_stage(self, ds, lex, monkeypatch):
+        # d4.0 has a gap; d1.0 overlaps d2.0 and d2.1 without nesting
+        changed = {"d4.0": {3, 5}, "d1.0": {1, 2}}
+        domains = tuple(
+            OrderDomain(d.id, changed.get(d.id, d.members))
+            for d in ds.domains.domains
+        )
+        bad = with_domains(ds, domains)
+        contiguity = (
+            "ods.contiguity",
+            ("d4.0",),
+            "domain 'd4.0' is not contiguous: [3, 5]",
+        )
+        assert triples(validate_structure(bad, lex)) == [
+            contiguity,
+            (
+                "ods.hierarchy",
+                ("d1.0", "d2.0"),
+                "domains 'd1.0' and 'd2.0' overlap without nesting",
+            ),
+            (
+                "ods.hierarchy",
+                ("d1.0", "d2.1"),
+                "domains 'd1.0' and 'd2.1' overlap without nesting",
+            ),
+        ]
+
+        drawn = []
+        domain_stage = validate_module.iter_ods_violations
+
+        def counted(*args):
+            for violation in domain_stage(*args):
+                drawn.append(violation.condition)
+                yield violation
+
+        monkeypatch.setattr(validate_module, "iter_ods_violations", counted)
+        first = next(validate_module.iter_structure_violations(bad, lex))
+        assert (first.condition, first.subjects, first.message) == contiguity
+        # the nesting check has not run: one finding was asked for and made
+        assert drawn == ["ods.contiguity"]
+        assert not structure_is_valid(bad, lex)
 
     def test_hard_linking_blocks_constraints(self, ds, lex):
         bad = dataclasses.replace(
