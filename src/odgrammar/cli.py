@@ -2,12 +2,17 @@
 
 Subcommands: parse, generate, validate, oracle, check-lexicon.  The
 lexicon comes from --lexicon, the ODGRAMMAR_LEXICON environment variable,
-or the bundled German fragment, in that order.  Exit codes: 0 for a
-non-empty or agreeing result, 1 for empty, invalid, or disagreeing, 2 for
-usage and input errors, 3 when a search or size limit was hit.
+or the bundled German fragment, in that order.
+
+Each subcommand returns what it found; `main` alone renders it and picks
+the exit code: 0 for a non-empty or agreeing result, 1 for empty, invalid,
+or disagreeing, 2 for usage and input errors (including unreadable or
+non-UTF-8 input files), 3 when a search or size limit was hit.
 
 Machine output (--format machine) is a JSON envelope whose bytes depend
-only on the input; wall-clock timing is added only with --timing.
+only on the input.  --timing times the whole subcommand, reading the
+input and the lexicon included: machine output gains a "seconds" key,
+human output a final "elapsed:" line.
 """
 
 from __future__ import annotations
@@ -77,123 +82,93 @@ def _sentence_tokens(args) -> list[str]:
     return tokenize(_read_input(args))
 
 
-def _machine(payload: dict, args, seconds: float) -> int:
-    exit_code = payload.pop("_exit", EXIT_OK)
-    if args.timing:
-        payload["seconds"] = round(seconds, 6)
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return exit_code
-
-
-def _print_structures(structures, lex: Lexicon) -> None:
-    print(f"{len(structures)} structure(s).")
+def _listing(structures, lex: Lexicon) -> list[str]:
+    lines = [f"{len(structures)} structure(s)."]
     for i, ds in enumerate(structures, 1):
-        print(f"--- structure {i}")
-        print(render_structure_text(ds, lex), end="")
+        lines.append(f"--- structure {i}")
+        lines.append(render_structure_text(ds, lex).removesuffix("\n"))
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# Each returns (found, payload, lines): whether it found something, the
+# machine payload, and the human output lines.  `main` renders one of the
+# two and turns `found` into exit code 0 or 1.
+
+Outcome = tuple[bool, dict, list[str]]
 
 
-def _cmd_parse(args) -> int:
+def _cmd_parse(args) -> Outcome:
     lex = _load_lexicon(args)
     tokens = _sentence_tokens(args)
-    start = time.monotonic()
     result = engine.parse(tokens, lex, max_candidates=args.max_candidates)
-    seconds = time.monotonic() - start
-    status = "ok" if result.structures else "empty"
-    if args.format == "machine":
-        payload = {
-            "command": "parse",
-            "tokens": tokens,
-            "status": status,
-            "structures": [structure_obj(ds, lex) for ds in result.structures],
-            "diagnostics": list(result.diagnostics),
-            "_exit": EXIT_OK if result.structures else EXIT_EMPTY,
-        }
-        return _machine(payload, args, seconds)
-    if not result.structures:
-        print("no structures.")
-        for line in result.diagnostics:
-            print(f"  {line}")
-        if args.timing:
-            print(f"elapsed: {seconds:.3f}s")
-        return EXIT_EMPTY
-    _print_structures(result.structures, lex)
-    if args.timing:
-        print(f"elapsed: {seconds:.3f}s")
-    return EXIT_OK
+    found = bool(result.structures)
+    payload = {
+        "command": "parse",
+        "tokens": tokens,
+        "status": "ok" if found else "empty",
+        "structures": [structure_obj(ds, lex) for ds in result.structures],
+        "diagnostics": list(result.diagnostics),
+    }
+    if found:
+        return found, payload, _listing(result.structures, lex)
+    lines = ["no structures.", *(f"  {line}" for line in result.diagnostics)]
+    return found, payload, lines
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> Outcome:
     lex = _load_lexicon(args)
     tree = parse_tree_text(_read_input(args), lex)
-    start = time.monotonic()
     result = engine.generate(tree, lex, max_candidates=args.max_candidates)
-    seconds = time.monotonic() - start
-    status = "ok" if result.pairs else "empty"
-    if args.format == "machine":
-        payload = {
-            "command": "generate",
-            "status": status,
-            "pairs": [
-                {"surface": surface, "structure": structure_obj(ds, lex)}
-                for surface, ds in result.pairs
-            ],
-            "surfaces": list(result.surfaces()),
-            "diagnostics": list(result.diagnostics),
-            "_exit": EXIT_OK if result.pairs else EXIT_EMPTY,
-        }
-        return _machine(payload, args, seconds)
-    if not result.pairs:
-        print("no realizations.")
-        for line in result.diagnostics:
-            print(f"  {line}")
-        return EXIT_EMPTY
-    print(f"{len(result.pairs)} realization(s), {len(result.surfaces())} order(s).")
+    found = bool(result.pairs)
+    payload = {
+        "command": "generate",
+        "status": "ok" if found else "empty",
+        "pairs": [
+            {"surface": surface, "structure": structure_obj(ds, lex)}
+            for surface, ds in result.pairs
+        ],
+        "surfaces": list(result.surfaces()),
+        "diagnostics": list(result.diagnostics),
+    }
+    if not found:
+        lines = ["no realizations.", *(f"  {line}" for line in result.diagnostics)]
+        return found, payload, lines
+    lines = [f"{len(result.pairs)} realization(s), {len(result.surfaces())} order(s)."]
     for i, (surface, ds) in enumerate(result.pairs, 1):
-        print(f"--- realization {i}: {surface}")
+        lines.append(f"--- realization {i}: {surface}")
         if not args.surfaces_only:
-            print(render_structure_text(ds, lex), end="")
-    if args.timing:
-        print(f"elapsed: {seconds:.3f}s")
-    return EXIT_OK
+            lines.append(render_structure_text(ds, lex).removesuffix("\n"))
+    return found, payload, lines
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> Outcome:
     lex = _load_lexicon(args)
     ds = parse_structure_text(_read_input(args), lex)
-    start = time.monotonic()
     report = validate_structure(ds, lex)
-    seconds = time.monotonic() - start
-    if args.format == "machine":
-        payload = {
-            "command": "validate",
-            "status": "valid" if report.ok else "invalid",
-            "violations": [
-                {
-                    "condition": v.condition,
-                    "subjects": list(v.subjects),
-                    "message": v.message,
-                }
-                for v in report.violations
-            ],
-            "_exit": EXIT_OK if report.ok else EXIT_EMPTY,
-        }
-        return _machine(payload, args, seconds)
+    payload = {
+        "command": "validate",
+        "status": "valid" if report.ok else "invalid",
+        "violations": [
+            {
+                "condition": v.condition,
+                "subjects": list(v.subjects),
+                "message": v.message,
+            }
+            for v in report.violations
+        ],
+    }
     if report.ok:
-        print("valid.")
-        return EXIT_OK
-    print(f"invalid: {len(report.violations)} violation(s).")
-    print(report.render())
-    return EXIT_EMPTY
+        return True, payload, ["valid."]
+    lines = [f"invalid: {len(report.violations)} violation(s).", report.render()]
+    return False, payload, lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> Outcome:
     lex = _load_lexicon(args)
     config = oracle.OracleConfig(max_tokens=args.max_tokens)
-    start = time.monotonic()
     if args.orders:
         tree = parse_tree_text(_read_input(args), lex)
         if args.diff:
@@ -208,126 +183,89 @@ def _cmd_oracle(args) -> int:
             engine_pairs = engine.generate(
                 tree, lex, max_candidates=args.max_candidates
             ).pairs
-            return _diff_report(
-                args,
-                "orders",
-                keys(engine_pairs),
-                keys(oracle.oracle_generate(tree, lex, config)),
-                time.monotonic() - start,
-            )
+            oracle_pairs = oracle.oracle_generate(tree, lex, config)
+            return _diff_report("orders", keys(engine_pairs), keys(oracle_pairs))
         accepted = oracle.oracle_orders(tree, lex, config)
-        seconds = time.monotonic() - start
-        if args.format == "machine":
-            payload = {
-                "command": "oracle",
-                "mode": "orders",
-                "status": "ok" if accepted else "empty",
-                "orders": list(accepted),
-                "_exit": EXIT_OK if accepted else EXIT_EMPTY,
-            }
-            return _machine(payload, args, seconds)
+        payload = {
+            "command": "oracle",
+            "mode": "orders",
+            "status": "ok" if accepted else "empty",
+            "orders": list(accepted),
+        }
         if not accepted:
-            print("no accepted orders.")
-            return EXIT_EMPTY
-        print(f"{len(accepted)} accepted order(s).")
-        for surface in accepted:
-            print(surface)
-        return EXIT_OK
+            return False, payload, ["no accepted orders."]
+        return True, payload, [f"{len(accepted)} accepted order(s).", *accepted]
 
     tokens = _sentence_tokens(args)
     structures = oracle.oracle_parse(tokens, lex, config)
-    canon = [canonical_structure(ds, lex) for ds in structures]
     if args.diff:
+        canon = [canonical_structure(ds, lex) for ds in structures]
         result = engine.parse(tokens, lex, max_candidates=args.max_candidates)
         engine_canon = [canonical_structure(ds, lex) for ds in result.structures]
-        return _diff_report(
-            args, "parse", engine_canon, canon, time.monotonic() - start
-        )
-    seconds = time.monotonic() - start
-    if args.format == "machine":
-        payload = {
-            "command": "oracle",
-            "mode": "parse",
-            "tokens": tokens,
-            "status": "ok" if structures else "empty",
-            "structures": [structure_obj(ds, lex) for ds in structures],
-            "_exit": EXIT_OK if structures else EXIT_EMPTY,
-        }
-        return _machine(payload, args, seconds)
+        return _diff_report("parse", engine_canon, canon)
+    payload = {
+        "command": "oracle",
+        "mode": "parse",
+        "tokens": tokens,
+        "status": "ok" if structures else "empty",
+        "structures": [structure_obj(ds, lex) for ds in structures],
+    }
     if not structures:
-        print("no structures.")
-        return EXIT_EMPTY
-    _print_structures(structures, lex)
-    return EXIT_OK
+        return False, payload, ["no structures."]
+    return True, payload, _listing(structures, lex)
 
 
-def _diff_report(args, mode, engine_items, oracle_items, seconds) -> int:
+def _diff_report(mode, engine_items, oracle_items) -> Outcome:
     only_engine = sorted(set(engine_items) - set(oracle_items))
     only_oracle = sorted(set(oracle_items) - set(engine_items))
     agree = not only_engine and not only_oracle
-    if args.format == "machine":
-        payload = {
-            "command": "oracle",
-            "mode": mode,
-            "diff": True,
-            "status": "agree" if agree else "differ",
-            "engine_count": len(engine_items),
-            "oracle_count": len(oracle_items),
-            "only_engine": only_engine,
-            "only_oracle": only_oracle,
-            "_exit": EXIT_OK if agree else EXIT_EMPTY,
-        }
-        return _machine(payload, args, seconds)
+    payload = {
+        "command": "oracle",
+        "mode": mode,
+        "diff": True,
+        "status": "agree" if agree else "differ",
+        "engine_count": len(engine_items),
+        "oracle_count": len(oracle_items),
+        "only_engine": only_engine,
+        "only_oracle": only_oracle,
+    }
     if agree:
-        print(f"engine and oracle agree ({len(oracle_items)} result(s)).")
-        return EXIT_OK
-    print("engine and oracle disagree.")
+        lines = [f"engine and oracle agree ({len(oracle_items)} result(s))."]
+        return True, payload, lines
+    lines = ["engine and oracle disagree."]
     for item in only_engine:
-        print("only engine:")
-        print(item)
+        lines += ["only engine:", item]
     for item in only_oracle:
-        print("only oracle:")
-        print(item)
-    return EXIT_EMPTY
+        lines += ["only oracle:", item]
+    return False, payload, lines
 
 
-def _cmd_check_lexicon(args) -> int:
+def _cmd_check_lexicon(args) -> Outcome:
     try:
         lex = _load_lexicon(args)
     except LexiconError as exc:
-        if args.format == "machine":
-            payload = {
-                "command": "check-lexicon",
-                "status": "invalid",
-                "error": str(exc),
-                "_exit": EXIT_EMPTY,
-            }
-            return _machine(payload, args, 0.0)
-        print(f"invalid lexicon: {exc}")
-        return EXIT_EMPTY
+        payload = {"command": "check-lexicon", "status": "invalid", "error": str(exc)}
+        return False, payload, [f"invalid lexicon: {exc}"]
     forms = sorted(lex.entries)
     n_entries = sum(len(es) for es in lex.entries.values())
-    if args.format == "machine":
-        payload = {
-            "command": "check-lexicon",
-            "status": "ok",
-            "entries": n_entries,
-            "forms": forms,
-            "dtypes": list(lex.dtypes),
-            "classes": list(lex.classes),
-            "attributes": {k: list(v) for k, v in lex.attributes.items()},
-            "root_classes": list(lex.root_classes),
-            "_exit": EXIT_OK,
-        }
-        return _machine(payload, args, 0.0)
-    print(
+    payload = {
+        "command": "check-lexicon",
+        "status": "ok",
+        "entries": n_entries,
+        "forms": forms,
+        "dtypes": list(lex.dtypes),
+        "classes": list(lex.classes),
+        "attributes": {k: list(v) for k, v in lex.attributes.items()},
+        "root_classes": list(lex.root_classes),
+    }
+    lines = [
         f"lexicon ok: {n_entries} entries, {len(lex.dtypes)} dtypes, "
-        f"{len(lex.classes)} classes, {len(lex.attributes)} attributes."
-    )
-    print("forms: " + " ".join(forms))
+        f"{len(lex.classes)} classes, {len(lex.attributes)} attributes.",
+        "forms: " + " ".join(forms),
+    ]
     if lex.root_classes:
-        print("root classes: " + " ".join(lex.root_classes))
-    return EXIT_OK
+        lines.append("root classes: " + " ".join(lex.root_classes))
+    return True, payload, lines
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +360,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.monotonic()
     try:
-        return args.func(args)
+        found, payload, lines = args.func(args)
+        seconds = time.monotonic() - start
+        if args.format == "machine":
+            if args.timing:
+                payload["seconds"] = round(seconds, 6)
+            lines = [json.dumps(payload, sort_keys=True, indent=2)]
+        elif args.timing:
+            lines.append(f"elapsed: {seconds:.3f}s")
+        print("\n".join(lines))
+        return EXIT_OK if found else EXIT_EMPTY
     except (TokenLimitError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
@@ -434,6 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         SerializationError,
         StructureError,
         UnknownTokenError,
+        UnicodeDecodeError,
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -408,24 +408,6 @@ def validate_tree(tree: DependencyTree, lex: "Lexicon | None" = None) -> Validat
 # order domain structure validation
 
 
-def _iter_sequence_order(
-    seqs: Iterable[tuple[int, Sequence[str]]], by_id: dict[str, OrderDomain]
-) -> Iterator[Violation]:
-    """Condition 4 on (word, sequence) pairs; pairs with an empty domain pass."""
-    for w, seq in seqs:
-        for left_id, right_id in zip(seq, seq[1:]):
-            left, right = by_id[left_id], by_id[right_id]
-            if left.members and right.members and max(left.members) >= min(
-                right.members
-            ):
-                yield Violation(
-                    "ds.cond4",
-                    (w, left.id, right.id),
-                    f"sequence of word {w} is not ordered: {left.id!r} must "
-                    f"precede {right.id!r} on the surface",
-                )
-
-
 def iter_ods_violations(
     ods: OrderDomainStructure, n_words: int
 ) -> Iterator[Violation]:
@@ -703,11 +685,11 @@ def iter_condition_violations(
     ``idx`` is the structure's index, built without problems, which means
     condition 3 already holds (see the module docstring).
     """
-    ods = ds.domains
     by_id = idx.by_id
+    seqs = [ds.domains.realized(w) for w in range(idx.n)]
 
-    for w in range(idx.n):
-        own = [did for did in ods.realized(w) if w in by_id[did].members]
+    for w, seq in enumerate(seqs):
+        own = [did for did in seq if w in by_id[did].members]
         if len(own) != 1:
             yield Violation(
                 "ds.cond1",
@@ -716,8 +698,7 @@ def iter_condition_violations(
                 "(exactly one required)",
             )
 
-    for w in range(idx.n):
-        seq = ods.realized(w)
+    for w, seq in enumerate(seqs):
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
                 if by_id[seq[i]].members & by_id[seq[j]].members:
@@ -728,9 +709,19 @@ def iter_condition_violations(
                         "sequence are not pairwise disjoint",
                     )
 
-    yield from _iter_sequence_order(
-        ((w, ods.realized(w)) for w in range(idx.n)), by_id
-    )
+    # condition 4; a pair with an empty domain passes
+    for w, seq in enumerate(seqs):
+        for left_id, right_id in zip(seq, seq[1:]):
+            left, right = by_id[left_id], by_id[right_id]
+            if left.members and right.members and max(left.members) >= min(
+                right.members
+            ):
+                yield Violation(
+                    "ds.cond4",
+                    (w, left.id, right.id),
+                    f"sequence of word {w} is not ordered: {left.id!r} must "
+                    f"precede {right.id!r} on the surface",
+                )
 
 
 def domain_layout(

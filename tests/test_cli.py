@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, formats, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -9,7 +10,12 @@ import pytest
 from odgrammar import render_structure_text, render_tree_text
 from odgrammar.cli import main, tokenize
 
-from corpus import KEY_SENTENCE, KEY_TREE_ORDERS, NOUN_ROOT_LEXICON
+from corpus import (
+    CONTRADICTORY_LEXICON,
+    KEY_SENTENCE,
+    KEY_TREE_ORDERS,
+    NOUN_ROOT_LEXICON,
+)
 
 
 def run(capsys, *argv):
@@ -302,6 +308,88 @@ class TestLexiconHandling:
             capsys, "check-lexicon", "--lexicon", str(tmp_path / "nope.lex")
         )
         assert code == 2
+
+
+# bytes that are not UTF-8: a UTF-16 byte order mark
+NOT_UTF8 = b"\xff\xfe"
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", ["parse", "generate", "validate", "oracle"])
+    def test_input_file(self, capsys, tmp_path, command):
+        path = tmp_path / "input.txt"
+        path.write_bytes(NOT_UTF8)
+        assert_one_error_line(*run(capsys, command, "--file", str(path)))
+
+    def test_lexicon_flag(self, capsys, tmp_path):
+        path = tmp_path / "lexicon.lex"
+        path.write_bytes(NOT_UTF8)
+        assert_one_error_line(*run(capsys, "check-lexicon", "--lexicon", str(path)))
+
+    def test_env_variable(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "lexicon.lex"
+        path.write_bytes(NOT_UTF8)
+        monkeypatch.setenv("ODGRAMMAR_LEXICON", str(path))
+        assert_one_error_line(*run(capsys, "parse", "der Junge"))
+
+
+class TestTiming:
+    """--timing adds the elapsed time to every subcommand's output."""
+
+    @pytest.fixture(autouse=True)
+    def in_tmp_path(self, tmp_path, monkeypatch, lex, key_structure):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "tree.txt").write_text(render_tree_text(key_structure.tree, lex))
+        (tmp_path / "ds.txt").write_text(render_structure_text(key_structure, lex))
+        (tmp_path / "contra.lex").write_text(CONTRADICTORY_LEXICON)
+        (tmp_path / "contra.txt").write_text(
+            "token 0 a 0 A\ntoken 1 b 0 B\nroot 0\nedge 0 x 1\n"
+        )
+        (tmp_path / "broken.lex").write_text("dtypes: x x\n")
+
+    COMMANDS = {
+        "parse": ("parse", KEY_SENTENCE),
+        "parse-empty": ("parse", "hat der Junge den Mann gesehen"),
+        "generate": ("generate", "--file", "tree.txt"),
+        "generate-empty": (
+            "generate", "--file", "contra.txt", "--lexicon", "contra.lex"
+        ),
+        "validate": ("validate", "--file", "ds.txt"),
+        "oracle": ("oracle", "der Junge hat gesehen"),
+        "oracle-orders": (
+            "oracle", "--orders", "--file", "contra.txt", "--lexicon", "contra.lex"
+        ),
+        "oracle-diff": ("oracle", "der Junge hat gesehen", "--diff"),
+        "check-lexicon": ("check-lexicon",),
+        "check-lexicon-invalid": ("check-lexicon", "--lexicon", "broken.lex"),
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_human_ends_with_elapsed(self, capsys, name):
+        argv = self.COMMANDS[name]
+        code, out, _ = run(capsys, *argv, "--timing")
+        _, plain, _ = run(capsys, *argv)
+        assert code in (0, 1)
+        assert re.fullmatch(r"elapsed: \d+\.\d{3}s", out.splitlines()[-1])
+        assert out.splitlines()[:-1] == plain.splitlines()
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_machine_has_seconds(self, capsys, name):
+        argv = self.COMMANDS[name]
+        code, out, _ = run(capsys, *argv, "--format", "machine", "--timing")
+        _, plain, _ = run(capsys, *argv, "--format", "machine")
+        assert code in (0, 1)
+        payload = json.loads(out)
+        # every subcommand loads a lexicon inside the timed span
+        assert payload.pop("seconds") > 0
+        assert payload == json.loads(plain)
 
 
 class TestEntryPoints:

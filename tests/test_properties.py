@@ -30,8 +30,10 @@ from odgrammar import (
     parse,
     parse_structure_json,
     parse_structure_text,
+    reference_lexicon_text,
     render_structure_json,
     render_structure_text,
+    render_tree_text,
     structure_is_valid,
     validate_structure,
 )
@@ -157,6 +159,12 @@ def edit_lines(text, edits):
     return "\n".join(lines) + "\n"
 
 
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            return main(argv)
+
+
 class TestEditedStructureText:
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
@@ -171,12 +179,58 @@ class TestEditedStructureText:
 
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                with contextlib.redirect_stderr(io.StringIO()):
-                    code = main(["validate", "--format", "machine"])
+            code = run_quietly(["validate", "--format", "machine"])
         finally:
             sys.stdin = stdin
         assert code in (0, 1, 2)
+
+
+# Line-level edits of a lexicon: the same operations as above, with values
+# and statement keywords of the lexicon format.
+_LEXICON_EDIT = st.tuples(
+    st.sampled_from(["delete", "duplicate", "swap", "field", "drop-field", "keyword"]),
+    st.integers(0, 127),
+    st.integers(0, 127),
+    st.sampled_from([
+        "{", "}", ";", "{};", "[d]", "[]", "self=d", "self=x", "class=N",
+        "case=nom", "x", "=", "<", ">", "*", "in", "after", "<subj>", "<>",
+        "required", "extract", "{vpart}", '"hat"', '""', "0", "-1", "99",
+    ]),
+    st.sampled_from([
+        "dtypes:", "classes:", "attr", "root:", "entry", "slot", "domains",
+        "card", "feat", "order", "}", "#",
+    ]),
+)
+
+
+class TestCommandLineFuzz:
+    """Edited and arbitrary inputs end in an exit code, never an exception."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("cli-fuzz")
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
+    def test_edited_tree_through_generate(self, lex, key_structure, workdir, edits):
+        path = workdir / "tree.txt"
+        path.write_text(edit_lines(render_tree_text(key_structure.tree, lex), edits))
+        argv = ["generate", "--file", str(path), "--max-candidates", "20000"]
+        assert run_quietly(argv) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edits=st.lists(_LEXICON_EDIT, min_size=1, max_size=3))
+    def test_edited_lexicon_through_check_lexicon(self, workdir, edits):
+        path = workdir / "edited.lex"
+        path.write_text(edit_lines(reference_lexicon_text(), edits))
+        assert run_quietly(["check-lexicon", "--lexicon", str(path)]) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=64), command=st.sampled_from(["parse", "validate"]))
+    def test_bytes_through_file_input(self, workdir, data, command):
+        path = workdir / "input.bin"
+        path.write_bytes(data)
+        assert run_quietly([command, "--file", str(path)]) in (0, 1, 2, 3)
 
 
 @pytest.fixture(scope="module")
