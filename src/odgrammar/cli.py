@@ -7,7 +7,8 @@ or the bundled German fragment, in that order.
 Each subcommand returns what it found; `main` alone renders it and picks
 the exit code: 0 for a non-empty or agreeing result, 1 for empty, invalid,
 or disagreeing, 2 for usage and input errors (including unreadable or
-non-UTF-8 input files), 3 when a search or size limit was hit.
+non-UTF-8 input files, named in the message, and a closed stdout), 3 when
+a search or size limit was hit.
 
 Machine output (--format machine) is a JSON envelope whose bytes depend
 only on the input.  --timing times the whole subcommand, reading the
@@ -63,16 +64,24 @@ def tokenize(sentence: str) -> list[str]:
     return toks
 
 
+def _read_file(path: str) -> str:
+    """A UTF-8 text file; a file that is not UTF-8 counts as unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _load_lexicon(args) -> Lexicon:
     path = args.lexicon or os.environ.get("ODGRAMMAR_LEXICON")
     if path:
-        return load_lexicon(Path(path).read_text(encoding="utf-8"))
+        return load_lexicon(_read_file(path))
     return reference_lexicon()
 
 
 def _read_input(args) -> str:
     if getattr(args, "file", None) and args.file != "-":
-        return Path(args.file).read_text(encoding="utf-8")
+        return _read_file(args.file)
     return sys.stdin.read()
 
 
@@ -372,10 +381,21 @@ def main(argv: list[str] | None = None) -> int:
         elif args.timing:
             lines.append(f"elapsed: {seconds:.3f}s")
         print("\n".join(lines))
+        # a closed stdout fails here, inside the mapping below, and not
+        # when the interpreter flushes at exit
+        sys.stdout.flush()
         return EXIT_OK if found else EXIT_EMPTY
     except (TokenLimitError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except BrokenPipeError as exc:
+        # what stays buffered would fail again when the interpreter flushes
+        # stdout at exit; send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (
         LexiconError,
         SerializationError,

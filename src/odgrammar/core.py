@@ -14,12 +14,14 @@ the word has been extracted upwards.  The sentence root nests inside an
 implicit top domain spanning all words, introduced by an implicit ROOT
 governor that never surfaces.
 
-The domain layer is derived from insertion alone, once, by
-`domain_layout`: which slots each word realizes and the immediate members
-of each.  Member sets follow from it: a domain contains its introducing
-word (if it is the self slot) plus every word nested under the insertions
-it hosts.  Validators below check the stored sets against this
-derivation, along with the four linking conditions:
+The domain layer is derived from insertion alone, one word at a time, by
+`close_word`: once every word inserted into a word's domains is closed,
+the word's realized slots, their immediate members and their member sets
+follow.  A domain contains its introducing word (if it is the self slot)
+plus every word of the domains inserted into it.  `domain_layout` and
+`derived_member_sets` close every word in insertion order; the engine's
+search closes each word as it goes.  Validators below check the stored
+sets against this derivation, along with the four linking conditions:
 
   1. each word lies in exactly one domain of its own sequence,
   2. the domains of one word's sequence are pairwise disjoint,
@@ -130,13 +132,18 @@ class DependencyTree:
     Words are kept sorted by index and edges by dependent, so that two
     trees with the same content compare equal regardless of construction
     order.  Projectivity is not required here; discontinuity is constrained
-    on the domain layer instead.
+    on the domain layer instead.  ``_tree_stage`` is the validator's memo of
+    its tree-stage findings (see `odgrammar.validate`); it takes no part in
+    construction, comparison or repr.
     """
 
     words: tuple[WordToken, ...]
     root: int
     edges: tuple[DependencyEdge, ...]
     classes: dict[int, str]
+    _tree_stage: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(
@@ -724,50 +731,97 @@ def iter_condition_violations(
                 )
 
 
+# One word's realized domains, ascending by slot: (slot, immediate members,
+# member set) per realized slot.  See `close_word`.
+Closure = tuple[tuple[int, list[tuple], frozenset[int]], ...]
+
+
+def close_word(
+    w: int,
+    own: int,
+    hosted: dict[int, list[int]],
+    closed: Sequence[Closure | None],
+) -> Closure:
+    """Word ``w``'s realized domains, fixed once every word it hosts is closed.
+
+    This is the one derivation of the domain layer from the insertion
+    choices.  ``own`` is w's self slot, ``hosted`` maps a slot of w to the
+    words inserted there, and ``closed[u]`` is this function's result for
+    each such word u.  A slot is realized when it is the self slot or hosts
+    a word.  Its immediate members are ("self", w) in the self slot, then
+    ("dom", u, s) for every hosted word u (ascending) and each of u's
+    realized slots s (ascending); its member set is w (in the self slot)
+    plus the member sets of those domains.
+    """
+    out = []
+    for s in sorted({own, *hosted}) if hosted else (own,):
+        if s == own:
+            items: list[tuple] = [("self", w)]
+            acc = {w}
+        else:
+            items = []
+            acc = set()
+        for u in sorted(hosted.get(s, ())):
+            for s2, _, members in closed[u]:
+                items.append(("dom", u, s2))
+                acc |= members
+        out.append((s, items, frozenset(acc)))
+    return tuple(out)
+
+
+def _close_all(
+    tree: DependencyTree, positional: dict[int, int], slot_of: dict[int, int]
+) -> list[Closure]:
+    """`close_word` for every word, each after the words it hosts.
+
+    ``slot_of[w]`` names the template slot of positional(w) hosting w.
+    Raises StructureError when the insertions form a cycle.
+    """
+    hosted: list[dict[int, list[int]]] = [{} for _ in range(tree.n)]
+    for w, p in positional.items():
+        hosted[p].setdefault(slot_of[w], []).append(w)
+    # hosts before the words they host, from the uninserted words down; the
+    # list grows as it is walked, and words on an insertion cycle are never
+    # reached
+    order = [w for w in range(tree.n) if w not in positional]
+    for w in order:
+        for words in hosted[w].values():
+            order.extend(words)
+    if len(order) != tree.n:
+        reached = set(order)
+        w = next(w for w in range(tree.n) if w not in reached)
+        raise StructureError(f"insertion cycle through word {w}")
+    self_slot = self_slots(tree)
+    closed: list[Closure | None] = [None] * tree.n
+    for w in reversed(order):
+        closed[w] = close_word(w, self_slot[w], hosted[w], closed)
+    return closed
+
+
+def layout_of(closed: Sequence[Closure]) -> dict[tuple[int, int], list[tuple]]:
+    """Each realized domain (owner, slot) mapped to its immediate members.
+
+    Keys come in ascending order.
+    """
+    return {(w, s): items for w, c in enumerate(closed) for s, items, _ in c}
+
+
+def member_sets_of(closed: Sequence[Closure]) -> dict[tuple[int, int], frozenset[int]]:
+    """Each realized domain (owner, slot) mapped to the words it contains."""
+    return {(w, s): members for w, c in enumerate(closed) for s, _, members in c}
+
+
 def domain_layout(
     tree: DependencyTree,
     positional: dict[int, int],
     slot_of: dict[int, int],
-    self_slot: Sequence[int] | None = None,
 ) -> dict[tuple[int, int], list[tuple]]:
     """Each realized domain (owner, slot) mapped to its immediate members.
 
-    This is the one derivation of the domain layer from the insertion
-    choices.  ``slot_of[w]`` names the template slot of positional(w)
-    hosting w.  A slot is realized when it is the self slot or hosts an
-    inserted word.  Its members are ("self", owner) in the self slot, then
-    ("dom", u, s) for every word u inserted there (in the iteration order
-    of ``positional``) and each of u's realized slots s (ascending).  Keys
-    come in ascending order.  ``self_slot`` is `self_slots(tree)`; a caller
-    deriving many layouts of one tree passes it to compute it once.
+    `close_word` over every word, keys in ascending order.  Raises
+    StructureError when the insertions form a cycle.
     """
-    if self_slot is None:
-        self_slot = self_slots(tree)
-    inserted: dict[tuple[int, int], list[int]] = {}
-    for w, p in positional.items():
-        key = (p, slot_of[w])
-        hosted = inserted.get(key)
-        if hosted is None:
-            inserted[key] = [w]
-        else:
-            hosted.append(w)
-    realized = [[s] for s in self_slot]
-    for p, s in inserted:
-        if s != self_slot[p]:
-            realized[p].append(s)
-            realized[p].sort()
-    layout: dict[tuple[int, int], list[tuple]] = {}
-    for w, slots in enumerate(realized):
-        own = self_slot[w]
-        for s in slots:
-            items: list[tuple] = [("self", w)] if s == own else []
-            hosted = inserted.get((w, s))
-            if hosted is not None:
-                for u in hosted:
-                    for s2 in realized[u]:
-                        items.append(("dom", u, s2))
-            layout[(w, s)] = items
-    return layout
+    return layout_of(_close_all(tree, positional, slot_of))
 
 
 def self_slots(tree: DependencyTree) -> list[int]:
@@ -775,49 +829,18 @@ def self_slots(tree: DependencyTree) -> list[int]:
     return [word.entry.template.self_slot for word in tree.words]
 
 
-def _member_sets(
-    layout: dict[tuple[int, int], list[tuple]], positional: dict[int, int]
-) -> dict[tuple[int, int], frozenset[int]]:
-    """`domain_layout` flattened: the words each realized domain contains.
-
-    Raises StructureError when the insertions form a cycle.
-    """
-    # Domains host first, from those of the uninserted words down; the list
-    # grows as it is walked.  Each domain is an item of one host only, so it
-    # is listed once, and the domains on an insertion cycle are never reached.
-    order = [key for key in layout if key[0] not in positional]
-    for key in order:
-        for item in layout[key]:
-            if item[0] == "dom":
-                order.append(item[1:])
-    if len(order) != len(layout):
-        reached = set(order)
-        w = next(key[0] for key in layout if key not in reached)
-        raise StructureError(f"insertion cycle through word {w}")
-    members: dict[tuple[int, int], frozenset[int]] = {}
-    for key in reversed(order):
-        acc: set[int] = set()
-        for item in layout[key]:
-            if item[0] == "self":
-                acc.add(item[1])
-            else:
-                acc.update(members[item[1:]])
-        members[key] = frozenset(acc)
-    return members
-
-
 def derived_member_sets(
     tree: DependencyTree,
     positional: dict[int, int],
     slot_of: dict[int, int],
 ) -> dict[tuple[int, int], frozenset[int]]:
-    """Member sets every domain must carry: `domain_layout`, flattened.
+    """Member sets every domain must carry, from `close_word` over every word.
 
     A domain holds its introducing word (if it is the self slot) plus every
     word of the domains nested in it.  Raises StructureError when the
     insertions form a cycle.
     """
-    return _member_sets(domain_layout(tree, positional, slot_of), positional)
+    return member_sets_of(_close_all(tree, positional, slot_of))
 
 
 def domain_id(owner: int, slot: int) -> str:
@@ -829,23 +852,23 @@ def realize_structure(
     tree: DependencyTree,
     positional: dict[int, int],
     slot_of: dict[int, int],
-    layout: dict[tuple[int, int], list[tuple]] | None = None,
+    members: dict[tuple[int, int], frozenset[int]] | None = None,
 ) -> DependencyStructure:
     """Build the full structure determined by positional-head and slot choices.
 
     Word indices are taken as the surface order.  Every non-root word must
     appear in ``positional`` and ``slot_of``; member sets and the domain
     sequences are derived, and the top domain is added.  A caller that has
-    already derived ``domain_layout(tree, positional, slot_of)`` passes it
-    as ``layout``, which is read and not changed.
+    already derived the member sets, ``derived_member_sets(tree, positional,
+    slot_of)``, passes them as ``members``, which is read and not changed.
     """
-    if layout is None:
-        layout = domain_layout(tree, positional, slot_of)
+    if members is None:
+        members = derived_member_sets(tree, positional, slot_of)
     seqs = [[None] * len(word.entry.template.slots) for word in tree.words]
     domains = [OrderDomain(TOP_DOMAIN_ID, frozenset(range(tree.n)))]
-    for (w, s), members in _member_sets(layout, positional).items():
+    for (w, s), words in members.items():
         did = domain_id(w, s)
-        domains.append(OrderDomain(did, members))
+        domains.append(OrderDomain(did, words))
         # a slot beyond the template is realized but in no sequence
         if 0 <= s < len(seqs[w]):
             seqs[w][s] = did

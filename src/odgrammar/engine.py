@@ -14,21 +14,25 @@ order or a precedence predicate.  Pruning must never change the result
 set; the tests check this against the brute-force enumeration in
 `odgrammar.oracle`.
 
-Each placement (a positional head and a slot for every non-root word) is
-turned into one layout by `odgrammar.core.domain_layout`: the immediate
-members of every realized domain.  The cardinality prune counts those
-members, parsing realizes the placement from that same layout (it is
-passed to `realize_structure`, not derived again), and generation arranges
-the members.  Per-tree data (each word's self slot, the cardinality bounds)
-is computed once per tree, not once per placement.  The validator is asked
-for one finding per candidate, so a rejected candidate costs only the
-checks up to its first failing one.
+Placements (a positional head and a slot for every non-root word) are
+searched deepest first: words are placed in dependency post-order, each
+choosing from a per-tree list of (host, slot) options.  A word's domains
+can only host words below it, so once those are placed its domains are
+fixed: the search closes them there with `odgrammar.core.close_word`, the
+one derivation of the domain layer from insertion, and checks the word's
+cardinality bounds.  Every placement of the words after it shares that
+closure.  Parsing realizes each complete placement from the member sets
+of its closures (passed to `realize_structure`, not derived again), and
+generation arranges their immediate members and realizes each order from
+the same sets, renamed to the order's indices.  The validator is asked for
+one finding per candidate, so a rejected candidate costs only the checks
+up to its first failing one, and it runs its tree stage once per tree.
 
 Every candidate counts against ``max_candidates``: each head choice
-extending a partial head map, each complete head map, placement,
-permutation drawn for a domain, and combined order.  Exceeding
-the budget raises ResourceLimitError rather than returning a truncated
-answer.
+extending a partial head map, each complete head map, each (host, slot)
+choice of a word, each complete placement, each permutation drawn for a
+domain, and each combined order.  Exceeding the budget raises
+ResourceLimitError rather than returning a truncated answer.
 """
 
 from __future__ import annotations
@@ -47,7 +51,9 @@ from .core import (
     UnknownTokenError,
     WordToken,
     ancestor_chain,
-    domain_layout,
+    close_word,
+    layout_of,
+    member_sets_of,
     permute_tree,
     realize_structure,
     self_slots,
@@ -130,74 +136,148 @@ class _Stats:
 # realization search shared by parse and generate
 
 
-def _positional_options(tree):
-    """Per non-root word, its candidate positional heads, nearest first."""
+def _placement_options(tree):
+    """Per word, its (positional head, slot) choices; [] for the root.
+
+    Hosts come nearest first, slots ascending.  A host is cut once the
+    extraction path to it leaves the slot's extraction set, and a slot when
+    its domain-feature demand does not match the word's features.
+    """
     parent = tree.head_of()
     dtype_of = tree.dtype_of()
     options = []
     for w in range(tree.n):
         if w == tree.root:
+            options.append([])
             continue
         slot = tree.words[parent[w]].entry.slot_for(dtype_of[w])
         if slot is None:
             options.append([])
             continue
-        allowed = []
+        feats = tree.words[w].entry.features
+        choices = []
         chain = ancestor_chain(parent, w)
-        for i, anc in enumerate(chain):
+        for i, host in enumerate(chain):
             # dtypes crossed so far grow as we climb; once one falls outside
             # the slot's extraction set, every higher head is blocked too
             if i > 0 and dtype_of[chain[i - 1]] not in slot.extraction:
                 break
-            allowed.append(anc)
-        options.append(allowed)
+            entry = tree.words[host].entry
+            for s in range(len(entry.template.slots)):
+                required = None
+                for req in entry.domain_features:
+                    if req.slot == s:
+                        required = req.required
+                        break
+                if required and any(feats.get(a) != v for a, v in required.items()):
+                    continue
+                choices.append((host, s))
+        options.append(choices)
     return options
 
 
-def _slot_options(tree, positional):
-    options = []
-    for w in sorted(positional):
-        host = tree.words[positional[w]].entry
-        feats = tree.words[w].entry.features
-        keep = []
-        for s in range(len(host.template.slots)):
-            required = None
-            for req in host.domain_features:
-                if req.slot == s:
-                    required = req.required
-                    break
-            if required and any(feats.get(a) != v for a, v in required.items()):
-                continue
-            keep.append(s)
-        options.append(keep)
-    return options
+def _post_order(tree) -> list[int]:
+    """Every word after the words below it, the root last."""
+    children: list[list[int]] = [[] for _ in range(tree.n)]
+    for e in tree.edges:
+        children[e.head].append(e.dependent)
+    # a word comes before every word below it in this walk; reversed, after
+    order, stack = [], [tree.root]
+    while stack:
+        w = stack.pop()
+        order.append(w)
+        stack.extend(children[w])
+    return order[::-1]
+
+
+def _within_bounds(closure, bounds) -> bool:
+    """Does a closed word meet its (slot, min, max) cardinality bounds?"""
+    for slot, lo, hi in bounds:
+        count = 0
+        for s, items, _ in closure:
+            if s == slot:
+                count = len(items)
+                break
+        if count < lo or (hi is not None and count > hi):
+            return False
+    return True
 
 
 def _iter_realizations(tree, budget):
-    """Yield (positional, slot_of, layout) for a valency-checked tree.
+    """Yield (positional, slot_of, closed) for a valency-checked tree.
 
-    Placements whose layout breaks an entry's cardinality bounds (immediate
-    members of one slot's domain; an unrealized slot counts 0) are skipped.
+    Words are placed deepest first, in dependency post-order.  When a word
+    comes up, every word below it, and so every word its domains can
+    host, is placed, so its domains are closed then (`close_word`) and its
+    cardinality bounds checked (immediate members of one slot's domain; an
+    unrealized slot counts 0); every placement of the words after it shares
+    that closure.  ``closed[w]`` is word w's closure.  The three values are
+    the search's own state: read them before drawing the next placement.
     """
-    non_root = [w for w in range(tree.n) if w != tree.root]
+    n = tree.n
+    order = _post_order(tree)
+    options = _placement_options(tree)
     bounds = [
-        ((w, card.slot), card.min, card.max)
-        for w in range(tree.n)
-        for card in tree.words[w].entry.cardinalities
+        [(card.slot, card.min, card.max) for card in word.entry.cardinalities]
+        for word in tree.words
     ]
     self_slot = self_slots(tree)
-    for pos_combo in itertools.product(*_positional_options(tree)):
-        positional = dict(zip(non_root, pos_combo))
-        for slot_combo in itertools.product(*_slot_options(tree, positional)):
+    hosted: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    closed: list = [None] * n
+    positional: dict[int, int] = {}
+    slot_of: dict[int, int] = {}
+    hosts = {e.head for e in tree.edges}
+    # a word that hosts nothing closes the same way under every placement
+    for w in range(n):
+        if w not in hosts:
+            closed[w] = close_word(w, self_slot[w], {}, closed)
+            if not _within_bounds(closed[w], bounds[w]):
+                return
+
+    def enter(k):
+        """Close order[k]; its option iterator, or None when a bound fails."""
+        w = order[k]
+        if w in hosts:
+            closure = close_word(w, self_slot[w], hosted[w], closed)
+            if not _within_bounds(closure, bounds[w]):
+                return None
+            closed[w] = closure
+        return iter(options[w])
+
+    # an explicit stack of option iterators, one per word of ``order``, so
+    # that a deep tree meets the budget rather than the recursion limit
+    iters = [None] * n
+    iters[0] = enter(0)
+    k = 0
+    while k >= 0:
+        w = order[k]
+        if w in positional:
+            # back at w: take back its last choice
+            p, s = positional.pop(w), slot_of.pop(w)
+            here = hosted[p][s]
+            here.pop()
+            if not here:
+                del hosted[p][s]
+        it = iters[k]
+        if it is None:
+            k -= 1
+            continue
+        if w == tree.root:
             budget.tick()
-            slot_of = dict(zip(non_root, slot_combo))
-            layout = domain_layout(tree, positional, slot_of, self_slot)
-            for did, lo, hi in bounds:
-                count = len(layout.get(did, ()))
-                if count < lo or (hi is not None and count > hi):
-                    break
-            else:
-                yield positional, slot_of, layout
+            yield positional, slot_of, closed
+            k -= 1
+            continue
+        choice = next(it, None)
+        if choice is None:
+            k -= 1
+            continue
+        p, s = choice
+        budget.tick()
+        positional[w] = p
+        slot_of[w] = s
+        hosted[p].setdefault(s, []).append(w)
+        k += 1
+        iters[k] = enter(k)
 
 
 def _judge(ds, lex, stats) -> bool:
@@ -310,8 +390,10 @@ def parse(
                 stats.rejections[first.condition] += 1
                 continue
             stats.bump("trees")
-            for positional, slot_of, layout in _iter_realizations(tree, budget):
-                ds = realize_structure(tree, positional, slot_of, layout)
+            for positional, slot_of, closed in _iter_realizations(tree, budget):
+                ds = realize_structure(
+                    tree, positional, slot_of, member_sets_of(closed)
+                )
                 if _judge(ds, lex, stats):
                     found.setdefault(canonical_structure(ds, lex), ds)
     structures = tuple(found[key] for key in sorted(found))
@@ -415,8 +497,10 @@ def generate(
 
     dtype_of = tree.dtype_of()
     found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
-    for positional, slot_of, layout in _iter_realizations(tree, budget):
+    for positional, slot_of, closed in _iter_realizations(tree, budget):
         stats.bump("placements")
+        layout = layout_of(closed)
+        members = member_sets_of(closed)
         # the top domain holds the root's whole sequence; its members are
         # the root's domains, fixed in sequence order
         top_ids = [did for did in layout if did[0] == tree.root]
@@ -449,7 +533,11 @@ def generate(
             permuted, new_index = permute_tree(tree, order)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}
-            ds = realize_structure(permuted, pos2, slot2)
+            members2 = {
+                (new_index[w], s): frozenset([new_index[u] for u in words])
+                for (w, s), words in members.items()
+            }
+            ds = realize_structure(permuted, pos2, slot2, members2)
             if _judge(ds, lex, stats):
                 surface = " ".join(permuted.forms())
                 found.setdefault((surface, canonical_structure(ds, lex)), (surface, ds))

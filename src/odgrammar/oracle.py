@@ -9,9 +9,8 @@ shared with the engine is the validator and the data model in `core`
 (constructors, realization, and the tree helpers).  That makes the oracle
 slow but trustworthy, which is the point: it is the one reference the
 engine's pruned search is tested against, on a corpus of short inputs.
-Through `realize_structure` it reads the same `core.domain_layout` as the
-engine's cardinality prune and generation: one derivation of the domain
-layer from insertion.
+Through `realize_structure` it reads the same `core.close_word` as the
+engine's search: one derivation of the domain layer from insertion.
 
 Inputs longer than ``OracleConfig.max_tokens`` raise ``TokenLimitError``
 rather than silently taking hours.

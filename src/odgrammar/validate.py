@@ -15,7 +15,8 @@ each as soon as its check has found it.  A caller that takes only the first
 finding, as the search and `structure_is_valid` do, pays for the checks up
 to that finding: a candidate with a gapped domain costs the tree stage and
 the domain checks up to the first gap, not every domain and the nesting
-check.
+check.  The tree stage's findings are kept on the tree, so the many
+candidates of one tree, in the search and in the oracle, run it once.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .constraints import (
 )
 from .core import (
     DependencyStructure,
+    DependencyTree,
     StructureIndex,
     ValidationReport,
     Violation,
@@ -112,11 +114,26 @@ def _iter_constraint_violations(
             yield from check_precedence(pred, w, ds, idx).violations
 
 
+def _tree_findings(tree: DependencyTree, lex: Lexicon) -> tuple[Violation, ...]:
+    """The tree stage's findings, run once per tree object and inventory.
+
+    The findings are kept on the tree with the lexicon's inventories and a
+    snapshot of the class map, the one mutable field the stage reads; the
+    stage runs again when any of them changed.
+    """
+    key = (lex.dtypes, lex.classes, tuple(tree.classes.items()))
+    memo = tree._tree_stage
+    if memo is None or memo[0] != key:
+        memo = (key, tuple(iter_tree_violations(tree, lex)))
+        object.__setattr__(tree, "_tree_stage", memo)
+    return memo[1]
+
+
 def iter_structure_violations(
     ds: DependencyStructure, lex: Lexicon
 ) -> Iterator[Violation]:
     found = False
-    for violation in iter_tree_violations(ds.tree, lex):
+    for violation in _tree_findings(ds.tree, lex):
         found = True
         yield violation
     for violation in iter_ods_violations(ds.domains, ds.tree.n):

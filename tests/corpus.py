@@ -112,3 +112,33 @@ entry "x" class=X {
   domains [e] self=e;
 }
 """
+
+# m must fill its second field, which admits only marked words, and its
+# unmarked dependents may stay in its first field or rise to r's
+DEAD_END_LEXICON = """
+dtypes: m x y
+classes: R M X
+attr mark: yes
+root: R
+
+entry "r" class=R {
+  slot m: class=M required extract {};
+  domains [f] self=f;
+}
+
+entry "m" class=M {
+  slot x: class=X required extract {m};
+  slot y: class=X required extract {m};
+  domains [e g] self=e;
+  card g = 1;
+  feat g mark=yes;
+}
+
+entry "x" class=X {
+  domains [d] self=d;
+}
+
+entry "y" class=X {
+  domains [d] self=d;
+}
+"""

@@ -1,6 +1,7 @@
 """Command line behavior: subcommands, formats, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -314,11 +315,13 @@ class TestLexiconHandling:
 NOT_UTF8 = b"\xff\xfe"
 
 
-def assert_one_error_line(code, out, err):
+def assert_one_error_line(code, out, err, naming):
+    """Exit 2, nothing on stdout, and one error line naming the culprit."""
     assert code == 2
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ")
+    assert naming in line
 
 
 class TestUndecodableInput:
@@ -326,18 +329,51 @@ class TestUndecodableInput:
     def test_input_file(self, capsys, tmp_path, command):
         path = tmp_path / "input.txt"
         path.write_bytes(NOT_UTF8)
-        assert_one_error_line(*run(capsys, command, "--file", str(path)))
+        result = run(capsys, command, "--file", str(path))
+        assert_one_error_line(*result, naming=str(path))
 
     def test_lexicon_flag(self, capsys, tmp_path):
         path = tmp_path / "lexicon.lex"
         path.write_bytes(NOT_UTF8)
-        assert_one_error_line(*run(capsys, "check-lexicon", "--lexicon", str(path)))
+        result = run(capsys, "check-lexicon", "--lexicon", str(path))
+        assert_one_error_line(*result, naming=str(path))
 
     def test_env_variable(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "lexicon.lex"
         path.write_bytes(NOT_UTF8)
         monkeypatch.setenv("ODGRAMMAR_LEXICON", str(path))
-        assert_one_error_line(*run(capsys, "parse", "der Junge"))
+        result = run(capsys, "parse", "der Junge")
+        assert_one_error_line(*result, naming=str(path))
+
+    def test_input_and_lexicon_name_the_bad_one(self, capsys, tmp_path):
+        good, bad = tmp_path / "ok.txt", tmp_path / "bad.lex"
+        good.write_text("der Junge\n")
+        bad.write_bytes(NOT_UTF8)
+        result = run(capsys, "parse", "--file", str(good), "--lexicon", str(bad))
+        assert_one_error_line(*result, naming=str(bad))
+        assert str(good) not in result[2]
+
+
+class TestClosedOutput:
+    def test_closed_pipe_exits_2_with_one_error_line(self):
+        # the read end is closed before the child writes; without
+        # PYTHONUNBUFFERED the write fails only when stdout is flushed
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "odgrammar", "check-lexicon"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ")
 
 
 class TestTiming:

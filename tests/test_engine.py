@@ -1,6 +1,7 @@
 """Search engine: parsing and generation, checked against the oracle."""
 
 import dataclasses
+import itertools
 
 import pytest
 
@@ -21,9 +22,16 @@ from odgrammar import (
     parse,
     parse_tree_text,
 )
+from odgrammar.core import (
+    derived_member_sets,
+    domain_layout,
+    layout_of,
+    member_sets_of,
+)
 
 from corpus import (
     CONTRADICTORY_LEXICON,
+    DEAD_END_LEXICON,
     FAN_LEXICON,
     KEY_SENTENCE,
     KEY_TREE_ORDERS,
@@ -186,6 +194,54 @@ class TestGenerate:
         with pytest.raises(ResourceLimitError):
             generate(tree, flex, max_candidates=50)
 
+    def test_budget_counts_placements_that_die_at_a_closure(self):
+        clex = load_lexicon(DEAD_END_LEXICON)
+        r, m, x, y = (entries_for(form, clex)[0] for form in "rmxy")
+        words = (
+            WordToken(0, "r", r),
+            WordToken(1, "m", m),
+            WordToken(2, "x", x),
+            WordToken(3, "y", y),
+        )
+        edges = (
+            DependencyEdge(0, 1, "m"),
+            DependencyEdge(1, 2, "x"),
+            DependencyEdge(1, 3, "y"),
+        )
+        tree = DependencyTree(words, 0, edges, {0: "R", 1: "M", 2: "X", 3: "X"})
+        # x and y each go to m's first field or to r's; m closes with its
+        # second field empty every time, so no placement gets past it, but
+        # the 2 + 2 * 2 choices on the way count
+        result = generate(tree, clex, max_candidates=6)
+        assert result.pairs == ()
+        assert result.diagnostics[0] == "positional and slot assignments tried: 0"
+        with pytest.raises(ResourceLimitError):
+            generate(tree, clex, max_candidates=5)
+
+    def test_deep_tree_meets_the_budget(self):
+        # der Junge hat den Mann (des Mannes)^600 gesehen: 1,205 words, and
+        # a placement search deeper than the interpreter's recursion limit
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        k = 600
+        forms = ["der", "Junge", "hat", "den", "Mann"] + ["des", "Mannes"] * k
+        forms.append("gesehen")
+        classes = {"der": "Det", "den": "Det", "des": "Det", "hat": "Vfin",
+                   "gesehen": "Vpart", "Junge": "N", "Mann": "N", "Mannes": "N"}
+        lines = [
+            f"token {i} {form} {1 if i == 4 else 0} {classes[form]}"
+            for i, form in enumerate(forms)
+        ]
+        last = len(forms) - 1
+        lines += ["root 2", "edge 1 det 0", "edge 2 subj 1",
+                  f"edge 2 vpart {last}", f"edge {last} obj 4", "edge 4 det 3"]
+        noun = 4
+        for det in range(5, last, 2):
+            lines += [f"edge {noun} gen {det + 1}", f"edge {det + 1} det {det}"]
+            noun = det + 1
+        tree = parse_tree_text("\n".join(lines) + "\n", glex)
+        with pytest.raises(ResourceLimitError):
+            generate(tree, glex, max_candidates=5000)
+
     def test_contradictory_orders(self):
         clex = load_lexicon(CONTRADICTORY_LEXICON)
         a, b = entries_for("a", clex)[0], entries_for("b", clex)[0]
@@ -279,7 +335,7 @@ class TestDiagnostics:
 
 
 class TestRealizationFromLayout:
-    """Parsing realizes each placement from the layout its prune derived."""
+    """Parsing realizes each placement from the member sets its search built."""
 
     def test_layout_gives_the_structure_realization_derives(self, lex, monkeypatch):
         glex = load_lexicon(GENITIVE_LEXICON.read_text())
@@ -291,10 +347,10 @@ class TestRealizationFromLayout:
         realize = engine_module.realize_structure
         compared = 0
 
-        def checked(tree, positional, slot_of, layout=None):
+        def checked(tree, positional, slot_of, members=None):
             nonlocal compared
-            assert layout is not None
-            ds = realize(tree, positional, slot_of, layout)
+            assert members is not None
+            ds = realize(tree, positional, slot_of, members)
             assert ds == realize(tree, positional, slot_of)
             compared += 1
             return ds
@@ -306,3 +362,94 @@ class TestRealizationFromLayout:
                 if line.startswith("realized structures validated: "):
                     realized += int(line.rsplit(" ", 1)[1])
         assert compared == realized == 238
+
+
+def reference_placements(tree):
+    """The placements the search must yield, by the plain product.
+
+    Every non-root word takes a transitive head up to the first crossed
+    dependency outside its slot's extraction set, and a slot there whose
+    domain-feature demand its features meet.  A placement is kept when
+    every cardinality bound holds on `domain_layout`.
+    """
+    head_of, dtype_of = tree.head_of(), tree.dtype_of()
+    non_root = [w for w in range(tree.n) if w != tree.root]
+    choices = []
+    for w in non_root:
+        slot = tree.words[head_of[w]].entry.slot_for(dtype_of[w])
+        allowed = []
+        host = head_of[w]
+        while slot is not None:
+            entry = tree.words[host].entry
+            for s in range(len(entry.template.slots)):
+                demands = [r.required for r in entry.domain_features if r.slot == s]
+                feats = tree.words[w].entry.features
+                if demands and any(feats.get(a) != v for a, v in demands[0].items()):
+                    continue
+                allowed.append((host, s))
+            if host == tree.root or dtype_of[host] not in slot.extraction:
+                break
+            host = head_of[host]
+        choices.append(allowed)
+    kept = set()
+    for combo in itertools.product(*choices):
+        positional = {w: p for w, (p, _) in zip(non_root, combo)}
+        slot_of = {w: s for w, (_, s) in zip(non_root, combo)}
+        layout = domain_layout(tree, positional, slot_of)
+        if all(
+            card.min
+            <= len(layout.get((w, card.slot), ()))
+            <= (card.max if card.max is not None else tree.n)
+            for w in range(tree.n)
+            for card in tree.words[w].entry.cardinalities
+        ):
+            kept.add((tuple(sorted(positional.items())), tuple(sorted(slot_of.items()))))
+    return kept
+
+
+class TestPlacementSearch:
+    """The deepest-first search yields the plain product's placements."""
+
+    def test_same_placements_as_the_product(self, lex, key_structure, monkeypatch):
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        trees = []
+        search = engine_module._iter_realizations
+
+        def recording(tree, budget):
+            trees.append(tree)
+            return search(tree, budget)
+
+        monkeypatch.setattr(engine_module, "_iter_realizations", recording)
+        for sentence, _ in SENTENCES:
+            parse(sentence.split(), lex)
+        for chain in ("", " des Mannes", " des Mannes des Mannes"):
+            parse(f"der Junge hat den Mann{chain} gesehen".split(), glex)
+            parse(f"der Junge hat gesehen den Mann{chain}".split(), glex)
+        generate(key_structure.tree, lex)
+        genitive_trees = [
+            ds.tree
+            for k in range(3)
+            for ds in parse(
+                ("der Junge hat den Mann" + " des Mannes" * k + " gesehen").split(),
+                glex,
+            ).structures
+        ]
+        for tree in genitive_trees:
+            generate(tree, glex)
+
+        placements = 0
+        for tree in trees:
+            found = set()
+            for positional, slot_of, closed in search(tree, engine_module._Budget(10**7)):
+                key = (tuple(sorted(positional.items())), tuple(sorted(slot_of.items())))
+                assert key not in found
+                found.add(key)
+                # the search's closures are the one derivation's
+                assert layout_of(closed) == domain_layout(tree, positional, slot_of)
+                assert member_sets_of(closed) == derived_member_sets(
+                    tree, positional, slot_of
+                )
+            assert found == reference_placements(tree)
+            placements += len(found)
+        assert (len(trees), placements) == (77, 2397)
+

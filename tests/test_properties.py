@@ -40,7 +40,7 @@ from odgrammar import (
 from odgrammar.cli import main, tokenize
 from odgrammar.validate import iter_structure_violations
 
-from corpus import NOUN_ROOT_LEXICON
+from corpus import NOUN_ROOT_LEXICON, SENTENCES
 from harness import (
     StructureSampler,
     grammatical_bases,
@@ -203,6 +203,29 @@ _LEXICON_EDIT = st.tuples(
 )
 
 
+# Token edits of a sentence: drop, duplicate or swap tokens.
+_TOKEN_EDIT = st.tuples(
+    st.sampled_from(["drop", "duplicate", "swap"]),
+    st.integers(0, 15),
+    st.integers(0, 15),
+)
+
+
+def edit_tokens(tokens, edits):
+    tokens = list(tokens)
+    for op, i, j in edits:
+        if not tokens:
+            break
+        i, j = i % len(tokens), j % len(tokens)
+        if op == "drop":
+            del tokens[i]
+        elif op == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+    return tokens
+
+
 class TestCommandLineFuzz:
     """Edited and arbitrary inputs end in an exit code, never an exception."""
 
@@ -224,6 +247,17 @@ class TestCommandLineFuzz:
         path = workdir / "edited.lex"
         path.write_text(edit_lines(reference_lexicon_text(), edits))
         assert run_quietly(["check-lexicon", "--lexicon", str(path)]) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        sentence=st.sampled_from([s for s, _ in SENTENCES]),
+        edits=st.lists(_TOKEN_EDIT, min_size=1, max_size=3),
+    )
+    def test_edited_sentence_through_parse(self, workdir, sentence, edits):
+        path = workdir / "sentence.txt"
+        path.write_text(" ".join(edit_tokens(sentence.split(), edits)))
+        argv = ["parse", "--file", str(path), "--max-candidates", "20000"]
+        assert run_quietly(argv) in (0, 1, 2, 3)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.binary(max_size=64), command=st.sampled_from(["parse", "validate"]))

@@ -281,6 +281,60 @@ class TestStages:
         assert "lex.feature-entry" in report.conditions()
 
 
+class TestTreeStageMemo:
+    """The tree stage runs once per tree object, and never from a stale memo."""
+
+    @pytest.fixture()
+    def tree_calls(self, monkeypatch):
+        calls = []
+        tree_stage = validate_module.iter_tree_violations
+
+        def counted(tree, lex=None):
+            calls.append(tree)
+            yield from tree_stage(tree, lex)
+
+        monkeypatch.setattr(validate_module, "iter_tree_violations", counted)
+        return calls
+
+    def test_one_run_per_tree(self, ds, lex, tree_calls):
+        for _ in range(3):
+            assert validate_structure(ds, lex).ok
+            assert structure_is_valid(ds, lex)
+        other = realize_structure(ds.tree, ds.positional, dict(KEY_SLOTS))
+        assert validate_structure(other, lex).ok
+        assert tree_calls == [ds.tree]
+
+    def test_class_edits_after_a_clean_validation_are_reported(
+        self, ds, lex, tree_calls
+    ):
+        assert validate_structure(ds, lex).ok
+        ds.tree.classes[0] = "Adj"
+        assert triples(validate_structure(ds, lex)) == [
+            ("tree.class-inventory", (0, "Adj"), "class 'Adj' is not declared"),
+        ]
+        assert not structure_is_valid(ds, lex)
+        del ds.tree.classes[0]
+        assert triples(validate_structure(ds, lex))[0] == (
+            "tree.class-missing",
+            (0,),
+            "word 0 has no class",
+        )
+        ds.tree.classes[0] = "Det"
+        assert validate_structure(ds, lex).ok
+        assert len(tree_calls) == 4
+
+    def test_another_inventory_runs_the_stage_again(self, ds, lex):
+        assert validate_structure(ds, lex).ok
+        narrow = dataclasses.replace(
+            lex, classes=tuple(c for c in lex.classes if c != "Det")
+        )
+        report = validate_structure(ds, narrow)
+        assert ("tree.class-inventory", (0, "Det")) in [
+            (v.condition, v.subjects) for v in report.violations
+        ]
+        assert validate_structure(ds, lex).ok
+
+
 class TestDerivedMembers:
     def test_stored_sets_must_match_insertion(self, ds, lex):
         # hand the subject's words to the participle domain; hierarchy and
