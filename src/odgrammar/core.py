@@ -18,10 +18,10 @@ The domain layer is derived from insertion alone, one word at a time, by
 `close_word`: once every word inserted into a word's domains is closed,
 the word's realized slots, their immediate members and their member sets
 follow.  A domain contains its introducing word (if it is the self slot)
-plus every word of the domains inserted into it.  `domain_layout` and
-`derived_member_sets` close every word in insertion order; the engine's
-search closes each word as it goes.  Validators below check the stored
-sets against this derivation, along with the four linking conditions:
+plus every word of the domains inserted into it.  `derived_member_sets`
+closes every word in insertion order; the engine's search closes each word
+as it goes.  Validators below check the stored sets against this
+derivation, along with the four linking conditions:
 
   1. each word lies in exactly one domain of its own sequence,
   2. the domains of one word's sequence are pairwise disjoint,
@@ -809,19 +809,6 @@ def layout_of(closed: Sequence[Closure]) -> dict[tuple[int, int], list[tuple]]:
 def member_sets_of(closed: Sequence[Closure]) -> dict[tuple[int, int], frozenset[int]]:
     """Each realized domain (owner, slot) mapped to the words it contains."""
     return {(w, s): members for w, c in enumerate(closed) for s, _, members in c}
-
-
-def domain_layout(
-    tree: DependencyTree,
-    positional: dict[int, int],
-    slot_of: dict[int, int],
-) -> dict[tuple[int, int], list[tuple]]:
-    """Each realized domain (owner, slot) mapped to its immediate members.
-
-    `close_word` over every word, keys in ascending order.  Raises
-    StructureError when the insertions form a cycle.
-    """
-    return layout_of(_close_all(tree, positional, slot_of))
 
 
 def self_slots(tree: DependencyTree) -> list[int]:

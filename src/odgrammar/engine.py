@@ -28,10 +28,13 @@ the same sets, renamed to the order's indices.  The validator is asked for
 one finding per candidate, so a rejected candidate costs only the checks
 up to its first failing one, and it runs its tree stage once per tree.
 
-Every candidate counts against ``max_candidates``: each head choice
-extending a partial head map, each complete head map, each (host, slot)
-choice of a word, each complete placement, each permutation drawn for a
-domain, and each combined order.  Exceeding the budget raises
+Head maps and placements are one kind of search: every word makes one
+choice (a labeled head, or a host and a slot), and `_depth_first` runs both
+on one explicit stack, so a search as deep as the input is long meets the
+budget, never the recursion limit.  Every candidate counts against
+``max_candidates``: `_depth_first` charges each choice taken and each
+complete assignment, and generation also charges each permutation drawn
+for a domain and each combined order.  Exceeding the budget raises
 ResourceLimitError rather than returning a truncated answer.
 """
 
@@ -130,6 +133,37 @@ class _Stats:
             top = ", ".join(f"{cond} ({n})" for cond, n in ranked[:6])
             out.append(f"rejections by first failing check: {top}")
         return tuple(out)
+
+
+def _depth_first(levels, enter, budget):
+    """Yield once per complete assignment of a backtracking search.
+
+    A search has ``levels`` levels, each making one choice.  On reaching
+    level k the driver calls ``enter(k)``, which returns None for a dead
+    end.  Otherwise, below ``levels``, it returns an iterator each step of
+    which takes back level k's previous choice, makes its next one and
+    yields it (never None); when the iterator runs out, the last choice is
+    taken back.  Reaching level ``levels`` itself with a result other than
+    None completes an assignment, which the caller reads before asking for
+    the next.  Each choice taken and each complete assignment costs one
+    tick of ``budget``.
+    """
+    stack = []
+    it = enter(0)
+    while True:
+        if it is not None:
+            if len(stack) < levels:
+                stack.append(it)
+            else:
+                budget.tick()
+                yield
+        # back to the deepest level with a choice left
+        while stack and next(stack[-1], None) is None:
+            stack.pop()
+        if not stack:
+            return
+        budget.tick()
+        it = enter(len(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -234,50 +268,31 @@ def _iter_realizations(tree, budget):
             if not _within_bounds(closed[w], bounds[w]):
                 return
 
+    def place(w):
+        for p, s in options[w]:
+            positional[w] = p
+            slot_of[w] = s
+            here = hosted[p].setdefault(s, [])
+            here.append(w)
+            yield p, s
+            del positional[w], slot_of[w]
+            here.pop()
+            if not here:
+                del hosted[p][s]
+
     def enter(k):
-        """Close order[k]; its option iterator, or None when a bound fails."""
+        """Close order[k]; its placements, or None when a bound fails."""
         w = order[k]
         if w in hosts:
             closure = close_word(w, self_slot[w], hosted[w], closed)
             if not _within_bounds(closure, bounds[w]):
                 return None
             closed[w] = closure
-        return iter(options[w])
+        return place(w)
 
-    # an explicit stack of option iterators, one per word of ``order``, so
-    # that a deep tree meets the budget rather than the recursion limit
-    iters = [None] * n
-    iters[0] = enter(0)
-    k = 0
-    while k >= 0:
-        w = order[k]
-        if w in positional:
-            # back at w: take back its last choice
-            p, s = positional.pop(w), slot_of.pop(w)
-            here = hosted[p][s]
-            here.pop()
-            if not here:
-                del hosted[p][s]
-        it = iters[k]
-        if it is None:
-            k -= 1
-            continue
-        if w == tree.root:
-            budget.tick()
-            yield positional, slot_of, closed
-            k -= 1
-            continue
-        choice = next(it, None)
-        if choice is None:
-            k -= 1
-            continue
-        p, s = choice
-        budget.tick()
-        positional[w] = p
-        slot_of[w] = s
-        hosted[p].setdefault(s, []).append(w)
-        k += 1
-        iters[k] = enter(k)
+    # the root comes last in ``order`` and makes no choice
+    for _ in _depth_first(n - 1, enter, budget):
+        yield positional, slot_of, closed
 
 
 def _judge(ds, lex, stats) -> bool:
@@ -305,15 +320,7 @@ def _iter_head_maps(words, lex, budget, stats):
         dtype_of: dict[int, str] = {}
         used: set[tuple[int, str]] = set()
 
-        def rec(k: int):
-            if k == len(rest):
-                budget.tick()
-                stats.bump("maps")
-                # every head choice below kept the partial map acyclic, so
-                # the complete map is a tree
-                yield root, dict(parent), dict(dtype_of)
-                return
-            w = rest[k]
+        def heads(w):
             for h in range(n):
                 if h == w:
                     continue
@@ -329,18 +336,22 @@ def _iter_head_maps(words, lex, budget, stats):
                         continue
                     if w in ancestor_chain(parent, h):
                         continue
-                    # a partial map counts too, so a search whose maps
-                    # never complete still meets the budget
-                    budget.tick()
                     parent[w] = h
                     dtype_of[w] = dt
                     used.add((h, dt))
-                    yield from rec(k + 1)
+                    yield h, dt
                     del parent[w]
                     del dtype_of[w]
                     used.discard((h, dt))
 
-        yield from rec(0)
+        def enter(k):
+            return heads(rest[k]) if k < len(rest) else ()
+
+        for _ in _depth_first(len(rest), enter, budget):
+            stats.bump("maps")
+            # every head choice kept the partial map acyclic, so the
+            # complete map is a tree
+            yield root, dict(parent), dict(dtype_of)
 
 
 _PARSE_STAGES = (

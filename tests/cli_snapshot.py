@@ -29,6 +29,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from corpus import CONTRADICTORY_LEXICON, KEY_SENTENCE, NOUN_ROOT_LEXICON  # noqa: E402
+from oracle_net import GENITIVE_LEXICON  # noqa: E402
 
 KEY_TREE = """\
 token 0 den 0 Det
@@ -92,6 +93,9 @@ FILES = {
     "contra.lex": CONTRADICTORY_LEXICON,
     "contra.tree": "token 0 a 0 A\ntoken 1 b 0 B\nroot 0\nedge 0 x 1\n",
     "broken.lex": "dtypes: x x\n",
+    "genitive.lex": GENITIVE_LEXICON.read_text(encoding="utf-8"),
+    # 1,006 tokens: a search deeper than the interpreter's recursion limit
+    "long.txt": "der Junge hat den Mann" + " des Mannes" * 500 + " gesehen\n",
 }
 
 REJECTED = "hat der Junge den Mann gesehen"
@@ -145,6 +149,7 @@ HUMAN_ONLY: list[tuple[str, ...]] = [
     ("oracle", "der Hund"),
     ("oracle", "--orders", "--file", "junk.txt"),
     (),
+    ("parse", "--file", "long.txt", "--lexicon", "genitive.lex", "--max-candidates", "1100"),
 ]
 
 # (argv, extra environment)

@@ -17,6 +17,7 @@ from corpus import (
     KEY_TREE_ORDERS,
     NOUN_ROOT_LEXICON,
 )
+from oracle_net import GENITIVE_LEXICON
 
 
 def run(capsys, *argv):
@@ -96,6 +97,17 @@ class TestParseCommand:
         code, _, err = run(capsys, "parse", KEY_SENTENCE, "--max-candidates", "5")
         assert code == 3
         assert "budget" in err
+
+    def test_long_sentence_meets_the_budget(self, capsys):
+        # 1,006 tokens: a head-map search deeper than the recursion limit
+        sentence = "der Junge hat den Mann" + " des Mannes" * 500 + " gesehen"
+        code, out, err = run(
+            capsys, "parse", sentence,
+            "--lexicon", str(GENITIVE_LEXICON), "--max-candidates", "1100",
+        )
+        assert code == 3
+        assert out == ""
+        assert err == "error: candidate budget of 1100 exhausted\n"
 
 
 class TestGenerateCommand:

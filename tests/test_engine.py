@@ -23,8 +23,8 @@ from odgrammar import (
     parse_tree_text,
 )
 from odgrammar.core import (
+    _close_all,
     derived_member_sets,
-    domain_layout,
     layout_of,
     member_sets_of,
 )
@@ -94,6 +94,14 @@ class TestParse:
         assert "labeled head maps enumerated: 0" in result.diagnostics
         with pytest.raises(ResourceLimitError):
             parse(tokens, lex, max_candidates=19)
+
+    def test_long_sentence_meets_the_budget(self):
+        # der Junge hat den Mann (des Mannes)^500 gesehen: 1,006 tokens, and
+        # a head-map search deeper than the interpreter's recursion limit
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        tokens = ("der Junge hat den Mann" + " des Mannes" * 500 + " gesehen").split()
+        with pytest.raises(ResourceLimitError):
+            parse(tokens, glex, max_candidates=1100)
 
     def test_diagnostics_on_failure(self, lex):
         result = parse("hat der Junge den Mann gesehen".split(), lex)
@@ -286,6 +294,36 @@ edge 6 det 5
 """
 
 
+class TestBudgetThresholds:
+    """The least budget each search fits in: N returns and N - 1 raises.
+
+    Head maps and placements charge one tick per choice taken and one per
+    complete assignment; generation also charges each permutation drawn
+    and each order.  A search that ticks once too often or too rarely
+    moves these thresholds.
+    """
+
+    @pytest.mark.parametrize(
+        "sentence, genitive, needed",
+        [
+            ("den Mann hat der Junge gesehen", False, 72),
+            ("den Mann hat gesehen der Junge", False, 79),
+            ("der Junge hat den Mann des Mannes gesehen", True, 238),
+        ],
+    )
+    def test_parse(self, lex, sentence, genitive, needed):
+        lexicon = load_lexicon(GENITIVE_LEXICON.read_text()) if genitive else lex
+        tokens = sentence.split()
+        parse(tokens, lexicon, max_candidates=needed)
+        with pytest.raises(ResourceLimitError):
+            parse(tokens, lexicon, max_candidates=needed - 1)
+
+    def test_generate_key_tree(self, lex, key_structure):
+        generate(key_structure.tree, lex, max_candidates=98)
+        with pytest.raises(ResourceLimitError):
+            generate(key_structure.tree, lex, max_candidates=97)
+
+
 class TestDiagnostics:
     """Search counts where a noun inserted elsewhere realizes two domains.
 
@@ -370,7 +408,7 @@ def reference_placements(tree):
     Every non-root word takes a transitive head up to the first crossed
     dependency outside its slot's extraction set, and a slot there whose
     domain-feature demand its features meet.  A placement is kept when
-    every cardinality bound holds on `domain_layout`.
+    every cardinality bound holds on the layout `close_word` derives.
     """
     head_of, dtype_of = tree.head_of(), tree.dtype_of()
     non_root = [w for w in range(tree.n) if w != tree.root]
@@ -395,7 +433,7 @@ def reference_placements(tree):
     for combo in itertools.product(*choices):
         positional = {w: p for w, (p, _) in zip(non_root, combo)}
         slot_of = {w: s for w, (_, s) in zip(non_root, combo)}
-        layout = domain_layout(tree, positional, slot_of)
+        layout = layout_of(_close_all(tree, positional, slot_of))
         if all(
             card.min
             <= len(layout.get((w, card.slot), ()))
@@ -445,7 +483,9 @@ class TestPlacementSearch:
                 assert key not in found
                 found.add(key)
                 # the search's closures are the one derivation's
-                assert layout_of(closed) == domain_layout(tree, positional, slot_of)
+                assert layout_of(closed) == layout_of(
+                    _close_all(tree, positional, slot_of)
+                )
                 assert member_sets_of(closed) == derived_member_sets(
                     tree, positional, slot_of
                 )

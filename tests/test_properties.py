@@ -95,9 +95,9 @@ class TestHarnessIndependence:
     INTERNALS = {
         "StructureIndex",
         "ancestor_chain",
+        "close_word",
         "is_tree",
         "derived_member_sets",
-        "domain_layout",
         "head_walk",
     }
 
