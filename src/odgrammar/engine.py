@@ -29,13 +29,15 @@ one finding per candidate, so a rejected candidate costs only the checks
 up to its first failing one, and it runs its tree stage once per tree.
 
 Head maps and placements are one kind of search: every word makes one
-choice (a labeled head, or a host and a slot), and `_depth_first` runs both
-on one explicit stack, so a search as deep as the input is long meets the
-budget, never the recursion limit.  Every candidate counts against
-``max_candidates``: `_depth_first` charges each choice taken and each
-complete assignment, and generation also charges each permutation drawn
-for a domain and each combined order.  Exceeding the budget raises
-ResourceLimitError rather than returning a truncated answer.
+choice (a labeled head, or a host and a slot) from a list of options built
+before the search starts, and `_depth_first` runs both on one explicit
+stack.  No walk recurses, the flattening of a generated order included, so
+an input as deep as it is long meets the budget, never the recursion
+limit.  Every candidate counts against ``max_candidates``: `_depth_first`
+charges each choice taken and each complete assignment, and generation
+also charges each permutation drawn for a domain and each combined order.
+Exceeding the budget raises ResourceLimitError rather than returning a
+truncated answer.
 """
 
 from __future__ import annotations
@@ -185,9 +187,6 @@ def _placement_options(tree):
             options.append([])
             continue
         slot = tree.words[parent[w]].entry.slot_for(dtype_of[w])
-        if slot is None:
-            options.append([])
-            continue
         feats = tree.words[w].entry.features
         choices = []
         chain = ancestor_chain(parent, w)
@@ -311,7 +310,19 @@ def _judge(ds, lex, stats) -> bool:
 def _iter_head_maps(words, lex, budget, stats):
     """Labeled trees over the words, as (root, parent, dtype_of) triples."""
     n = len(words)
-    slot_names = [tuple(s.dtype for s in w.entry.valency) for w in words]
+    frames = [[(s.dtype, w.entry.slot_for(s.dtype)) for s in w.entry.valency]
+              for w in words]
+    # each word's (head, dtype) options: heads ascending, dtypes in valency
+    # order, and only slots whose class and features the word meets
+    options: list[list[tuple[int, str]]] = [[] for _ in words]
+    for w, h in itertools.permutations(range(n), 2):
+        entry = words[w].entry
+        for dt, slot in frames[h]:
+            if slot.dep_class and entry.word_class != slot.dep_class:
+                continue
+            if any(entry.features.get(a) != v for a, v in slot.features.items()):
+                continue
+            options[w].append((h, dt))
     for root in range(n):
         if lex.root_classes and words[root].entry.word_class not in lex.root_classes:
             continue
@@ -321,28 +332,16 @@ def _iter_head_maps(words, lex, budget, stats):
         used: set[tuple[int, str]] = set()
 
         def heads(w):
-            for h in range(n):
-                if h == w:
+            for h, dt in options[w]:
+                if (h, dt) in used or w in ancestor_chain(parent, h):
                     continue
-                entry = words[h].entry
-                for dt in slot_names[h]:
-                    if (h, dt) in used:
-                        continue
-                    slot = entry.slot_for(dt)
-                    if slot.dep_class and words[w].entry.word_class != slot.dep_class:
-                        continue
-                    wf = words[w].entry.features
-                    if any(wf.get(a) != v for a, v in slot.features.items()):
-                        continue
-                    if w in ancestor_chain(parent, h):
-                        continue
-                    parent[w] = h
-                    dtype_of[w] = dt
-                    used.add((h, dt))
-                    yield h, dt
-                    del parent[w]
-                    del dtype_of[w]
-                    used.discard((h, dt))
+                parent[w] = h
+                dtype_of[w] = dt
+                used.add((h, dt))
+                yield h, dt
+                del parent[w]
+                del dtype_of[w]
+                used.discard((h, dt))
 
         def enter(k):
             return heads(rest[k]) if k < len(rest) else ()
@@ -415,12 +414,13 @@ def parse(
 # generation
 
 
-def _arrangements(items, budget):
-    """Orderings of one domain's immediate members.
+def _arrangements(items, slot, entry, dtype_of, budget):
+    """Orderings of the immediate members of the owner's domain ``slot``.
 
     ``items`` are ("self", owner) or ("dom", word, slot) markers.  Orderings
     that put a word's own domains out of template-slot order are dropped,
-    since they can never satisfy the sequence-order condition.  Every
+    since they can never satisfy the sequence-order condition, and so are
+    those the owner's precedence predicates (from ``entry``) forbid.  Every
     ordering drawn counts against the budget, so a large domain raises
     ResourceLimitError before its permutations pile up.
     """
@@ -431,17 +431,17 @@ def _arrangements(items, budget):
         for item in perm:
             if item[0] != "dom":
                 continue
-            _, word, slot = item
-            if last.get(word, -1) > slot:
+            _, word, s = item
+            if last.get(word, -1) > s:
                 ok = False
                 break
-            last[word] = slot
-        if ok:
+            last[word] = s
+        if ok and _order_allowed(slot, perm, entry, dtype_of):
             yield perm
 
 
-def _order_allowed(owner: int, slot: int, perm, entry, dtype_of) -> bool:
-    """Do the owner's predicates tolerate this arrangement of (owner, slot)?"""
+def _order_allowed(slot: int, perm, entry, dtype_of) -> bool:
+    """Do the owner's predicates tolerate this arrangement of its domain?"""
     for pred in entry.predicates:
         if pred.kind == SELF_VS_ALL:
             if slot != entry.template.self_slot:
@@ -512,35 +512,25 @@ def generate(
         stats.bump("placements")
         layout = layout_of(closed)
         members = member_sets_of(closed)
-        # the top domain holds the root's whole sequence; its members are
-        # the root's domains, fixed in sequence order
-        top_ids = [did for did in layout if did[0] == tree.root]
-        choice_lists = []
-        for (w, s), items in layout.items():
-            entry = tree.words[w].entry
-            choice_lists.append(
-                [
-                    perm
-                    for perm in _arrangements(items, budget)
-                    if _order_allowed(w, s, perm, entry, dtype_of)
-                ]
-            )
+        choice_lists = [
+            list(_arrangements(items, s, tree.words[w].entry, dtype_of, budget))
+            for (w, s), items in layout.items()
+        ]
 
         for combo in itertools.product(*choice_lists):
             budget.tick()
             stats.bump("orders")
             chosen = dict(zip(layout, combo))
-
-            def emit(did, out):
-                for item in chosen[did]:
-                    if item[0] == "self":
-                        out.append(item[1])
-                    else:
-                        emit((item[1], item[2]), out)
-
+            # the root's realized slots hold the whole sentence, in slot
+            # order; each ("dom", word, slot) opens into its chosen order
             order: list[int] = []
-            for did in top_ids:
-                emit(did, order)
+            stack = [("dom", tree.root, s) for s, _, _ in reversed(closed[tree.root])]
+            while stack:
+                item = stack.pop()
+                if item[0] == "self":
+                    order.append(item[1])
+                else:
+                    stack.extend(reversed(chosen[item[1], item[2]]))
             permuted, new_index = permute_tree(tree, order)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}

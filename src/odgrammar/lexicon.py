@@ -226,10 +226,9 @@ class _TokenStream:
 
 def load_lexicon(text: str) -> Lexicon:
     """Parse lexicon source text; raise LexiconError with line and column."""
-    dtypes: list[str] = []
-    classes: list[str] = []
+    # (symbol, line) for every symbol each statement kind declares
+    symbols: dict[str, list] = {"dtypes": [], "classes": [], "root": []}
     attributes: dict[str, tuple[str, ...]] = {}
-    root_classes: list[str] = []
     raw_entries: list[tuple[list[_Token], int]] = []
 
     lines = text.splitlines()
@@ -244,11 +243,9 @@ def load_lexicon(text: str) -> Lexicon:
         if head.value in ("dtypes", "classes", "root") and head.kind == "word":
             if len(tokens) < 2 or tokens[1].value != ":":
                 raise LexiconError(f"expected ':' after {head.value}", line_no)
-            values = [t.value for t in tokens[2:]]
-            if any(t.kind != "word" for t in tokens[2:]) or not values:
+            if any(t.kind != "word" for t in tokens[2:]) or len(tokens) == 2:
                 raise LexiconError(f"expected symbols after {head.value}:", line_no)
-            target = {"dtypes": dtypes, "classes": classes, "root": root_classes}
-            target[head.value].extend(values)
+            symbols[head.value].extend((t.value, line_no) for t in tokens[2:])
             i += 1
         elif head.value == "attr":
             if len(tokens) < 4 or tokens[2].value != ":":
@@ -262,18 +259,15 @@ def load_lexicon(text: str) -> Lexicon:
             i += 1
         elif head.value == "entry":
             block = list(tokens)
-            depth = sum(1 for t in tokens if t.value == "{") - sum(
-                1 for t in tokens if t.value == "}"
-            )
-            if "{" not in [t.value for t in tokens]:
+            if not any(t.kind == "punct" and t.value == "{" for t in tokens):
                 raise LexiconError("expected '{' in entry header", line_no)
+            depth = _brace_depth(tokens)
             i += 1
             while depth > 0:
                 if i >= len(lines):
                     raise LexiconError("unterminated entry block", line_no)
                 more = _tokenize_line(lines[i], i + 1)
-                depth += sum(1 for t in more if t.value == "{")
-                depth -= sum(1 for t in more if t.value == "}")
+                depth += _brace_depth(more)
                 block.extend(more)
                 i += 1
             raw_entries.append((block, line_no))
@@ -282,10 +276,11 @@ def load_lexicon(text: str) -> Lexicon:
                 f"unexpected {head.value!r} at top level", line_no, head.col
             )
 
-    inventories = _Inventories(
-        tuple(dtypes), tuple(classes), attributes, tuple(root_classes)
+    _check_declared(symbols)
+    dtypes, classes, root_classes = (
+        tuple(sym for sym, _ in symbols[k]) for k in ("dtypes", "classes", "root")
     )
-    inventories.check_declared(1)
+    inventories = _Inventories(dtypes, classes, attributes, root_classes)
 
     entries: dict[str, list[LexicalEntry]] = {}
     for block, line_no in raw_entries:
@@ -293,12 +288,33 @@ def load_lexicon(text: str) -> Lexicon:
         entries.setdefault(entry.form, []).append(entry)
 
     return Lexicon(
-        dtypes=tuple(dtypes),
-        classes=tuple(classes),
+        dtypes=dtypes,
+        classes=classes,
         attributes=attributes,
-        root_classes=tuple(root_classes),
+        root_classes=root_classes,
         entries={f: tuple(es) for f, es in entries.items()},
     )
+
+
+def _brace_depth(tokens: list[_Token]) -> int:
+    """Braces opened minus braces closed; a quoted "{" is a form, not a brace."""
+    punct = [t.value for t in tokens if t.kind == "punct"]
+    return punct.count("{") - punct.count("}")
+
+
+def _check_declared(symbols: dict[str, list[tuple[str, int]]]):
+    """Reject a symbol declared twice, or a root class never declared, at
+    the line of the statement that declares it."""
+    for name in ("dtypes", "classes"):
+        seen = set()
+        for sym, line in symbols[name]:
+            if sym in seen:
+                raise LexiconError(f"duplicate symbol in {name}", line)
+            seen.add(sym)
+    classes = {sym for sym, _ in symbols["classes"]}
+    for sym, line in symbols["root"]:
+        if sym not in classes:
+            raise LexiconError(f"root class {sym!r} is not declared", line)
 
 
 @dataclass
@@ -307,14 +323,6 @@ class _Inventories:
     classes: tuple[str, ...]
     attributes: dict[str, tuple[str, ...]]
     root_classes: tuple[str, ...]
-
-    def check_declared(self, line: int):
-        for name, seq in (("dtypes", self.dtypes), ("classes", self.classes)):
-            if len(set(seq)) != len(seq):
-                raise LexiconError(f"duplicate symbol in {name}", line)
-        for cls in self.root_classes:
-            if cls not in self.classes:
-                raise LexiconError(f"root class {cls!r} is not declared", line)
 
     def need_dtype(self, tok: _Token):
         if tok.value not in self.dtypes:

@@ -142,3 +142,21 @@ entry "y" class=X {
   domains [d] self=d;
 }
 """
+
+# r takes an optional x; x's field e must hold exactly one domain, but x
+# has no slot that could fill it
+LEAF_BOUNDS_LEXICON = """
+dtypes: x
+classes: R X
+root: R
+
+entry "r" class=R {
+  slot x: class=X optional extract {};
+  domains [a] self=a;
+}
+
+entry "x" class=X {
+  domains [d e] self=d;
+  card e = 1;
+}
+"""

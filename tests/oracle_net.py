@@ -72,6 +72,32 @@ def noun_root_lexicon():
     return load_lexicon(text)
 
 
+def genitive_tokens(k: int) -> tuple[str, ...]:
+    """``der Junge hat den Mann (des Mannes)^k gesehen``."""
+    return ("der", "Junge", "hat", "den", "Mann", *("des", "Mannes") * k, "gesehen")
+
+
+def genitive_tree_text(k: int) -> str:
+    """The tree of ``genitive_tokens(k)``, each noun taking the next ``des
+    Mannes`` as its genitive, in the tree text format."""
+    forms = genitive_tokens(k)
+    classes = {"der": "Det", "den": "Det", "des": "Det", "hat": "Vfin",
+               "gesehen": "Vpart", "Junge": "N", "Mann": "N", "Mannes": "N"}
+    # the accusative "Mann" is the form's second entry
+    lines = [
+        f"token {i} {form} {1 if i == 4 else 0} {classes[form]}"
+        for i, form in enumerate(forms)
+    ]
+    last = len(forms) - 1
+    lines += ["root 2", "edge 1 det 0", "edge 2 subj 1",
+              f"edge 2 vpart {last}", f"edge {last} obj 4", "edge 4 det 3"]
+    noun = 4
+    for det in range(5, last, 2):
+        lines += [f"edge {noun} gen {det + 1}", f"edge {det + 1} det {det}"]
+        noun = det + 1
+    return "\n".join(lines) + "\n"
+
+
 def sentences(forms, lengths):
     for k in lengths:
         yield from itertools.product(forms, repeat=k)

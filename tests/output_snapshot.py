@@ -1,0 +1,130 @@
+"""Digest snapshot of the library's answers over a fixed set of inputs.
+
+The script prints one line per input: what was run, then the SHA-256 of
+each part of its answer.
+
+- ``parse``: the structures (``structure_obj``, in result order) and the
+  diagnostics, on the 25 corpus sentences over the bundled lexicon and on
+  ``der Junge hat den Mann (des Mannes)^k gesehen``, k = 0..3, and its
+  twin with the participle before the object, over ``bench/genitive.lex``.
+- ``parse@N``: the outcome of each corpus sentence at a candidate budget
+  of N, either the answer or the ``ResourceLimitError`` message.
+- ``generate``: the (surface, structure) pairs and the diagnostics on the
+  key sentence's tree and on the genitive trees k = 0..2, and the key
+  tree's outcome at budgets 97 and 98.
+- ``validate``: the full ``validate_structure`` report (condition,
+  subjects, message of every violation) on each instance of a seeded
+  ``harness.StructureSampler`` stream over the bundled lexicon.
+
+No line holds a time, so two runs on the same code print the same bytes.
+To show that a change leaves the answers unchanged, run this script (the
+change's copy) against both source trees and compare:
+
+    PYTHONPATH=<parent>/src python tests/output_snapshot.py > parent.txt
+    PYTHONPATH=src python tests/output_snapshot.py > change.txt
+    diff parent.txt change.txt
+
+It takes under 10 s.  pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from odgrammar import (  # noqa: E402
+    ResourceLimitError,
+    generate,
+    load_lexicon,
+    parse,
+    parse_tree_text,
+    reference_lexicon,
+    validate_structure,
+)
+from odgrammar.serialize import canonical_structure, structure_obj  # noqa: E402
+
+from cli_snapshot import KEY_TREE  # noqa: E402
+from corpus import SENTENCES  # noqa: E402
+from harness import StructureSampler, grammatical_bases  # noqa: E402
+from oracle_net import (  # noqa: E402
+    GENITIVE_LEXICON,
+    genitive_tokens,
+    genitive_tree_text,
+)
+
+PARSE_BUDGETS = (1, 5, 19, 50, 200, 1000)
+GENERATE_BUDGETS = (97, 98)
+VALIDATE_SEED = 20261018
+VALIDATE_COUNT = 3000
+
+
+def sha(obj) -> str:
+    return hashlib.sha256(
+        json.dumps(obj, sort_keys=True, ensure_ascii=False).encode()
+    ).hexdigest()
+
+
+def parse_line(tokens, lex, **budget) -> str:
+    try:
+        result = parse(tokens, lex, **budget)
+    except ResourceLimitError as exc:
+        return f"ResourceLimitError={sha(str(exc))}"
+    structures = [structure_obj(ds, lex) for ds in result.structures]
+    return f"structures={sha(structures)}\tdiagnostics={sha(result.diagnostics)}"
+
+
+def generate_line(tree, lex, **budget) -> str:
+    try:
+        result = generate(tree, lex, **budget)
+    except ResourceLimitError as exc:
+        return f"ResourceLimitError={sha(str(exc))}"
+    pairs = [(surface, canonical_structure(ds, lex)) for surface, ds in result.pairs]
+    return f"pairs={sha(pairs)}\tdiagnostics={sha(result.diagnostics)}"
+
+
+def main() -> int:
+    lex = reference_lexicon()
+    glex = load_lexicon(GENITIVE_LEXICON.read_text(encoding="utf-8"))
+
+    for sentence, _ in SENTENCES:
+        print(f"parse {sentence!r}\t{parse_line(sentence.split(), lex)}")
+    for k in range(4):
+        tokens = genitive_tokens(k)
+        # the twin moves the participle in front of the object
+        twin = tokens[:3] + tokens[-1:] + tokens[3:-1]
+        for t in (tokens, twin):
+            print(f"parse {' '.join(t)!r}\t{parse_line(t, glex)}")
+    for budget in PARSE_BUDGETS:
+        for sentence, _ in SENTENCES:
+            line = parse_line(sentence.split(), lex, max_candidates=budget)
+            print(f"parse@{budget} {sentence!r}\t{line}")
+
+    key_tree = parse_tree_text(KEY_TREE, lex)
+    print(f"generate key\t{generate_line(key_tree, lex)}")
+    for budget in GENERATE_BUDGETS:
+        line = generate_line(key_tree, lex, max_candidates=budget)
+        print(f"generate@{budget} key\t{line}")
+    for k in range(3):
+        tree = parse_tree_text(genitive_tree_text(k), glex)
+        print(f"generate genitive k={k}\t{generate_line(tree, glex)}")
+
+    sampler = StructureSampler(VALIDATE_SEED, lex, grammatical_bases())
+    for i in range(VALIDATE_COUNT):
+        ds = sampler.next_instance()
+        if ds is None:
+            print(f"validate #{i}\tnone")
+            continue
+        report = [
+            (v.condition, repr(v.subjects), v.message)
+            for v in validate_structure(ds, lex).violations
+        ]
+        print(f"validate #{i}\treport={sha(report)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,7 @@ from corpus import (
     KEY_TREE_ORDERS,
     NOUN_ROOT_LEXICON,
 )
-from oracle_net import GENITIVE_LEXICON
+from oracle_net import GENITIVE_LEXICON, genitive_tree_text
 
 
 def run(capsys, *argv):
@@ -137,6 +137,28 @@ class TestGenerateCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["surfaces"] == list(KEY_TREE_ORDERS)
+
+    def test_deep_order_meets_the_budget(self, tmp_path):
+        # 306 words whose first order nests 150 noun domains; budget 1,369
+        # draws that order, which is flattened under a recursion limit of
+        # 120, and the next tick ends the search
+        path = tmp_path / "tree.txt"
+        path.write_text(genitive_tree_text(150))
+        script = (
+            "import sys\n"
+            "from odgrammar.cli import main\n"
+            "sys.setrecursionlimit(120)\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "generate", "--file", str(path),
+             "--lexicon", str(GENITIVE_LEXICON), "--max-candidates", "1369"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: candidate budget of 1369 exhausted\n"
 
 
 class TestValidateCommand:

@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import subprocess
+import sys
 
 import pytest
 
@@ -36,10 +38,11 @@ from corpus import (
     KEY_SENTENCE,
     KEY_TREE_ORDERS,
     KEY_TREE_PAIRS,
+    LEAF_BOUNDS_LEXICON,
     NOUN_ROOT_LEXICON,
     SENTENCES,
 )
-from oracle_net import GENITIVE_LEXICON
+from oracle_net import GENITIVE_LEXICON, genitive_tree_text
 from test_core import key_tree
 
 
@@ -230,25 +233,54 @@ class TestGenerate:
         # der Junge hat den Mann (des Mannes)^600 gesehen: 1,205 words, and
         # a placement search deeper than the interpreter's recursion limit
         glex = load_lexicon(GENITIVE_LEXICON.read_text())
-        k = 600
-        forms = ["der", "Junge", "hat", "den", "Mann"] + ["des", "Mannes"] * k
-        forms.append("gesehen")
-        classes = {"der": "Det", "den": "Det", "des": "Det", "hat": "Vfin",
-                   "gesehen": "Vpart", "Junge": "N", "Mann": "N", "Mannes": "N"}
-        lines = [
-            f"token {i} {form} {1 if i == 4 else 0} {classes[form]}"
-            for i, form in enumerate(forms)
-        ]
-        last = len(forms) - 1
-        lines += ["root 2", "edge 1 det 0", "edge 2 subj 1",
-                  f"edge 2 vpart {last}", f"edge {last} obj 4", "edge 4 det 3"]
-        noun = 4
-        for det in range(5, last, 2):
-            lines += [f"edge {noun} gen {det + 1}", f"edge {det + 1} det {det}"]
-            noun = det + 1
-        tree = parse_tree_text("\n".join(lines) + "\n", glex)
+        tree = parse_tree_text(genitive_tree_text(600), glex)
         with pytest.raises(ResourceLimitError):
             generate(tree, glex, max_candidates=5000)
+
+    def test_deep_order_is_flattened_without_recursion(self):
+        # the 306-word genitive tree nests 150 noun domains; budget 1,369 is
+        # the tick that draws the first order, which must be flattened into
+        # a word sequence under a recursion limit of 120 before the next
+        # tick raises
+        script = (
+            "import sys\n"
+            "from odgrammar import generate, load_lexicon, parse_tree_text\n"
+            "lex = load_lexicon(open(sys.argv[1], encoding='utf-8').read())\n"
+            "tree = parse_tree_text(sys.stdin.read(), lex)\n"
+            "sys.setrecursionlimit(120)\n"
+            "try:\n"
+            "    generate(tree, lex, max_candidates=int(sys.argv[2]))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        for budget in (1368, 1369):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(GENITIVE_LEXICON), str(budget)],
+                input=genitive_tree_text(150),
+                capture_output=True,
+                text=True,
+            )
+            assert proc.stdout == (
+                f"ResourceLimitError candidate budget of {budget} exhausted\n"
+            )
+
+    def test_leaf_outside_its_bounds_ends_the_search_before_any_tick(self):
+        # x hosts nothing, so its field e stays empty under every placement
+        # and its "card e = 1" can never hold
+        blex = load_lexicon(LEAF_BOUNDS_LEXICON)
+        assert parse(["r", "x"], blex).structures == ()
+        assert oracle_parse(["r", "x"], blex) == ()
+        tree = DependencyTree(
+            (WordToken(0, "r", entries_for("r", blex)[0]),
+             WordToken(1, "x", entries_for("x", blex)[0])),
+            0,
+            (DependencyEdge(0, 1, "x"),),
+            {0: "R", 1: "X"},
+        )
+        assert oracle_generate(tree, blex) == ()
+        result = generate(tree, blex, max_candidates=0)
+        assert result.pairs == ()
+        assert result.diagnostics[0] == "positional and slot assignments tried: 0"
 
     def test_contradictory_orders(self):
         clex = load_lexicon(CONTRADICTORY_LEXICON)

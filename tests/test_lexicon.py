@@ -66,6 +66,20 @@ class TestInventories:
         with pytest.raises(LexiconError, match="duplicate symbol"):
             load_lexicon(MINIMAL.replace("dtypes: det", "dtypes: det det"))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # MINIMAL's root line is its line 4
+            (MINIMAL.replace("root: N", "root: V"), "line 4, col 1: root class 'V'"),
+            (MINIMAL + "dtypes: gen det\n", "line 11, col 1: duplicate symbol in dtypes"),
+            (MINIMAL + "\nclasses: V N\n", "line 12, col 1: duplicate symbol in classes"),
+        ],
+    )
+    def test_inventory_errors_name_the_declaring_line(self, text, message):
+        with pytest.raises(LexiconError) as info:
+            load_lexicon(text)
+        assert str(info.value).startswith(message)
+
 
 class TestEntryParsing:
     def test_entry_details(self, lex):
@@ -173,6 +187,16 @@ entry "Haus" class=N {
         text = "# top comment\n\n" + MINIMAL + "\n# trailing\n"
         loaded = load_lexicon(text)
         assert entries_for("Haus", loaded)
+
+    @pytest.mark.parametrize("form", ["{", "}"])
+    def test_quoted_brace_is_a_form(self, form):
+        loaded = load_lexicon(MINIMAL.replace('"Haus"', f'"{form}"'))
+        assert [e.word_class for e in entries_for(form, loaded)] == ["N"]
+        assert load_lexicon(render_lexicon(loaded)) == loaded
+
+    def test_quoted_brace_does_not_open_an_entry(self):
+        with pytest.raises(LexiconError, match="line 6, col 1: expected '{'"):
+            load_lexicon(MINIMAL.replace('class=N {', 'class=N "{"'))
 
     def test_cardinality_inequalities(self):
         at_most = MINIMAL.replace(

@@ -16,6 +16,7 @@ from odgrammar import (
 )
 
 from corpus import KEY_SENTENCE
+from harness import independent_verdict
 from test_constraints import bad_mittelfeld, clause, fronted_participle
 from test_core import KEY_POSITIONAL, KEY_SLOTS, key_tree
 
@@ -132,6 +133,47 @@ class TestStages:
             with_domains(ds, ds.domains.domains, assoc), lex
         )
         assert "ds.domain-shared" in report.conditions()
+
+    def test_overlapping_sequence_domains(self, ds, lex):
+        # d2.1 swallows all of d2.0 and d2.0 loses "Mann": the sequence of
+        # "hat" is no longer a partition, and the later checks each see it
+        changed = {"d2.0": {0}, "d2.1": {0, 1, 2, 3, 4, 5}}
+        domains = tuple(
+            OrderDomain(d.id, frozenset(changed.get(d.id, d.members)))
+            for d in ds.domains.domains
+        )
+        bad = with_domains(ds, domains)
+        assert triples(validate_structure(bad, lex)) == [
+            (
+                "ds.cond2",
+                (2, "d2.0", "d2.1"),
+                "domains 'd2.0' and 'd2.1' of word 2's sequence are not "
+                "pairwise disjoint",
+            ),
+            (
+                "ds.cond4",
+                (2, "d2.0", "d2.1"),
+                "sequence of word 2 is not ordered: 'd2.0' must precede "
+                "'d2.1' on the surface",
+            ),
+            (
+                "ds.members",
+                (2, 0),
+                "slot 0 of word 2 stores members [0], but insertion derives None",
+            ),
+            (
+                "card.min",
+                (2, 0),
+                "slot 0 of word 2 holds 0 member(s); at least 1 required",
+            ),
+            (
+                "prec.self",
+                (2, 1, "d2.1"),
+                "word 2 must precede every other member of domain 'd2.1', but "
+                "not the member headed by 1",
+            ),
+        ]
+        assert not independent_verdict(bad, lex)
 
     def test_exactly_one_unowned_domain(self, ds, lex):
         # a second domain outside every sequence is layer-consistent but
