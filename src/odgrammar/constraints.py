@@ -8,6 +8,10 @@ it spans.  A member carries the dependency label of its head word, so a
 label can reach material that was extracted into the introducer's domain
 from deeper in the tree.
 
+Each constraint's test lives here once (`PrecedencePredicate.misordered`,
+`CardinalityConstraint.broken_bound`, `missing_features`): the ``check_*``
+functions report from it and the engine's prunes call it.
+
 The checks that read the domain layer navigate a `StructureIndex`.  They
 use the one passed as ``index`` or build their own, and raise
 StructureError when that index reports a linking problem.
@@ -66,6 +70,33 @@ class PrecedencePredicate:
         object.__setattr__(self, "left", tuple(self.left))
         object.__setattr__(self, "right", tuple(self.right))
 
+    def scopes(self, slot: int, self_slot: int) -> bool:
+        """Does it read the introducer's domain in ``slot``?  Self-vs-all reads
+        only the self domain, a pair predicate every realized domain."""
+        return self.kind == LABELED_PAIR or slot == self_slot
+
+    def misordered(self, members: list[tuple[int, str | None, int, int]]) -> list:
+        """The (x, y) pairs it puts in the wrong order, in member order.
+
+        ``members`` are a scoped domain's immediate members in surface order,
+        each as (head word, label, first position, last position); the
+        introducer is its own member, labeled None.  Self-vs-all pairs the
+        introducer with every other member; a pair predicate pairs each
+        left-labeled with each right-labeled member of another head word.
+        """
+        if self.kind == SELF_VS_ALL:
+            lefts, rights = [m for m in members if m[1] is None], members
+        else:
+            lefts = [m for m in members if m[1] in self.left]
+            rights = [m for m in members if m[1] in self.right]
+        precedes = self.direction == PRECEDES
+        wrong = []
+        for x in lefts:
+            for y in rights:
+                if x[0] != y[0] and not (x[3] < y[2] if precedes else x[2] > y[3]):
+                    wrong.append((x, y))
+        return wrong
+
     def render(self) -> str:
         if self.kind == SELF_VS_ALL:
             op = "<" if self.direction == PRECEDES else ">"
@@ -90,6 +121,14 @@ class CardinalityConstraint:
         if self.max is not None and self.min > self.max:
             raise ValueError("cardinality minimum exceeds maximum")
 
+    def broken_bound(self, count: int) -> str | None:
+        """The bound ``count`` members break, "min" or "max", or None."""
+        if count < self.min:
+            return "min"
+        if self.max is not None and count > self.max:
+            return "max"
+        return None
+
 
 @dataclass(frozen=True)
 class DomainFeatureRequirement:
@@ -100,6 +139,13 @@ class DomainFeatureRequirement:
 
     def __post_init__(self):
         object.__setattr__(self, "required", dict(self.required))
+
+
+def missing_features(required: dict[str, str], features: dict[str, str]) -> list[str]:
+    """The attributes, sorted, whose ``required`` value ``features`` lacks."""
+    missing = [a for a, v in required.items() if features.get(a) != v]
+    missing.sort()
+    return missing
 
 
 # The extraction path set of a valency slot: dependency types an extracted
@@ -131,59 +177,33 @@ def check_precedence(
     Raises StructureError when the structure's linking is ill defined.
     """
     idx = _linked_index(ds, index)
+    self_slot = ds.tree.words[introducer].entry.template.self_slot
+    rel = "precede" if pred.direction == PRECEDES else "follow"
     violations: list[Violation] = []
-
-    if pred.kind == SELF_VS_ALL:
-        did = idx.self_domain(introducer)
+    for slot, did in enumerate(ds.domains.assoc[introducer]):
+        if did is None or not pred.scopes(slot, self_slot):
+            continue
+        members = []
         for member in idx.immediate_members(did):
-            if member == ("w", introducer):
-                continue
-            lo, hi = idx.member_span(member)
-            ok = introducer < lo if pred.direction == PRECEDES else introducer > hi
-            if not ok:
-                word = idx.member_head_word(member)
-                rel = "precede" if pred.direction == PRECEDES else "follow"
-                violations.append(
-                    Violation(
-                        "prec.self",
-                        (introducer, word, did),
-                        f"word {introducer} must {rel} every other member of "
-                        f"domain {did!r}, but not the member headed by {word}",
-                    )
+            hw = idx.member_head_word(member)
+            # linking puts every other member's head word below the
+            # introducer, so the member's label is that word's dtype
+            label = None if hw == introducer else idx.dtype_of[hw]
+            members.append((hw, label, *idx.member_span(member)))
+        for (hx, *_), (hy, *_) in pred.misordered(members):
+            if pred.kind == SELF_VS_ALL:
+                condition, subjects = "prec.self", (introducer, hy, did)
+                message = (
+                    f"word {introducer} must {rel} every other member of "
+                    f"domain {did!r}, but not the member headed by {hy}"
                 )
-        return ValidationReport(tuple(violations))
-
-    for did in ds.domains.realized(introducer):
-        members = idx.immediate_members(did)
-        lefts = [
-            m
-            for m in members
-            if any(idx.matches_label(m, l, introducer) for l in pred.left)
-        ]
-        rights = [
-            m
-            for m in members
-            if any(idx.matches_label(m, l, introducer) for l in pred.right)
-        ]
-        for x in lefts:
-            for y in rights:
-                hx, hy = idx.member_head_word(x), idx.member_head_word(y)
-                if hx == hy:
-                    continue
-                xlo, xhi = idx.member_span(x)
-                ylo, yhi = idx.member_span(y)
-                ok = xhi < ylo if pred.direction == PRECEDES else xlo > yhi
-                if not ok:
-                    rel = "precede" if pred.direction == PRECEDES else "follow"
-                    violations.append(
-                        Violation(
-                            "prec.pair",
-                            (introducer, hx, hy, did),
-                            f"in domain {did!r} the member headed by {hx} must "
-                            f"{rel} the member headed by {hy} "
-                            f"({pred.render()})",
-                        )
-                    )
+            else:
+                condition, subjects = "prec.pair", (introducer, hx, hy, did)
+                message = (
+                    f"in domain {did!r} the member headed by {hx} must "
+                    f"{rel} the member headed by {hy} ({pred.render()})"
+                )
+            violations.append(Violation(condition, subjects, message))
     return ValidationReport(tuple(violations))
 
 
@@ -205,26 +225,22 @@ def check_cardinality(
         )
     did = seq[constraint.slot]
     count = len(idx.immediate_members(did)) if did is not None else 0
-    violations = []
-    if count < constraint.min:
-        violations.append(
+    bound = constraint.broken_bound(count)
+    if bound is None:
+        return ValidationReport(())
+    need = f"at least {constraint.min} required"
+    if bound == "max":
+        need = f"at most {constraint.max} allowed"
+    return ValidationReport(
+        (
             Violation(
-                "card.min",
+                f"card.{bound}",
                 (introducer, constraint.slot),
                 f"slot {constraint.slot} of word {introducer} holds {count} "
-                f"member(s); at least {constraint.min} required",
-            )
+                f"member(s); {need}",
+            ),
         )
-    if constraint.max is not None and count > constraint.max:
-        violations.append(
-            Violation(
-                "card.max",
-                (introducer, constraint.slot),
-                f"slot {constraint.slot} of word {introducer} holds {count} "
-                f"member(s); at most {constraint.max} allowed",
-            )
-        )
-    return ValidationReport(tuple(violations))
+    )
 
 
 def check_domain_features(
@@ -247,17 +263,15 @@ def check_domain_features(
     violations = []
     for member in idx.immediate_members(did):
         hw = idx.member_head_word(member)
-        feats = ds.features.get(hw, {})
-        for attr, value in sorted(req.required.items()):
-            if feats.get(attr) != value:
-                violations.append(
-                    Violation(
-                        "domfeat.value",
-                        (introducer, req.slot, hw, attr),
-                        f"member headed by {hw} in slot {req.slot} of word "
-                        f"{introducer} lacks {attr}={value}",
-                    )
+        for attr in missing_features(req.required, ds.features.get(hw, {})):
+            violations.append(
+                Violation(
+                    "domfeat.value",
+                    (introducer, req.slot, hw, attr),
+                    f"member headed by {hw} in slot {req.slot} of word "
+                    f"{introducer} lacks {attr}={req.required[attr]}",
                 )
+            )
     return ValidationReport(tuple(violations))
 
 
@@ -342,16 +356,15 @@ def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
                         f"{slot.dep_class!r}, got {dep.entry.word_class!r}",
                     )
                 )
-            for attr, value in sorted(slot.features.items()):
-                if dep.entry.features.get(attr) != value:
-                    violations.append(
-                        Violation(
-                            "lex.slot-feat",
-                            (w.index, e.dependent, e.dtype, attr),
-                            f"slot {e.dtype!r} of {w.form!r} requires "
-                            f"{attr}={value} on its dependent",
-                        )
+            for attr in missing_features(slot.features, dep.entry.features):
+                violations.append(
+                    Violation(
+                        "lex.slot-feat",
+                        (w.index, e.dependent, e.dtype, attr),
+                        f"slot {e.dtype!r} of {w.form!r} requires "
+                        f"{attr}={slot.features[attr]} on its dependent",
                     )
+                )
         for slot in entry.valency:
             if slot.required and slot.dtype not in filled:
                 violations.append(

@@ -12,7 +12,8 @@ slot's set, hosts whose domain features the dependent cannot satisfy,
 cardinality-breaking slot choices, and arrangements that break sequence
 order or a precedence predicate.  Pruning must never change the result
 set; the tests check this against the brute-force enumeration in
-`odgrammar.oracle`.
+`odgrammar.oracle`.  No prune states a test of its own: each calls the one
+in `odgrammar.constraints` that the validator reports from.
 
 Placements (a positional head and a slot for every non-root word) are
 searched deepest first: words are placed in dependency post-order, each
@@ -46,7 +47,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .constraints import FOLLOWS, LABELED_PAIR, PRECEDES, SELF_VS_ALL, check_valency
+from .constraints import check_valency, missing_features
 from .core import (
     DependencyEdge,
     DependencyStructure,
@@ -177,7 +178,7 @@ def _placement_options(tree):
 
     Hosts come nearest first, slots ascending.  A host is cut once the
     extraction path to it leaves the slot's extraction set, and a slot when
-    its domain-feature demand does not match the word's features.
+    the word lacks a feature one of its domain-feature demands asks for.
     """
     parent = tree.head_of()
     dtype_of = tree.dtype_of()
@@ -196,15 +197,10 @@ def _placement_options(tree):
             if i > 0 and dtype_of[chain[i - 1]] not in slot.extraction:
                 break
             entry = tree.words[host].entry
-            for s in range(len(entry.template.slots)):
-                required = None
-                for req in entry.domain_features:
-                    if req.slot == s:
-                        required = req.required
-                        break
-                if required and any(feats.get(a) != v for a, v in required.items()):
-                    continue
-                choices.append((host, s))
+            demands = entry.domain_features
+            lacking = {r.slot for r in demands if missing_features(r.required, feats)}
+            slots = range(len(entry.template.slots))
+            choices += [(host, s) for s in slots if s not in lacking]
         options.append(choices)
     return options
 
@@ -223,15 +219,15 @@ def _post_order(tree) -> list[int]:
     return order[::-1]
 
 
-def _within_bounds(closure, bounds) -> bool:
-    """Does a closed word meet its (slot, min, max) cardinality bounds?"""
-    for slot, lo, hi in bounds:
+def _within_bounds(closure, cards) -> bool:
+    """Does a closed word meet its cardinality constraints ``cards``?"""
+    for card in cards:
         count = 0
         for s, items, _ in closure:
-            if s == slot:
+            if s == card.slot:
                 count = len(items)
                 break
-        if count < lo or (hi is not None and count > hi):
+        if card.broken_bound(count) is not None:
             return False
     return True
 
@@ -250,10 +246,7 @@ def _iter_realizations(tree, budget):
     n = tree.n
     order = _post_order(tree)
     options = _placement_options(tree)
-    bounds = [
-        [(card.slot, card.min, card.max) for card in word.entry.cardinalities]
-        for word in tree.words
-    ]
+    cards = [word.entry.cardinalities for word in tree.words]
     self_slot = self_slots(tree)
     hosted: list[dict[int, list[int]]] = [{} for _ in range(n)]
     closed: list = [None] * n
@@ -264,7 +257,7 @@ def _iter_realizations(tree, budget):
     for w in range(n):
         if w not in hosts:
             closed[w] = close_word(w, self_slot[w], {}, closed)
-            if not _within_bounds(closed[w], bounds[w]):
+            if not _within_bounds(closed[w], cards[w]):
                 return
 
     def place(w):
@@ -284,7 +277,7 @@ def _iter_realizations(tree, budget):
         w = order[k]
         if w in hosts:
             closure = close_word(w, self_slot[w], hosted[w], closed)
-            if not _within_bounds(closure, bounds[w]):
+            if not _within_bounds(closure, cards[w]):
                 return None
             closed[w] = closure
         return place(w)
@@ -320,7 +313,7 @@ def _iter_head_maps(words, lex, budget, stats):
         for dt, slot in frames[h]:
             if slot.dep_class and entry.word_class != slot.dep_class:
                 continue
-            if any(entry.features.get(a) != v for a, v in slot.features.items()):
+            if missing_features(slot.features, entry.features):
                 continue
             options[w].append((h, dt))
     for root in range(n):
@@ -420,52 +413,31 @@ def _arrangements(items, slot, entry, dtype_of, budget):
     ``items`` are ("self", owner) or ("dom", word, slot) markers.  Orderings
     that put a word's own domains out of template-slot order are dropped,
     since they can never satisfy the sequence-order condition, and so are
-    those the owner's precedence predicates (from ``entry``) forbid.  Every
+    those that one of the owner's precedence predicates (from ``entry``)
+    scoped to ``slot`` finds misordered, with ranks as positions.  Every
     ordering drawn counts against the budget, so a large domain raises
     ResourceLimitError before its permutations pile up.
     """
+    preds = [p for p in entry.predicates if p.scopes(slot, entry.template.self_slot)]
     for perm in itertools.permutations(items):
         budget.tick()
         last: dict[int, int] = {}
-        ok = True
         for item in perm:
             if item[0] != "dom":
                 continue
             _, word, s = item
             if last.get(word, -1) > s:
-                ok = False
                 break
             last[word] = s
-        if ok and _order_allowed(slot, perm, entry, dtype_of):
+        else:
+            if preds:
+                members = [
+                    (it[1], None if it[0] == "self" else dtype_of[it[1]], i, i)
+                    for i, it in enumerate(perm)
+                ]
+                if any(p.misordered(members) for p in preds):
+                    continue
             yield perm
-
-
-def _order_allowed(slot: int, perm, entry, dtype_of) -> bool:
-    """Do the owner's predicates tolerate this arrangement of its domain?"""
-    for pred in entry.predicates:
-        if pred.kind == SELF_VS_ALL:
-            if slot != entry.template.self_slot:
-                continue
-            pos = next(i for i, it in enumerate(perm) if it[0] == "self")
-            if pred.direction == PRECEDES and pos != 0:
-                return False
-            if pred.direction == FOLLOWS and pos != len(perm) - 1:
-                return False
-        elif pred.kind == LABELED_PAIR:
-            def label_of(item):
-                return None if item[0] == "self" else dtype_of[item[1]]
-
-            lefts = [i for i, it in enumerate(perm) if label_of(it) in pred.left]
-            rights = [i for i, it in enumerate(perm) if label_of(it) in pred.right]
-            for i in lefts:
-                for j in rights:
-                    if perm[i][1] == perm[j][1]:
-                        continue
-                    if pred.direction == PRECEDES and i > j:
-                        return False
-                    if pred.direction == FOLLOWS and i < j:
-                        return False
-    return True
 
 
 _GEN_STAGES = (

@@ -159,6 +159,15 @@ class _Token:
     line: int
     col: int
 
+    def matches(self, value: str) -> bool:
+        """Is this the keyword or punctuation ``value``?  Quoted text is a
+        form, never either."""
+        return self.kind != "string" and self.value == value
+
+    def shown(self) -> str:
+        """The token for a message, quoted text as written."""
+        return f'"{self.value}"' if self.kind == "string" else repr(self.value)
+
 
 _TOKEN_RE = re.compile(
     r'"(?P<string>[^"\n]*)"'
@@ -203,18 +212,19 @@ class _TokenStream:
             raise LexiconError("unexpected end of statement", self.end_line)
         if kind is not None and tok.kind != kind:
             raise LexiconError(
-                f"expected {kind}, found {tok.value!r}", tok.line, tok.col
+                f"expected {kind}, found {tok.shown()}", tok.line, tok.col
             )
-        if expect is not None and tok.value != expect:
+        if expect is not None and not tok.matches(expect):
             raise LexiconError(
-                f"expected {expect!r}, found {tok.value!r}", tok.line, tok.col
+                f"expected {expect!r}, found {tok.shown()}", tok.line, tok.col
             )
         self.pos += 1
         return tok
 
-    def at(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.value == value
+    def at(self, value: str, ahead: int = 0) -> bool:
+        """Is the token ``ahead`` places on the keyword or punctuation ``value``?"""
+        i = self.pos + ahead
+        return i < len(self.tokens) and self.tokens[i].matches(value)
 
     def exhausted(self) -> bool:
         return self.pos >= len(self.tokens)
@@ -240,26 +250,27 @@ def load_lexicon(text: str) -> Lexicon:
             i += 1
             continue
         head = tokens[0]
-        if head.value in ("dtypes", "classes", "root") and head.kind == "word":
-            if len(tokens) < 2 or tokens[1].value != ":":
-                raise LexiconError(f"expected ':' after {head.value}", line_no)
+        keyword = head.value if head.kind == "word" else None
+        if keyword in ("dtypes", "classes", "root"):
+            if len(tokens) < 2 or not tokens[1].matches(":"):
+                raise LexiconError(f"expected ':' after {keyword}", line_no)
             if any(t.kind != "word" for t in tokens[2:]) or len(tokens) == 2:
-                raise LexiconError(f"expected symbols after {head.value}:", line_no)
-            symbols[head.value].extend((t.value, line_no) for t in tokens[2:])
+                raise LexiconError(f"expected symbols after {keyword}:", line_no)
+            symbols[keyword].extend((t.value, line_no) for t in tokens[2:])
             i += 1
-        elif head.value == "attr":
-            if len(tokens) < 4 or tokens[2].value != ":":
+        elif keyword == "attr":
+            if len(tokens) < 4 or not tokens[2].matches(":") or any(
+                t.kind != "word" for t in (tokens[1], *tokens[3:])
+            ):
                 raise LexiconError("expected 'attr NAME: VALUE...'", line_no)
             name = tokens[1].value
             if name in attributes:
                 raise LexiconError(f"attribute {name!r} declared twice", line_no)
             attributes[name] = tuple(t.value for t in tokens[3:])
-            if not attributes[name]:
-                raise LexiconError(f"attribute {name!r} has no values", line_no)
             i += 1
-        elif head.value == "entry":
+        elif keyword == "entry":
             block = list(tokens)
-            if not any(t.kind == "punct" and t.value == "{" for t in tokens):
+            if not any(t.matches("{") for t in tokens):
                 raise LexiconError("expected '{' in entry header", line_no)
             depth = _brace_depth(tokens)
             i += 1
@@ -273,7 +284,7 @@ def load_lexicon(text: str) -> Lexicon:
             raw_entries.append((block, line_no))
         else:
             raise LexiconError(
-                f"unexpected {head.value!r} at top level", line_no, head.col
+                f"unexpected {head.shown()} at top level", line_no, head.col
             )
 
     _check_declared(symbols)
@@ -298,8 +309,7 @@ def load_lexicon(text: str) -> Lexicon:
 
 def _brace_depth(tokens: list[_Token]) -> int:
     """Braces opened minus braces closed; a quoted "{" is a form, not a brace."""
-    punct = [t.value for t in tokens if t.kind == "punct"]
-    return punct.count("{") - punct.count("}")
+    return sum(t.matches("{") - t.matches("}") for t in tokens)
 
 
 def _check_declared(symbols: dict[str, list[tuple[str, int]]]):
@@ -358,8 +368,7 @@ def _parse_feature_pairs(ts: _TokenStream, inv: _Inventories) -> dict[str, str]:
         tok = ts.peek()
         if tok is None or tok.kind != "word":
             break
-        follow = ts.tokens[ts.pos + 1] if ts.pos + 1 < len(ts.tokens) else None
-        if follow is None or follow.value != "=":
+        if not ts.at("=", 1):
             break
         attr = ts.next(kind="word")
         ts.next(expect="=")
@@ -506,7 +515,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
                     op.col,
                 )
             bound = ts.next()
-            if bound.value != "1":
+            if not bound.matches("1"):
                 raise LexiconError(
                     "cardinality bounds other than 1 are not supported",
                     bound.line,
@@ -514,8 +523,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
                 )
             card_stmts.append((slot_name, op.value, bound))
         elif stmt_head.value == "feat":
-            follow = ts.tokens[ts.pos + 1] if ts.pos + 1 < len(ts.tokens) else None
-            if follow is not None and follow.value == "=":
+            if ts.at("=", 1):
                 features.update(_parse_feature_pairs(ts, inv))
             else:
                 slot_name = ts.next(kind="word")
@@ -566,7 +574,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
     if not ts.exhausted():
         tok = ts.peek()
         raise LexiconError(
-            f"unexpected {tok.value!r} after entry body", tok.line, tok.col
+            f"unexpected {tok.shown()} after entry body", tok.line, tok.col
         )
 
     if template is None:

@@ -86,12 +86,13 @@ def _iter_constraint_violations(
             expected = derived.get((w, s))
             stored = idx.by_id[did].members if did is not None else None
             if stored != expected:
+                stores = f"members {sorted(stored)}" if stored else "no domain"
+                derives = sorted(expected) if expected else "no domain"
                 yield Violation(
                     "ds.members",
                     (w, s),
-                    f"slot {s} of word {w} stores members "
-                    f"{sorted(stored) if stored else stored}, but insertion "
-                    f"derives {sorted(expected) if expected else expected}",
+                    f"slot {s} of word {w} stores {stores}, but insertion "
+                    f"derives {derives}",
                 )
 
     yield from check_valency(tree, lex).violations

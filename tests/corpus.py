@@ -160,3 +160,26 @@ entry "x" class=X {
   card e = 1;
 }
 """
+
+# Field y of "v" carries two domain-feature demands; "n" meets the first
+# (f=a) and not the second (g=a), so the placement search must not offer
+# field y to "n" at all.
+TWO_DEMANDS_LEXICON = """
+dtypes: o
+classes: V N
+attr f: a b
+attr g: a b
+root: V
+
+entry "v" class=V {
+  slot o: class=N optional extract {};
+  domains [x y] self=x;
+  feat y f=a;
+  feat y g=a;
+}
+
+entry "n" class=N {
+  feat f=a g=b;
+  domains [d] self=d;
+}
+"""

@@ -119,6 +119,12 @@ class NetResult:
     trees: int = 0
     pairs: int = 0
     disagreements: list[str] = field(default_factory=list)
+    # the distinct trees among the oracle's analyses, in first-seen order
+    analysed: list = field(default_factory=list)
+    # structures judged by both validators, and those both call valid
+    # (``random_lexicon.verdict_net``)
+    candidates: int = 0
+    valid: int = 0
 
 
 def run_net(token_lists, lex, trees: bool = True) -> NetResult:
@@ -136,6 +142,7 @@ def run_net(token_lists, lex, trees: bool = True) -> NetResult:
             result.with_analyses += 1
         for ds in oracle:
             analysed.setdefault(render_tree_text(ds.tree, lex), ds.tree)
+    result.analysed = list(analysed.values())
     if not trees:
         return result
     for text, tree in analysed.items():

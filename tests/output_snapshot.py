@@ -15,6 +15,13 @@ each part of its answer.
 - ``validate``: the full ``validate_structure`` report (condition,
   subjects, message of every violation) on each instance of a seeded
   ``harness.StructureSampler`` stream over the bundled lexicon.
+- ``random seed=N``: over the seeded random lexicon N of
+  ``random_lexicon``, N = 0..39, the parse structures and diagnostics of
+  every sentence of 1 to 3 tokens, the generate pairs and diagnostics of
+  every analysed tree, and the full ``validate_structure`` report on every
+  placement of every analysed tree.  These lexica use every constraint
+  kind, so this is the stream that shows whether the constraint checks
+  still report the same findings.
 
 No line holds a time, so two runs on the same code print the same bytes.
 To show that a change leaves the answers unchanged, run this script (the
@@ -24,7 +31,7 @@ change's copy) against both source trees and compare:
     PYTHONPATH=src python tests/output_snapshot.py > change.txt
     diff parent.txt change.txt
 
-It takes under 10 s.  pytest does not collect this file.
+It takes under 30 s.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from odgrammar import (  # noqa: E402
     parse,
     parse_tree_text,
     reference_lexicon,
+    render_tree_text,
     validate_structure,
 )
 from odgrammar.serialize import canonical_structure, structure_obj  # noqa: E402
@@ -54,12 +62,20 @@ from oracle_net import (  # noqa: E402
     GENITIVE_LEXICON,
     genitive_tokens,
     genitive_tree_text,
+    sentences,
+)
+from random_lexicon import (  # noqa: E402
+    FORMS,
+    MAX_TOKENS,
+    placements,
+    random_lexicon_text,
 )
 
 PARSE_BUDGETS = (1, 5, 19, 50, 200, 1000)
 GENERATE_BUDGETS = (97, 98)
 VALIDATE_SEED = 20261018
 VALIDATE_COUNT = 3000
+RANDOM_SEEDS = range(40)
 
 
 def sha(obj) -> str:
@@ -84,6 +100,33 @@ def generate_line(tree, lex, **budget) -> str:
         return f"ResourceLimitError={sha(str(exc))}"
     pairs = [(surface, canonical_structure(ds, lex)) for surface, ds in result.pairs]
     return f"pairs={sha(pairs)}\tdiagnostics={sha(result.diagnostics)}"
+
+
+def report_obj(ds, lex) -> list:
+    return [
+        (v.condition, repr(v.subjects), v.message)
+        for v in validate_structure(ds, lex).violations
+    ]
+
+
+def random_lexicon_lines(seed: int):
+    """The parse, generate and validate digests over one random lexicon."""
+    lex = load_lexicon(random_lexicon_text(seed))
+    parses, trees = [], {}
+    for tokens in sentences(FORMS, range(1, MAX_TOKENS + 1)):
+        result = parse(tokens, lex)
+        parses.append(
+            ([structure_obj(ds, lex) for ds in result.structures], result.diagnostics)
+        )
+        for ds in result.structures:
+            trees.setdefault(render_tree_text(ds.tree, lex), ds.tree)
+    generates, reports = [], []
+    for tree in trees.values():
+        generates.append(generate_line(tree, lex))
+        reports.extend(report_obj(ds, lex) for ds in placements(tree))
+    yield f"random seed={seed} parse\tanswers={sha(parses)}"
+    yield f"random seed={seed} generate\ttrees={len(trees)}\tanswers={sha(generates)}"
+    yield f"random seed={seed} validate\treports={len(reports)}\tdigest={sha(reports)}"
 
 
 def main() -> int:
@@ -118,11 +161,11 @@ def main() -> int:
         if ds is None:
             print(f"validate #{i}\tnone")
             continue
-        report = [
-            (v.condition, repr(v.subjects), v.message)
-            for v in validate_structure(ds, lex).violations
-        ]
-        print(f"validate #{i}\treport={sha(report)}")
+        print(f"validate #{i}\treport={sha(report_obj(ds, lex))}")
+
+    for seed in RANDOM_SEEDS:
+        for line in random_lexicon_lines(seed):
+            print(line)
     return 0
 
 

@@ -41,6 +41,7 @@ from corpus import (
     LEAF_BOUNDS_LEXICON,
     NOUN_ROOT_LEXICON,
     SENTENCES,
+    TWO_DEMANDS_LEXICON,
 )
 from oracle_net import GENITIVE_LEXICON, genitive_tree_text
 from test_core import key_tree
@@ -403,6 +404,36 @@ class TestDiagnostics:
             "realized structures validated: 42",
         )
 
+    def test_every_domain_feature_demand_of_a_slot_prunes(self):
+        # "n" meets field y's first demand (f=a), not its second (g=a), so
+        # field y is never offered to it and no candidate dies at
+        # domfeat.value
+        tlex = load_lexicon(TWO_DEMANDS_LEXICON)
+        result = parse(["v", "n"], tlex)
+        assert canon(result, tlex) == [
+            canonical_structure(ds, tlex) for ds in oracle_parse(["v", "n"], tlex)
+        ]
+        assert len(result.structures) == 1
+        assert result.diagnostics == (
+            "entry assignments tried: 1",
+            "labeled head maps enumerated: 1",
+            "head maps forming valency-checked trees: 1",
+            "realized structures validated: 1",
+        )
+        tree = result.structures[0].tree
+        generated = generate(tree, tlex)
+
+        def pairs(found):
+            return [(surface, canonical_structure(ds, tlex)) for surface, ds in found]
+
+        assert pairs(generated.pairs) == pairs(oracle_generate(tree, tlex))
+        assert generated.surfaces() == ("n v", "v n")
+        assert generated.diagnostics == (
+            "positional and slot assignments tried: 1",
+            "domain arrangements laid out: 2",
+            "realized structures validated: 2",
+        )
+
 
 class TestRealizationFromLayout:
     """Parsing realizes each placement from the member sets its search built."""
@@ -439,7 +470,7 @@ def reference_placements(tree):
 
     Every non-root word takes a transitive head up to the first crossed
     dependency outside its slot's extraction set, and a slot there whose
-    domain-feature demand its features meet.  A placement is kept when
+    domain-feature demands its features all meet.  A placement is kept when
     every cardinality bound holds on the layout `close_word` derives.
     """
     head_of, dtype_of = tree.head_of(), tree.dtype_of()
@@ -452,9 +483,13 @@ def reference_placements(tree):
         while slot is not None:
             entry = tree.words[host].entry
             for s in range(len(entry.template.slots)):
-                demands = [r.required for r in entry.domain_features if r.slot == s]
                 feats = tree.words[w].entry.features
-                if demands and any(feats.get(a) != v for a, v in demands[0].items()):
+                if any(
+                    feats.get(a) != v
+                    for r in entry.domain_features
+                    if r.slot == s
+                    for a, v in r.required.items()
+                ):
                     continue
                 allowed.append((host, s))
             if host == tree.root or dtype_of[host] not in slot.extraction:

@@ -81,6 +81,20 @@ class TestInventories:
         assert str(info.value).startswith(message)
 
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("dtypes: det", 'dtypes ":" det', "expected ':' after dtypes"),
+            ("root: N", 'root: N\nattr case ":" nom', "expected 'attr NAME: VALUE"),
+            ("root: N", 'root: N\nattr case: "nom"', "expected 'attr NAME: VALUE"),
+        ],
+        ids=["dtypes-colon", "attr-colon", "attr-value"],
+    )
+    def test_quoted_text_is_no_declaration(self, old, new, message):
+        with pytest.raises(LexiconError, match=message):
+            load_lexicon(MINIMAL.replace(old, new))
+
+
 class TestEntryParsing:
     def test_entry_details(self, lex):
         verb = entries_for("hat", lex)[0]
@@ -197,6 +211,65 @@ entry "Haus" class=N {
     def test_quoted_brace_does_not_open_an_entry(self):
         with pytest.raises(LexiconError, match="line 6, col 1: expected '{'"):
             load_lexicon(MINIMAL.replace('class=N {', 'class=N "{"'))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("class=N {", 'class"="N {', "line 6, col 19: expected '=', found \"=\""),
+            (
+                "domains [d] self=d;",
+                'domains "[" d "]" self"="d ";"',
+                "line 8, col 11: expected '[', found \"[\"",
+            ),
+            (
+                "class=Det extract",
+                'class"="Det extract',
+                "line 7, col 18: expected '=', found \"=\"",
+            ),
+            (
+                "extract {};",
+                'extract "{" "}";',
+                "line 7, col 31: expected '{', found \"{\"",
+            ),
+            (
+                "order self > *;",
+                'order "self" > *;',
+                "line 9, col 9: expected '<', found \"self\"",
+            ),
+            (
+                "domains [d] self=d;",
+                'domains [d] self=d;\n  card d = "1";',
+                "line 9, col 12: cardinality bounds other than 1 are not supported",
+            ),
+            (
+                'entry "Haus"',
+                '"entry" "Haus"',
+                'line 6, col 1: unexpected "entry" at top level',
+            ),
+        ],
+        ids=[
+            "header-equals",
+            "template",
+            "slot-class-equals",
+            "extract-braces",
+            "order-self",
+            "card-bound",
+            "entry-keyword",
+        ],
+    )
+    def test_quoted_text_is_only_a_form(self, old, new, message):
+        # quoted punctuation or keywords read as forms, so they never stand
+        # in for the real ones, and the message shows the quotes
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(MINIMAL.replace(old, new))
+        assert str(exc.value) == message
+
+    def test_quoted_equals_does_not_make_a_feature_pair(self):
+        text = MINIMAL.replace("root: N", "root: N\nattr case: nom").replace(
+            "domains [d] self=d;", 'feat case"="nom;\n  domains [d] self=d;'
+        )
+        with pytest.raises(LexiconError, match="expected ATTR=VALUE"):
+            load_lexicon(text)
 
     def test_cardinality_inequalities(self):
         at_most = MINIMAL.replace(

@@ -159,7 +159,7 @@ class TestStages:
             (
                 "ds.members",
                 (2, 0),
-                "slot 0 of word 2 stores members [0], but insertion derives None",
+                "slot 0 of word 2 stores members [0], but insertion derives no domain",
             ),
             (
                 "card.min",
