@@ -12,8 +12,18 @@ slot's set, hosts whose domain features the dependent cannot satisfy,
 cardinality-breaking slot choices, and arrangements that break sequence
 order or a precedence predicate.  Pruning must never change the result
 set; the tests check this against the brute-force enumeration in
-`odgrammar.oracle`.  No prune states a test of its own: each calls the one
-in `odgrammar.constraints` that the validator reports from.
+`odgrammar.oracle`.  No lexical prune states a test of its own: each calls
+the one in `odgrammar.constraints` that the validator reports from.
+
+Parse alone adds two span checks, the domain layer's contiguity
+(``ods.contiguity``) and linking condition 4 (``ds.cond4``), run on each
+word's closure (`_span_fault`).  In parse, word indices are the surface
+positions, so a closed word whose member sets are not spans, or whose
+consecutive realized slots overlap or run backwards, fails on every
+candidate that shares the closure.  Generation places words of the
+unpermuted tree, whose indices say nothing of the surface order, so it
+must not run them.  The closures they cut are counted per check in a
+``rejections at closure`` diagnostics line.
 
 Placements (a positional head and a slot for every non-root word) are
 searched deepest first: words are placed in dependency post-order, each
@@ -120,17 +130,24 @@ class _Budget:
 
 
 class _Stats:
-    """Search counters plus first-violation tallies for diagnostics."""
+    """Search counters plus first-violation tallies for diagnostics.
+
+    ``cuts`` counts the closures parse's span checks cut, by check.
+    """
 
     def __init__(self):
         self.counts: Counter[str] = Counter()
         self.rejections: Counter[str] = Counter()
+        self.cuts: Counter[str] = Counter()
 
     def bump(self, key: str) -> None:
         self.counts[key] += 1
 
     def lines(self, stages: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
         out = [f"{label}: {self.counts.get(key, 0)}" for key, label in stages]
+        if self.cuts:
+            cut = ", ".join(f"{cond} ({self.cuts[cond]})" for cond in _SPAN_CHECKS)
+            out.append(f"rejections at closure: {cut}")
         if self.rejections:
             ranked = sorted(self.rejections.items(), key=lambda kv: (-kv[1], kv[0]))
             top = ", ".join(f"{cond} ({n})" for cond, n in ranked[:6])
@@ -232,7 +249,30 @@ def _within_bounds(closure, cards) -> bool:
     return True
 
 
-def _iter_realizations(tree, budget):
+_SPAN_CHECKS = ("ods.contiguity", "ds.cond4")
+
+
+def _span_fault(closure) -> str | None:
+    """The first span check a closed word's domains fail, or None.
+
+    Read with indices as surface positions: every member set must be a span
+    (``ods.contiguity``), and each realized slot's set must lie wholly
+    before the next one's (``ds.cond4``, on consecutive slots of the word's
+    sequence).  The validator checks contiguity first.
+    """
+    fault = None
+    last = -1  # the end of the previous slot's set; indices start at 0
+    for _, _, members in closure:
+        lo, hi = min(members), max(members)
+        if hi - lo + 1 != len(members):
+            return "ods.contiguity"
+        if lo <= last:
+            fault = "ds.cond4"
+        last = hi
+    return fault
+
+
+def _iter_realizations(tree, budget, *, span_cuts=None):
     """Yield (positional, slot_of, closed) for a valency-checked tree.
 
     Words are placed deepest first, in dependency post-order.  When a word
@@ -242,6 +282,15 @@ def _iter_realizations(tree, budget):
     unrealized slot counts 0); every placement of the words after it shares
     that closure.  ``closed[w]`` is word w's closure.  The three values are
     the search's own state: read them before drawing the next placement.
+
+    ``span_cuts``, a Counter, says that word indices are surface positions,
+    as in parse.  Then each closure is also span-checked (`_span_fault`)
+    before its bounds: a closure's member sets are the ones every
+    completion realizes, so one that is not a span, or out of sequence,
+    fails ``ods.contiguity`` or ``ds.cond4`` on every completion, and is
+    cut and counted in ``span_cuts`` under that check.  Generation runs on
+    the unpermuted tree, whose indices are not the surface order, and
+    passes nothing.
     """
     n = tree.n
     order = _post_order(tree)
@@ -253,7 +302,8 @@ def _iter_realizations(tree, budget):
     positional: dict[int, int] = {}
     slot_of: dict[int, int] = {}
     hosts = {e.head for e in tree.edges}
-    # a word that hosts nothing closes the same way under every placement
+    # a word that hosts nothing closes the same way under every placement;
+    # its one domain, {w}, passes the span checks
     for w in range(n):
         if w not in hosts:
             closed[w] = close_word(w, self_slot[w], {}, closed)
@@ -273,10 +323,15 @@ def _iter_realizations(tree, budget):
                 del hosted[p][s]
 
     def enter(k):
-        """Close order[k]; its placements, or None when a bound fails."""
+        """Close order[k]; its placements, or None when a check fails."""
         w = order[k]
         if w in hosts:
             closure = close_word(w, self_slot[w], hosted[w], closed)
+            if span_cuts is not None:
+                fault = _span_fault(closure)
+                if fault is not None:
+                    span_cuts[fault] += 1
+                    return None
             if not _within_bounds(closure, cards[w]):
                 return None
             closed[w] = closure
@@ -393,7 +448,9 @@ def parse(
                 stats.rejections[first.condition] += 1
                 continue
             stats.bump("trees")
-            for positional, slot_of, closed in _iter_realizations(tree, budget):
+            for positional, slot_of, closed in _iter_realizations(
+                tree, budget, span_cuts=stats.cuts
+            ):
                 ds = realize_structure(
                     tree, positional, slot_of, member_sets_of(closed)
                 )

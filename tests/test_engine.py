@@ -1,9 +1,11 @@
 """Search engine: parsing and generation, checked against the oracle."""
 
 import dataclasses
+import hashlib
 import itertools
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -43,7 +45,7 @@ from corpus import (
     SENTENCES,
     TWO_DEMANDS_LEXICON,
 )
-from oracle_net import GENITIVE_LEXICON, genitive_tree_text
+from oracle_net import GENITIVE_LEXICON, genitive_tokens, genitive_tree_text
 from test_core import key_tree
 
 
@@ -339,9 +341,9 @@ class TestBudgetThresholds:
     @pytest.mark.parametrize(
         "sentence, genitive, needed",
         [
-            ("den Mann hat der Junge gesehen", False, 72),
-            ("den Mann hat gesehen der Junge", False, 79),
-            ("der Junge hat den Mann des Mannes gesehen", True, 238),
+            ("den Mann hat der Junge gesehen", False, 37),
+            ("den Mann hat gesehen der Junge", False, 40),
+            ("der Junge hat den Mann des Mannes gesehen", True, 78),
         ],
     )
     def test_parse(self, lex, sentence, genitive, needed):
@@ -370,28 +372,35 @@ class TestDiagnostics:
         return load_lexicon(GENITIVE_LEXICON.read_text())
 
     @pytest.mark.parametrize(
-        "sentence, structures, rejections",
+        "sentence, structures, closure, rejections, realized",
         [
             (
                 "den Mann des Mannes hat der Junge gesehen",
                 0,
-                "ods.contiguity (28), ds.cond4 (5), prec.self (1)",
+                "ods.contiguity (14), ds.cond4 (7)",
+                "prec.self (1)",
+                1,
             ),
             (
                 "der Junge hat den Mann des Mannes gesehen",
                 2,
-                "ods.contiguity (18), ds.cond4 (12), prec.self (2)",
+                "ods.contiguity (12), ds.cond4 (9)",
+                "prec.self (2)",
+                4,
             ),
         ],
     )
-    def test_parse_counts(self, glex, sentence, structures, rejections):
+    def test_parse_counts(self, glex, sentence, structures, closure, rejections, realized):
+        # parse's span checks cut a closure that is no span or out of
+        # sequence before any candidate through it is realized
         result = parse(sentence.split(), glex)
         assert len(result.structures) == structures
         assert result.diagnostics == (
             "entry assignments tried: 4",
             "labeled head maps enumerated: 2",
             "head maps forming valency-checked trees: 2",
-            "realized structures validated: 34",
+            f"realized structures validated: {realized}",
+            f"rejections at closure: {closure}",
             f"rejections by first failing check: {rejections}",
         )
 
@@ -435,6 +444,28 @@ class TestDiagnostics:
         )
 
 
+class TestScaling:
+    """A 14-token parse: der Junge hat den Mann (des Mannes)^4 gesehen.
+
+    Without the span checks at closure this parse realizes 1,253,376
+    candidates and takes minutes.  ``DIGEST`` is the SHA-256 of the sorted
+    canonical strings, newline-joined, as the engine gave them before the
+    span checks existed (commit 5160ab8).
+    """
+
+    DIGEST = "dc0556809b52b1d806456a29548f53861c07d55449508f4c411102b96590e6aa"
+
+    def test_genitive_k4(self):
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        result = parse(list(genitive_tokens(4)), glex)
+        keys = sorted(canon(result, glex))
+        assert len(keys) == 66
+        assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
+        prefix = "realized structures validated: "
+        (line,) = [d for d in result.diagnostics if d.startswith(prefix)]
+        assert int(line[len(prefix):]) <= 15 * len(keys)
+
+
 class TestRealizationFromLayout:
     """Parsing realizes each placement from the member sets its search built."""
 
@@ -462,16 +493,19 @@ class TestRealizationFromLayout:
             for line in parse(tokens, lexicon).diagnostics:
                 if line.startswith("realized structures validated: "):
                     realized += int(line.rsplit(" ", 1)[1])
-        assert compared == realized == 238
+        assert compared == realized == 29
 
 
-def reference_placements(tree):
+def reference_placements(tree, spans):
     """The placements the search must yield, by the plain product.
 
     Every non-root word takes a transitive head up to the first crossed
     dependency outside its slot's extraction set, and a slot there whose
     domain-feature demands its features all meet.  A placement is kept when
-    every cardinality bound holds on the layout `close_word` derives.
+    every cardinality bound holds on the layout `close_word` derives, and,
+    with ``spans`` (a parse tree, whose indices are surface positions), when
+    every member set is a span and each word's realized domains follow one
+    another in slot order.
     """
     head_of, dtype_of = tree.head_of(), tree.dtype_of()
     non_root = [w for w in range(tree.n) if w != tree.root]
@@ -500,7 +534,22 @@ def reference_placements(tree):
     for combo in itertools.product(*choices):
         positional = {w: p for w, (p, _) in zip(non_root, combo)}
         slot_of = {w: s for w, (_, s) in zip(non_root, combo)}
-        layout = layout_of(_close_all(tree, positional, slot_of))
+        closed = _close_all(tree, positional, slot_of)
+        if spans:
+            sets = [[members for _, _, members in c] for c in closed]
+            if not all(
+                members == set(range(min(members), max(members) + 1))
+                for word_sets in sets
+                for members in word_sets
+            ):
+                continue
+            if not all(
+                max(left) < min(right)
+                for word_sets in sets
+                for left, right in zip(word_sets, word_sets[1:])
+            ):
+                continue
+        layout = layout_of(closed)
         if all(
             card.min
             <= len(layout.get((w, card.slot), ()))
@@ -520,9 +569,9 @@ class TestPlacementSearch:
         trees = []
         search = engine_module._iter_realizations
 
-        def recording(tree, budget):
-            trees.append(tree)
-            return search(tree, budget)
+        def recording(tree, budget, **keywords):
+            trees.append((tree, bool(keywords)))
+            return search(tree, budget, **keywords)
 
         monkeypatch.setattr(engine_module, "_iter_realizations", recording)
         for sentence, _ in SENTENCES:
@@ -543,9 +592,11 @@ class TestPlacementSearch:
             generate(tree, glex)
 
         placements = 0
-        for tree in trees:
+        for tree, spans in trees:
             found = set()
-            for positional, slot_of, closed in search(tree, engine_module._Budget(10**7)):
+            span_cuts = {"span_cuts": Counter()} if spans else {}
+            budget = engine_module._Budget(10**7)
+            for positional, slot_of, closed in search(tree, budget, **span_cuts):
                 key = (tuple(sorted(positional.items())), tuple(sorted(slot_of.items())))
                 assert key not in found
                 found.add(key)
@@ -556,7 +607,9 @@ class TestPlacementSearch:
                 assert member_sets_of(closed) == derived_member_sets(
                     tree, positional, slot_of
                 )
-            assert found == reference_placements(tree)
+            assert found == reference_placements(tree, spans)
             placements += len(found)
-        assert (len(trees), placements) == (77, 2397)
+        # parse trees are span-checked, generate trees never
+        parse_trees = sum(spans for _, spans in trees)
+        assert (len(trees), parse_trees, placements) == (77, 66, 578)
 
