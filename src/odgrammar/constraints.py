@@ -3,10 +3,12 @@
 Precedence predicates are scoped by order domains: a predicate introduced
 by a word only ever compares immediate members of that word's own realized
 domains.  Immediate members are the introducing word itself plus the
-maximal sub-domains; each counts as one unit regardless of how many words
-it spans.  A member carries the dependency label of its head word, so a
-label can reach material that was extracted into the introducer's domain
-from deeper in the tree.
+maximal sub-domains, named by (word, slot) pairs (`odgrammar.core.Member`);
+each counts as one unit regardless of how many words it spans.  The
+introducer is unlabelled, and every other member carries the dependency
+label of its head word, so a label can reach material that was extracted
+into the introducer's domain from deeper in the tree.
+`PrecedencePredicate.misordered` applies this label rule.
 
 Each constraint's test lives here once (`PrecedencePredicate.misordered`,
 `CardinalityConstraint.broken_bound`, `missing_features`): the ``check_*``
@@ -14,17 +16,19 @@ functions report from it and the engine's prunes call it.
 
 The checks that read the domain layer navigate a `StructureIndex`.  They
 use the one passed as ``index`` or build their own, and raise
-StructureError when that index reports a linking problem.
+StructureError when that index reports a linking problem or the word they
+are asked about is out of range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .core import (
     DependencyStructure,
     DependencyTree,
+    Member,
     StructureError,
     StructureIndex,
     ValidationReport,
@@ -75,25 +79,32 @@ class PrecedencePredicate:
         only the self domain, a pair predicate every realized domain."""
         return self.kind == LABELED_PAIR or slot == self_slot
 
-    def misordered(self, members: list[tuple[int, str | None, int, int]]) -> list:
+    def misordered(
+        self, members: Sequence[tuple[Member, int, int]], dtype_of: Mapping[int, str]
+    ) -> list:
         """The (x, y) pairs it puts in the wrong order, in member order.
 
         ``members`` are a scoped domain's immediate members in surface order,
-        each as (head word, label, first position, last position); the
-        introducer is its own member, labeled None.  Self-vs-all pairs the
+        each as (member, first position, last position).  The introducer,
+        (w, None), is unlabelled; every other member is labelled with its
+        head word's dependency type in ``dtype_of``.  Self-vs-all pairs the
         introducer with every other member; a pair predicate pairs each
-        left-labeled with each right-labeled member of another head word.
+        left-labelled with each right-labelled member of another head word.
         """
+        labels = [None if s is None else dtype_of[w] for (w, s), _, _ in members]
         if self.kind == SELF_VS_ALL:
-            lefts, rights = [m for m in members if m[1] is None], members
+            lefts = [m for m, label in zip(members, labels) if label is None]
+            rights = members
         else:
-            lefts = [m for m in members if m[1] in self.left]
-            rights = [m for m in members if m[1] in self.right]
+            lefts = [m for m, label in zip(members, labels) if label in self.left]
+            rights = [m for m, label in zip(members, labels) if label in self.right]
         precedes = self.direction == PRECEDES
         wrong = []
         for x in lefts:
             for y in rights:
-                if x[0] != y[0] and not (x[3] < y[2] if precedes else x[2] > y[3]):
+                if x[0][0] == y[0][0]:
+                    continue
+                if not (x[2] < y[1] if precedes else x[1] > y[2]):
                     wrong.append((x, y))
         return wrong
 
@@ -154,12 +165,15 @@ ExtractionPathSet = frozenset
 
 
 def _linked_index(
-    ds: DependencyStructure, index: StructureIndex | None
+    ds: DependencyStructure, index: StructureIndex | None, word: int
 ) -> StructureIndex:
-    """The given index, or a new one; StructureError if its linking failed."""
+    """The given index, or a new one; StructureError if its linking failed
+    or ``word`` is no word of the structure."""
     idx = index if index is not None else StructureIndex(ds)
     if idx.problems:
         raise StructureError("; ".join(v.message for v in idx.problems))
+    if not 0 <= word < idx.n:
+        raise StructureError(f"word {word} is out of range")
     return idx
 
 
@@ -176,21 +190,15 @@ def check_precedence(
     domain it left.  Pairs whose members share a head word are skipped.
     Raises StructureError when the structure's linking is ill defined.
     """
-    idx = _linked_index(ds, index)
+    idx = _linked_index(ds, index, introducer)
     self_slot = ds.tree.words[introducer].entry.template.self_slot
     rel = "precede" if pred.direction == PRECEDES else "follow"
     violations: list[Violation] = []
     for slot, did in enumerate(ds.domains.assoc[introducer]):
         if did is None or not pred.scopes(slot, self_slot):
             continue
-        members = []
-        for member in idx.immediate_members(did):
-            hw = idx.member_head_word(member)
-            # linking puts every other member's head word below the
-            # introducer, so the member's label is that word's dtype
-            label = None if hw == introducer else idx.dtype_of[hw]
-            members.append((hw, label, *idx.member_span(member)))
-        for (hx, *_), (hy, *_) in pred.misordered(members):
+        members = idx.immediate_members(did)
+        for ((hx, _), _, _), ((hy, _), _, _) in pred.misordered(members, idx.dtype_of):
             if pred.kind == SELF_VS_ALL:
                 condition, subjects = "prec.self", (introducer, hy, did)
                 message = (
@@ -217,7 +225,7 @@ def check_cardinality(
 
     Raises StructureError when the structure's linking is ill defined.
     """
-    idx = _linked_index(ds, index)
+    idx = _linked_index(ds, index, introducer)
     seq = ds.domains.assoc[introducer]
     if not 0 <= constraint.slot < len(seq):
         raise IndexError(
@@ -253,7 +261,7 @@ def check_domain_features(
 
     Raises StructureError when the structure's linking is ill defined.
     """
-    idx = _linked_index(ds, index)
+    idx = _linked_index(ds, index, introducer)
     seq = ds.domains.assoc[introducer]
     if not 0 <= req.slot < len(seq):
         raise IndexError(f"slot {req.slot} out of range for word {introducer}")
@@ -261,8 +269,7 @@ def check_domain_features(
     if did is None:
         return ValidationReport(())
     violations = []
-    for member in idx.immediate_members(did):
-        hw = idx.member_head_word(member)
+    for (hw, _), _, _ in idx.immediate_members(did):
         for attr in missing_features(req.required, ds.features.get(hw, {})):
             violations.append(
                 Violation(
@@ -289,7 +296,7 @@ def check_extraction(
     head.  Raises StructureError for the root, which has no direct head, and
     when the structure's linking is ill defined.
     """
-    idx = _linked_index(ds, index)
+    idx = _linked_index(ds, index, dependent)
     if dependent not in idx.head_of:
         raise StructureError(f"word {dependent} has no direct head")
     chain = idx.ancestors(dependent)

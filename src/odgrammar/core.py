@@ -491,9 +491,12 @@ def validate_domain_structure(
 # ---------------------------------------------------------------------------
 # navigation
 
-# Immediate members of a domain are addressed as ("w", word_index) for the
-# introducing word itself and ("d", domain_id) for a maximal sub-domain.
-Member = tuple[str, int | str]
+# An immediate member of a domain is named by a (word, slot) pair: (w, None)
+# is the introducing word w itself, and (u, s) the realized domain of slot s
+# of a word u inserted into the domain, under the key `layout_of` and
+# `member_sets_of` give that domain.  The search's closures and
+# `StructureIndex.immediate_members` both name members this way.
+Member = tuple[int, int | None]
 
 
 class StructureIndex:
@@ -638,46 +641,20 @@ class StructureIndex:
         """Transitive heads of word w, nearest first; stops short of a cycle."""
         return self._chains[w]
 
-    def self_domain(self, w: int) -> str | None:
-        entry = self.ds.tree.words[w].entry
-        return self.ds.domains.assoc[w][entry.template.self_slot]
-
-    def immediate_members(self, did: str) -> tuple[Member, ...]:
-        """Words sitting directly in the domain plus its maximal sub-domains."""
-        members: list[tuple[int, Member]] = []
+    def immediate_members(self, did: str) -> tuple[tuple[Member, int, int], ...]:
+        """The domain's immediate members in surface order, each as (member,
+        first position, last position): its introducer, when ``did`` is the
+        introducer's self domain, and its maximal sub-domains."""
+        members: list[tuple[Member, int, int]] = []
         owner = self.owner.get(did)
         if owner is not None:
             w, slot = owner
             if self.ds.tree.words[w].entry.template.self_slot == slot:
-                members.append((w, ("w", w)))
+                members.append(((w, None), w, w))
         for kid in self.domain_children[did]:
-            members.append((min(self.by_id[kid].members), ("d", kid)))
-        members.sort(key=lambda pair: pair[0])
-        return tuple(m for _, m in members)
-
-    def member_span(self, member: Member) -> tuple[int, int]:
-        kind, ref = member
-        if kind == "w":
-            return (ref, ref)  # type: ignore[return-value]
-        return self.by_id[ref].span()  # type: ignore[index]
-
-    def member_head_word(self, member: Member) -> int:
-        """The word a member stands for: itself, or the sub-domain's introducer."""
-        kind, ref = member
-        if kind == "w":
-            return ref  # type: ignore[return-value]
-        return self.owner[ref][0]  # type: ignore[index]
-
-    def matches_label(self, member: Member, label: str, introducer: int) -> bool:
-        """True if the member's head word hangs below the introducer via `label`.
-
-        The head word must be a transitive dependent of the introducer and
-        its own incoming edge must carry the given dependency type.
-        """
-        hw = self.member_head_word(member)
-        if hw == introducer or self.dtype_of.get(hw) != label:
-            return False
-        return introducer in self.ancestors(hw)
+            members.append((self.owner[kid], *self.by_id[kid].span()))
+        members.sort(key=lambda m: m[1])
+        return tuple(members)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +710,7 @@ def iter_condition_violations(
 
 # One word's realized domains, ascending by slot: (slot, immediate members,
 # member set) per realized slot.  See `close_word`.
-Closure = tuple[tuple[int, list[tuple], frozenset[int]], ...]
+Closure = tuple[tuple[int, list[Member], frozenset[int]], ...]
 
 
 def close_word(
@@ -748,22 +725,22 @@ def close_word(
     choices.  ``own`` is w's self slot, ``hosted`` maps a slot of w to the
     words inserted there, and ``closed[u]`` is this function's result for
     each such word u.  A slot is realized when it is the self slot or hosts
-    a word.  Its immediate members are ("self", w) in the self slot, then
-    ("dom", u, s) for every hosted word u (ascending) and each of u's
+    a word.  Its immediate members (see `Member`) are (w, None) in the self
+    slot, then (u, s) for every hosted word u (ascending) and each of u's
     realized slots s (ascending); its member set is w (in the self slot)
     plus the member sets of those domains.
     """
     out = []
     for s in sorted({own, *hosted}) if hosted else (own,):
         if s == own:
-            items: list[tuple] = [("self", w)]
+            items: list[Member] = [(w, None)]
             acc = {w}
         else:
             items = []
             acc = set()
         for u in sorted(hosted.get(s, ())):
             for s2, _, members in closed[u]:
-                items.append(("dom", u, s2))
+                items.append((u, s2))
                 acc |= members
         out.append((s, items, frozenset(acc)))
     return tuple(out)
@@ -798,7 +775,7 @@ def _close_all(
     return closed
 
 
-def layout_of(closed: Sequence[Closure]) -> dict[tuple[int, int], list[tuple]]:
+def layout_of(closed: Sequence[Closure]) -> dict[tuple[int, int], list[Member]]:
     """Each realized domain (owner, slot) mapped to its immediate members.
 
     Keys come in ascending order.

@@ -467,32 +467,29 @@ def parse(
 def _arrangements(items, slot, entry, dtype_of, budget):
     """Orderings of the immediate members of the owner's domain ``slot``.
 
-    ``items`` are ("self", owner) or ("dom", word, slot) markers.  Orderings
-    that put a word's own domains out of template-slot order are dropped,
-    since they can never satisfy the sequence-order condition, and so are
-    those that one of the owner's precedence predicates (from ``entry``)
-    scoped to ``slot`` finds misordered, with ranks as positions.  Every
-    ordering drawn counts against the budget, so a large domain raises
-    ResourceLimitError before its permutations pile up.
+    ``items`` are the domain's (word, slot) members (see
+    `odgrammar.core.Member`).  Orderings that put a word's own domains out
+    of template-slot order are dropped, since they can never satisfy the
+    sequence-order condition, and so are those that one of the owner's
+    precedence predicates (from ``entry``) scoped to ``slot`` finds
+    misordered, each member spanning its rank.  Every ordering drawn counts
+    against the budget, so a large domain raises ResourceLimitError before
+    its permutations pile up.
     """
     preds = [p for p in entry.predicates if p.scopes(slot, entry.template.self_slot)]
     for perm in itertools.permutations(items):
         budget.tick()
         last: dict[int, int] = {}
-        for item in perm:
-            if item[0] != "dom":
+        for word, s in perm:
+            if s is None:
                 continue
-            _, word, s = item
             if last.get(word, -1) > s:
                 break
             last[word] = s
         else:
             if preds:
-                members = [
-                    (it[1], None if it[0] == "self" else dtype_of[it[1]], i, i)
-                    for i, it in enumerate(perm)
-                ]
-                if any(p.misordered(members) for p in preds):
+                members = [(item, rank, rank) for rank, item in enumerate(perm)]
+                if any(p.misordered(members, dtype_of) for p in preds):
                     continue
             yield perm
 
@@ -551,15 +548,15 @@ def generate(
             stats.bump("orders")
             chosen = dict(zip(layout, combo))
             # the root's realized slots hold the whole sentence, in slot
-            # order; each ("dom", word, slot) opens into its chosen order
+            # order; each domain (word, slot) opens into its chosen order
             order: list[int] = []
-            stack = [("dom", tree.root, s) for s, _, _ in reversed(closed[tree.root])]
+            stack = [(tree.root, s) for s, _, _ in reversed(closed[tree.root])]
             while stack:
-                item = stack.pop()
-                if item[0] == "self":
-                    order.append(item[1])
+                w, s = stack.pop()
+                if s is None:
+                    order.append(w)
                 else:
-                    stack.extend(reversed(chosen[item[1], item[2]]))
+                    stack.extend(reversed(chosen[w, s]))
             permuted, new_index = permute_tree(tree, order)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}

@@ -93,6 +93,25 @@ class TestSelfVsAll:
         pred = entry(lex, "Mann", 1).predicates[0]
         report = check_precedence(pred, 0, ds)
         assert report.conditions() == {"prec.self"}
+        # the same order under a non-root noun, which carries a dependency
+        # label of its own: as introducer of its domain it is still unlabelled
+        ds = clause(
+            lex,
+            ["Mann", "den", "hat", "der", "Junge", "gesehen"],
+            {0: 1},
+            root=2,
+            edge_spec=[
+                (0, "det", 1),
+                (5, "obj", 0),
+                (4, "det", 3),
+                (2, "subj", 4),
+                (2, "vpart", 5),
+            ],
+            positional={1: 0, 0: 2, 3: 4, 4: 2, 5: 2},
+            slots={1: 0, 0: 0, 3: 0, 4: 1, 5: 1},
+        )
+        report = check_precedence(pred, 0, ds)
+        assert [v.subjects for v in report.violations] == [(0, 1, "d0.0")]
 
     def test_scoped_to_self_domain_only(self, key_ds, lex):
         # the verb precedes everything in its own field even though two
@@ -293,6 +312,21 @@ class TestExtraction:
         bad = dataclasses.replace(key_ds, positional={**key_ds.positional, 0: 4})
         with pytest.raises(StructureError):
             check_extraction(slot, 0, bad)
+
+
+@pytest.mark.parametrize("word", [-1, 6])
+def test_word_out_of_range(key_ds, lex, word):
+    # a linked structure, asked about a word it does not have
+    hat = entry(lex, "hat")
+    checks = [
+        (check_precedence, hat.predicates[0]),
+        (check_cardinality, hat.cardinalities[0]),
+        (check_domain_features, hat.domain_features[0]),
+        (check_extraction, entry(lex, "Mann", 1).slot_for("det")),
+    ]
+    for check, constraint in checks:
+        with pytest.raises(StructureError, match="out of range"):
+            check(constraint, word, key_ds)
 
 
 def tiny_tree(lex, forms, entry_picks, root, edge_spec):

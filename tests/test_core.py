@@ -304,29 +304,17 @@ class TestStructureIndex:
         by_id = ds.domains.by_id()
         assert by_id["d2.0"].members == by_id["d1.0"].members
         assert idx.domain_children["d2.0"] == ("d1.0",)
-        assert idx.immediate_members("d2.0") == (("d", "d1.0"),)
+        assert idx.immediate_members("d2.0") == (((1, 0), 0, 1),)
 
     def test_immediate_members_mittelfeld(self, ds):
+        # the introducer spans itself; each sub-domain is named by its owner
+        # and slot and spans its member set
         idx = StructureIndex(ds)
         assert idx.immediate_members("d2.1") == (
-            ("w", 2),
-            ("d", "d4.0"),
-            ("d", "d5.0"),
+            ((2, None), 2, 2),
+            ((4, 0), 3, 4),
+            ((5, 0), 5, 5),
         )
-
-    def test_member_accessors(self, ds):
-        idx = StructureIndex(ds)
-        assert idx.member_span(("w", 2)) == (2, 2)
-        assert idx.member_span(("d", "d4.0")) == (3, 4)
-        assert idx.member_head_word(("d", "d4.0")) == 4
-
-    def test_matches_label(self, ds):
-        idx = StructureIndex(ds)
-        assert idx.matches_label(("d", "d1.0"), "obj", 2)
-        assert not idx.matches_label(("d", "d1.0"), "subj", 2)
-        assert not idx.matches_label(("w", 2), "subj", 2)
-        # the determiner's domain hangs below the noun, not the verb's label
-        assert idx.matches_label(("d", "d3.0"), "det", 4)
 
     def test_ancestors(self, ds):
         idx = StructureIndex(ds)

@@ -15,9 +15,11 @@ from odgrammar import (
     DependencyTree,
     ResourceLimitError,
     StructureError,
+    StructureIndex,
     UnknownTokenError,
     WordToken,
     canonical_structure,
+    domain_id,
     entries_for,
     generate,
     load_lexicon,
@@ -613,3 +615,58 @@ class TestPlacementSearch:
         parse_trees = sum(spans for _, spans in trees)
         assert (len(trees), parse_trees, placements) == (77, 66, 578)
 
+
+
+class TestClosureMembers:
+    """The search's closures and the validator's index name one member alike."""
+
+    def test_closure_items_are_the_index_members(self, lex, key_structure, monkeypatch):
+        # each realized candidate is compared with the closures of the
+        # placement it came from; generation renames them by the order's
+        # indices, parse keeps them
+        state = {}
+        search = engine_module._iter_realizations
+        permute = engine_module.permute_tree
+        realize = engine_module.realize_structure
+
+        def searching(tree, budget, **keywords):
+            for positional, slot_of, closed in search(tree, budget, **keywords):
+                state["layout"] = layout_of(closed)
+                state["rename"] = range(tree.n)
+                yield positional, slot_of, closed
+
+        def permuting(tree, order):
+            permuted, new_index = permute(tree, order)
+            state["rename"] = new_index
+            return permuted, new_index
+
+        domains = 0
+
+        def realizing(tree, positional, slot_of, members):
+            nonlocal domains
+            ds = realize(tree, positional, slot_of, members)
+            idx = StructureIndex(ds)
+            by_id = ds.domains.by_id()
+            new = state["rename"]
+
+            def first(member):
+                w, s = member
+                return w if s is None else min(by_id[domain_id(w, s)].members)
+
+            for (w, s), items in state["layout"].items():
+                named = sorted(((new[u], t) for u, t in items), key=first)
+                got = [m for m, _, _ in idx.immediate_members(domain_id(new[w], s))]
+                assert got == named
+                domains += 1
+            return ds
+
+        monkeypatch.setattr(engine_module, "_iter_realizations", searching)
+        monkeypatch.setattr(engine_module, "permute_tree", permuting)
+        monkeypatch.setattr(engine_module, "realize_structure", realizing)
+        for sentence, _ in SENTENCES:
+            parse(sentence.split(), lex)
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        for k in range(3):
+            parse(list(genitive_tokens(k)), glex)
+        generate(key_structure.tree, lex)
+        assert domains == 451

@@ -25,7 +25,12 @@ from odgrammar import (
     DependencyTree,
     OrderDomainStructure,
     SerializationError,
+    StructureError,
     ValidationReport,
+    check_cardinality,
+    check_domain_features,
+    check_extraction,
+    check_precedence,
     load_lexicon,
     parse,
     parse_structure_json,
@@ -176,6 +181,24 @@ class TestEditedStructureText:
             pass
         else:
             assert isinstance(validate_structure(ds, lex), ValidationReport)
+            # each public lexical check, on every constraint of each word's
+            # entry and on every valency slot of the key tree against each
+            # word as the dependent, ends in a report or StructureError
+            slots = [s for w in key_structure.tree.words for s in w.entry.valency]
+            for word in ds.tree.words:
+                entry, w = word.entry, word.index
+                for check, constraints in (
+                    (check_precedence, entry.predicates),
+                    (check_cardinality, entry.cardinalities),
+                    (check_domain_features, entry.domain_features),
+                    (check_extraction, slots),
+                ):
+                    for constraint in constraints:
+                        try:
+                            report = check(constraint, w, ds)
+                        except StructureError:
+                            continue
+                        assert isinstance(report, ValidationReport)
 
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:
@@ -233,6 +256,15 @@ class TestCommandLineFuzz:
     def workdir(self, tmp_path_factory):
         return tmp_path_factory.mktemp("cli-fuzz")
 
+    @pytest.fixture(scope="class")
+    def noun_tree(self, workdir):
+        """The tree text of ``der Junge`` and the options naming its lexicon."""
+        nlex = load_lexicon(NOUN_ROOT_LEXICON)
+        (noun,) = parse(["der", "Junge"], nlex).structures
+        path = workdir / "noun.lex"
+        path.write_text(NOUN_ROOT_LEXICON)
+        return render_tree_text(noun.tree, nlex), ["--lexicon", str(path)]
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(edits=st.lists(_EDIT, min_size=1, max_size=3))
     def test_edited_tree_through_generate(self, lex, key_structure, workdir, edits):
@@ -258,6 +290,39 @@ class TestCommandLineFuzz:
         path.write_text(" ".join(edit_tokens(sentence.split(), edits)))
         argv = ["parse", "--file", str(path), "--max-candidates", "20000"]
         assert run_quietly(argv) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        sentence=st.sampled_from([s for s, _ in SENTENCES]),
+        edits=st.lists(_TOKEN_EDIT, min_size=1, max_size=4),
+        diff=st.booleans(),
+    )
+    def test_edited_sentence_through_oracle(self, workdir, sentence, edits, diff):
+        path = workdir / "sentence.txt"
+        path.write_text(" ".join(edit_tokens(sentence.split(), edits)))
+        argv = ["oracle", "--file", str(path), "--max-tokens", "4"]
+        assert run_quietly(argv + ["--diff"] * diff) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        base=st.sampled_from(["key", "noun"]),
+        edits=st.lists(_EDIT, min_size=1, max_size=3),
+        diff=st.booleans(),
+    )
+    def test_edited_tree_through_oracle(
+        self, lex, key_structure, workdir, noun_tree, base, edits, diff
+    ):
+        # the noun-rooted tree has two words, so most of its edits stay
+        # under the oracle's limit; the key tree's mostly exceed it
+        if base == "key":
+            text, lexicon = render_tree_text(key_structure.tree, lex), []
+        else:
+            text, lexicon = noun_tree
+        path = workdir / "tree.txt"
+        path.write_text(edit_lines(text, edits))
+        argv = ["oracle", "--orders", "--file", str(path), "--max-tokens", "4"]
+        argv += lexicon
+        assert run_quietly(argv + ["--diff"] * diff) in (0, 1, 2, 3)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(data=st.binary(max_size=64), command=st.sampled_from(["parse", "validate"]))

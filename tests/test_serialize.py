@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import random
 
 import pytest
 
@@ -179,17 +180,35 @@ class TestJson:
 
     def test_wrongly_typed_values_are_reported_or_rejected(self, ds, lex):
         blob = render_structure_json(ds, lex)
-        outcomes = _substitution_outcomes(
-            blob, lambda text: validate_structure(parse_structure_json(text, lex), lex)
+        outcomes = _outcomes(
+            _substitutions(blob),
+            lambda text: validate_structure(parse_structure_json(text, lex), lex),
         )
         assert outcomes == {"rejected": 971, "reported": 190}
 
     def test_wrongly_typed_tree_values_are_reported_or_rejected(self, tree, lex):
         blob = render_tree_json(tree, lex)
-        outcomes = _substitution_outcomes(
-            blob, lambda text: validate_tree(parse_tree_json(text, lex), lex)
+        outcomes = _outcomes(
+            _substitutions(blob),
+            lambda text: validate_tree(parse_tree_json(text, lex), lex),
         )
         assert outcomes == {"rejected": 420, "reported": 66}
+
+    def test_multi_field_edits_are_reported_or_rejected(self, ds, lex):
+        blob = render_structure_json(ds, lex)
+        outcomes = _outcomes(
+            _multi_field_edits(blob, seed=3, count=2000),
+            lambda text: validate_structure(parse_structure_json(text, lex), lex),
+        )
+        assert min(outcomes.values()) > 0, outcomes
+
+    def test_multi_field_tree_edits_are_reported_or_rejected(self, tree, lex):
+        blob = render_tree_json(tree, lex)
+        outcomes = _outcomes(
+            _multi_field_edits(blob, seed=4, count=2000),
+            lambda text: validate_tree(parse_tree_json(text, lex), lex),
+        )
+        assert min(outcomes.values()) > 0, outcomes
 
     def test_json_rejects_junk(self, lex):
         with pytest.raises(SerializationError):
@@ -216,29 +235,64 @@ def _json_paths(obj, prefix=()):
         yield from _json_paths(child, prefix + (key,))
 
 
-def _substitution_outcomes(blob, read_and_check):
-    """Count how each one-value substitution of ``blob`` ends.
+def _at(obj, path):
+    """The value at ``path`` in ``obj``."""
+    for key in path:
+        obj = obj[key]
+    return obj
 
-    ``read_and_check`` reads a text and validates the result; it must
-    return a report or raise SerializationError, never anything else.
-    """
+
+def _substitutions(blob):
+    """Every one-value substitution of ``blob``, as JSON text."""
     obj = json.loads(blob)
-    outcomes = {"rejected": 0, "reported": 0}
     for path in _json_paths(obj):
         for value in _SUBSTITUTES:
             if path:
                 edited = copy.deepcopy(obj)
-                parent = edited
-                for key in path[:-1]:
-                    parent = parent[key]
-                parent[path[-1]] = value
+                _at(edited, path[:-1])[path[-1]] = value
             else:
                 edited = value
-            try:
-                report = read_and_check(json.dumps(edited))
-            except SerializationError:
-                outcomes["rejected"] += 1
-                continue
-            assert isinstance(report, ValidationReport), (path, value)
-            outcomes["reported"] += 1
+            yield json.dumps(edited)
+
+
+def _multi_field_edits(blob, seed, count):
+    """``count`` seeded edits of ``blob``, as JSON text.
+
+    Each edit changes one to three values in turn: it removes the value at
+    a path from its parent, or puts one of ``_SUBSTITUTES`` or a copy of a
+    value found anywhere in ``blob`` in its place.
+    """
+    rng = random.Random(seed)
+    obj = json.loads(blob)
+    values = _SUBSTITUTES + [_at(obj, path) for path in _json_paths(obj)]
+    for _ in range(count):
+        edited = copy.deepcopy(obj)
+        for _ in range(rng.randint(1, 3)):
+            paths = [path for path in _json_paths(edited) if path]
+            if not paths:
+                break
+            path = rng.choice(paths)
+            parent = _at(edited, path[:-1])
+            if rng.random() < 0.2:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(rng.choice(values))
+        yield json.dumps(edited)
+
+
+def _outcomes(texts, read_and_check):
+    """Count how reading and checking each text ends.
+
+    ``read_and_check`` reads a text and validates the result; it must
+    return a report or raise SerializationError, never anything else.
+    """
+    outcomes = {"rejected": 0, "reported": 0}
+    for text in texts:
+        try:
+            report = read_and_check(text)
+        except SerializationError:
+            outcomes["rejected"] += 1
+            continue
+        assert isinstance(report, ValidationReport), text
+        outcomes["reported"] += 1
     return outcomes
