@@ -17,7 +17,10 @@ functions report from it and the engine's prunes call it.
 The checks that read the domain layer navigate a `StructureIndex`.  They
 use the one passed as ``index`` or build their own, and raise
 StructureError when that index reports a linking problem or the word they
-are asked about is out of range.
+are asked about is out of range.  An index is only defined on a tree that
+passes the tree stage, so before building their own they also raise
+StructureError on the tree stage's first finding; the validator passes
+its index only after that stage.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .core import (
     StructureIndex,
     ValidationReport,
     Violation,
+    iter_tree_violations,
 )
 
 if TYPE_CHECKING:
@@ -167,14 +171,18 @@ ExtractionPathSet = frozenset
 def _linked_index(
     ds: DependencyStructure, index: StructureIndex | None, word: int
 ) -> StructureIndex:
-    """The given index, or a new one; StructureError if its linking failed
-    or ``word`` is no word of the structure."""
-    idx = index if index is not None else StructureIndex(ds)
-    if idx.problems:
-        raise StructureError("; ".join(v.message for v in idx.problems))
-    if not 0 <= word < idx.n:
+    """The given index, or a new one on a tree that passes the tree stage;
+    StructureError if the tree or the linking failed, or ``word`` is no
+    word of the structure."""
+    if index is None:
+        for v in iter_tree_violations(ds.tree):
+            raise StructureError(v.message)
+        index = StructureIndex(ds)
+    if index.problems:
+        raise StructureError("; ".join(v.message for v in index.problems))
+    if not 0 <= word < index.n:
         raise StructureError(f"word {word} is out of range")
-    return idx
+    return index
 
 
 def check_precedence(

@@ -291,7 +291,7 @@ def load_lexicon(text: str) -> Lexicon:
     dtypes, classes, root_classes = (
         tuple(sym for sym, _ in symbols[k]) for k in ("dtypes", "classes", "root")
     )
-    inventories = _Inventories(dtypes, classes, attributes, root_classes)
+    inventories = _Inventories(dtypes, classes, attributes)
 
     entries: dict[str, list[LexicalEntry]] = {}
     for block, line_no in raw_entries:
@@ -332,7 +332,6 @@ class _Inventories:
     dtypes: tuple[str, ...]
     classes: tuple[str, ...]
     attributes: dict[str, tuple[str, ...]]
-    root_classes: tuple[str, ...]
 
     def need_dtype(self, tok: _Token):
         if tok.value not in self.dtypes:

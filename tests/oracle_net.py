@@ -1,32 +1,52 @@
-"""Engine-vs-oracle net over the genitive scaling lexicon.
+"""The differential net: the engine against the oracle, and the validator
+against the harness, over every test lexicon.
 
-The noun-phrase net reads ``bench/genitive.lex`` with its ``root:`` line
-replaced by ``root: N``, so bare noun phrases are sentences.  Its nouns
-realize two domains (``[d post]``), so a noun inserted into another noun's
-domain is two immediate members there, and ``feat post case=gen`` is a
-domain-feature demand that genitive nouns can meet.  No other test lexicon
-has either.  The clause net reads the lexicon as it is, with the verb as
-root.
+``run_net(token_lists, lex)`` compares, on one lexicon:
 
-For each sentence, ``parse`` must equal ``oracle_parse`` as canonical
-strings.  In the noun-phrase net, for each distinct tree among the
-analyses, ``generate`` must also equal ``oracle_generate`` as (surface,
-canonical structure) pairs; a clause tree has six or more words, where
-``oracle_generate`` takes minutes, so the clause net compares parses only.
+- ``load_lexicon(render_lexicon(lex))`` with ``lex``;
+- on each sentence, ``parse`` with ``oracle_parse`` as canonical strings;
+- on each distinct tree among the oracle's analyses, `structure_is_valid`
+  with ``harness.independent_verdict`` on every placement of the tree in
+  its own word order; the valid ones must be the oracle's analyses with
+  that tree;
+- on a tree of at most ``ALL_ORDERS_MAX_WORDS`` words, also ``generate``
+  with ``oracle_generate`` as (surface, canonical structure) pairs, with
+  the verdicts taken on every placement in every word order; the valid
+  ones must be the oracle's pairs.
 
-The Tier-1 slice (``tests/test_oracle_net.py``) runs every noun phrase of up
-to 3 tokens over the six determiner and noun forms, every 4-token one over
-four of them, and the 6-token clauses of ``CLAUSES``.  The full sweep,
-every noun phrase of up to 4 tokens over all six forms and the clauses of
-``FULL_CLAUSES``, runs from the repository root with
+The engine prunes with the validator's own constraint tests, so engine
+and oracle agree even where such a test is wrong; the harness shares no
+code with the validator and sees it.
 
-    PYTHONPATH=src python tests/oracle_net.py
+A source is a lexicon with a Tier-1 slice and a full sweep of sentences:
 
-and exits 1 on any disagreement.
+- ``noun-phrases``: ``bench/genitive.lex`` with its ``root:`` line replaced
+  by ``root: N``.  Its nouns realize two domains (``[d post]``), so a noun
+  inserted into another noun's domain is two immediate members there, and
+  ``feat post case=gen`` is a domain-feature demand; no other test lexicon
+  has either.  The slice is every noun phrase of up to 3 tokens over the
+  six forms and every 4-token one over four of them; the sweep, every one
+  of up to 4 tokens over all six.
+- ``clauses``: the same lexicon with the verb as root, on ``CLAUSES``
+  (slice) or ``FULL_CLAUSES`` (sweep).
+- ``random``: the seeded lexica of ``random_lexicon``, each on every
+  sentence of 1 to 3 tokens; seeds 0..11 in the slice, 0..199 in the
+  sweep.
+- ``corpus``: the bundled lexicon on the 25 corpus sentences, in both.
+
+Tier-1 runs the slices in ``test_oracle_net.py``, ``test_random_lexicon.py``
+and criterion 4 of ``test_acceptance.py``.  The sweep of the chosen sources
+(all by default) runs from the repository root with
+
+    PYTHONPATH=src python tests/oracle_net.py [SOURCE ...] [--seeds FIRST LAST]
+
+where ``--seeds`` picks the random seeds FIRST..LAST-1.  It prints one line
+of counts per source and exits 1 on any disagreement.
 """
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import re
 import sys
@@ -41,8 +61,18 @@ from odgrammar import (
     oracle_generate,
     oracle_parse,
     parse,
+    realize_structure,
+    reference_lexicon,
+    render_lexicon,
     render_tree_text,
+    structure_is_valid,
 )
+from odgrammar.core import ancestor_chain, permute_tree
+
+from corpus import SENTENCES
+from harness import independent_verdict
+from random_lexicon import FORMS as RANDOM_FORMS
+from random_lexicon import MAX_TOKENS, random_lexicon_text
 
 GENITIVE_LEXICON = Path(__file__).resolve().parent.parent / "bench" / "genitive.lex"
 
@@ -58,6 +88,11 @@ CLAUSES = (
     "des Mannes hat der Junge gesehen",
 )
 FULL_CLAUSES = CLAUSES + ("hat der Junge den Mann des Mannes",)
+
+# the largest tree whose every word order is judged and generated: 4 words
+# give 24 orders, 6 words (a clause) 720, where ``oracle_generate`` takes
+# minutes
+ALL_ORDERS_MAX_WORDS = 4
 
 
 def clause_lexicon():
@@ -103,34 +138,62 @@ def sentences(forms, lengths):
         yield from itertools.product(forms, repeat=k)
 
 
-def slice_sentences():
-    yield from sentences(FORMS, range(1, 4))
-    yield from sentences(SLICE_FORMS, (4,))
+def placements(tree):
+    """Every structure realizing ``tree`` in its own word order.
 
-
-def full_sentences():
-    yield from sentences(FORMS, range(1, 5))
+    Each non-root word takes every transitive head as its positional head
+    and every template slot of that head, as `odgrammar.oracle` does; the
+    structures are not validated.
+    """
+    head_of = tree.head_of()
+    non_root = [w for w in range(tree.n) if w != tree.root]
+    chains = [ancestor_chain(head_of, w) for w in non_root]
+    for heads in itertools.product(*chains):
+        positional = dict(zip(non_root, heads))
+        slot_ranges = [range(len(tree.words[p].entry.template.slots)) for p in heads]
+        for slots in itertools.product(*slot_ranges):
+            yield realize_structure(tree, positional, dict(zip(non_root, slots)))
 
 
 @dataclass
 class NetResult:
     sentences: int = 0
     with_analyses: int = 0
+    # distinct trees among the oracle's analyses, and the oracle's
+    # (surface, structure) pairs on those whose every order is generated
     trees: int = 0
     pairs: int = 0
-    disagreements: list[str] = field(default_factory=list)
-    # the distinct trees among the oracle's analyses, in first-seen order
-    analysed: list = field(default_factory=list)
-    # structures judged by both validators, and those both call valid
-    # (``random_lexicon.verdict_net``)
-    candidates: int = 0
+    # placements judged by both validators, and those both call valid
+    judged: int = 0
     valid: int = 0
+    disagreements: list[str] = field(default_factory=list)
+
+    COUNTS = ("sentences", "with_analyses", "trees", "pairs", "judged", "valid")
+
+    def add(self, other: NetResult, label: str = "") -> None:
+        for name in self.COUNTS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        self.disagreements += [label + item for item in other.disagreements]
+
+    def summary(self) -> str:
+        return (
+            f"{self.sentences} sentences, {self.with_analyses} with analyses; "
+            f"{self.trees} trees, {self.pairs} (surface, structure) pairs; "
+            f"{self.judged} placements judged, {self.valid} valid; "
+            f"{len(self.disagreements)} disagreements"
+        )
 
 
-def run_net(token_lists, lex, trees: bool = True) -> NetResult:
-    """Compare engine and oracle on every sentence and, unless ``trees`` is
-    false, on every analysed tree."""
+def _pairs(pairs, lex) -> list:
+    return [(surface, canonical_structure(ds, lex)) for surface, ds in pairs]
+
+
+def run_net(token_lists, lex) -> NetResult:
+    """Make every comparison of the net on one lexicon."""
     result = NetResult()
+    if load_lexicon(render_lexicon(lex)) != lex:
+        result.disagreements.append("render round trip")
+    # tree text -> (tree, the number of the oracle's analyses with it)
     analysed = {}
     for tokens in token_lists:
         result.sentences += 1
@@ -138,44 +201,96 @@ def run_net(token_lists, lex, trees: bool = True) -> NetResult:
         oracle = oracle_parse(tokens, lex)
         if engine != [canonical_structure(ds, lex) for ds in oracle]:
             result.disagreements.append(f"parse {' '.join(tokens)!r}")
-        if oracle:
-            result.with_analyses += 1
+        result.with_analyses += bool(oracle)
         for ds in oracle:
-            analysed.setdefault(render_tree_text(ds.tree, lex), ds.tree)
-    result.analysed = list(analysed.values())
-    if not trees:
-        return result
-    for text, tree in analysed.items():
-        engine = [
-            (surface, canonical_structure(ds, lex))
-            for surface, ds in generate(tree, lex).pairs
-        ]
-        oracle = [
-            (surface, canonical_structure(ds, lex))
-            for surface, ds in oracle_generate(tree, lex)
-        ]
+            text = render_tree_text(ds.tree, lex)
+            tree, count = analysed.get(text, (ds.tree, 0))
+            analysed[text] = tree, count + 1
+    for text, (tree, expected) in analysed.items():
         result.trees += 1
-        result.pairs += len(oracle)
-        if engine != oracle:
-            result.disagreements.append(f"generate\n{text}")
+        orders = [tuple(range(tree.n))]
+        if tree.n <= ALL_ORDERS_MAX_WORDS:
+            oracle = _pairs(oracle_generate(tree, lex), lex)
+            if _pairs(generate(tree, lex).pairs, lex) != oracle:
+                result.disagreements.append(f"generate\n{text}")
+            result.pairs += len(oracle)
+            orders, expected = itertools.permutations(range(tree.n)), len(oracle)
+        valid = 0
+        for order in orders:
+            permuted, _ = permute_tree(tree, order)
+            for ds in placements(permuted):
+                result.judged += 1
+                verdict = structure_is_valid(ds, lex)
+                valid += verdict
+                if verdict != independent_verdict(ds, lex):
+                    result.disagreements.append(
+                        f"verdict on order {order} of\n{text}"
+                        f"positional {ds.positional}, domains {ds.domains.assoc}"
+                    )
+        result.valid += valid
+        if valid != expected:
+            result.disagreements.append(
+                f"{valid} valid placements, the oracle has {expected}, of\n{text}"
+            )
     return result
 
 
-def main() -> int:
-    nets = (
-        ("noun phrases", full_sentences(), noun_root_lexicon(), True),
-        ("clauses", (c.split() for c in FULL_CLAUSES), clause_lexicon(), False),
+def noun_phrase_nets(full: bool = False):
+    token_lists = sentences(FORMS, range(1, 5 if full else 4))
+    if not full:
+        token_lists = itertools.chain(token_lists, sentences(SLICE_FORMS, (4,)))
+    return [("", noun_root_lexicon(), token_lists)]
+
+
+def clause_nets(full: bool = False):
+    clauses = FULL_CLAUSES if full else CLAUSES
+    return [("", clause_lexicon(), [c.split() for c in clauses])]
+
+
+def random_nets(seeds=range(12)):
+    for seed in seeds:
+        lex = load_lexicon(random_lexicon_text(seed))
+        yield f"seed {seed}: ", lex, sentences(RANDOM_FORMS, range(1, MAX_TOKENS + 1))
+
+
+def corpus_nets():
+    return [("", reference_lexicon(), [s.split() for s, _ in SENTENCES])]
+
+
+def run_nets(nets) -> NetResult:
+    """Run the net on each (label, lexicon, sentences) of a source; each
+    disagreement starts with its label."""
+    total = NetResult()
+    for label, lex, token_lists in nets:
+        total.add(run_net(token_lists, lex), label)
+    return total
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Run the net's full sweep.")
+    parser.add_argument(
+        "sources", nargs="*", metavar="SOURCE",
+        help="noun-phrases, clauses, random or corpus (default: all four)",
     )
+    parser.add_argument(
+        "--seeds", nargs=2, type=int, default=(0, 200), metavar=("FIRST", "LAST"),
+        help="run the random seeds FIRST..LAST-1 (default: 0 200)",
+    )
+    args = parser.parse_args(argv)
+    sweeps = {
+        "noun-phrases": lambda: noun_phrase_nets(full=True),
+        "clauses": lambda: clause_nets(full=True),
+        "random": lambda: random_nets(range(*args.seeds)),
+        "corpus": corpus_nets,
+    }
+    unknown = [name for name in args.sources if name not in sweeps]
+    if unknown:
+        parser.error(f"unknown source {unknown[0]!r}")
     disagreements = []
-    for name, token_lists, lex, trees in nets:
+    for name in args.sources or sweeps:
         start = time.monotonic()
-        result = run_net(token_lists, lex, trees)
-        print(
-            f"{name}: {result.sentences} sentences, {result.with_analyses} with "
-            f"analyses; {result.trees} trees, {result.pairs} (surface, "
-            f"structure) pairs; {len(result.disagreements)} disagreements; "
-            f"{time.monotonic() - start:.1f} s"
-        )
+        result = run_nets(sweeps[name]())
+        print(f"{name}: {result.summary()}; {time.monotonic() - start:.1f} s")
         disagreements += result.disagreements
     for item in disagreements:
         print(f"disagreement: {item}")
@@ -183,4 +298,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

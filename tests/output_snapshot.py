@@ -62,14 +62,10 @@ from oracle_net import (  # noqa: E402
     GENITIVE_LEXICON,
     genitive_tokens,
     genitive_tree_text,
+    placements,
     sentences,
 )
-from random_lexicon import (  # noqa: E402
-    FORMS,
-    MAX_TOKENS,
-    placements,
-    random_lexicon_text,
-)
+from random_lexicon import FORMS, MAX_TOKENS, random_lexicon_text  # noqa: E402
 
 PARSE_BUDGETS = (1, 5, 19, 50, 200, 1000)
 GENERATE_BUDGETS = (97, 98)

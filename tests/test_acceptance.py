@@ -21,7 +21,6 @@ from odgrammar import (
     entries_for,
     generate,
     load_lexicon,
-    oracle_parse,
     parse,
     parse_structure_json,
     parse_structure_text,
@@ -36,8 +35,9 @@ from odgrammar import (
     structure_is_valid,
 )
 
-from corpus import GRAMMATICAL, KEY_SENTENCE, SENTENCES
+from corpus import GRAMMATICAL, KEY_SENTENCE
 from harness import DEFAULT_SEED, grammatical_bases, run_agreement_trial
+from oracle_net import corpus_nets, run_nets
 from test_constraints import bad_mittelfeld, fronted_participle
 from test_core import KEY_POSITIONAL, KEY_SLOTS, key_tree
 
@@ -136,17 +136,9 @@ def test_criterion_3_extraction_licensing(lex, announce):
 
 
 def test_criterion_4_matches_exhaustive_oracle(lex, announce, key_tree_oracle_pairs):
-    """The pruned search returns exactly the exhaustive oracle's results."""
-    disagreements = []
-    for sentence, _ in SENTENCES:
-        tokens = sentence.split()
-        want = {canonical_structure(ds, lex) for ds in oracle_parse(tokens, lex)}
-        pruned = {
-            canonical_structure(ds, lex)
-            for ds in parse(tokens, lex).structures
-        }
-        if want != pruned:
-            disagreements.append(sentence)
+    """The pruned search returns exactly the exhaustive oracle's results, and
+    the validator the independent rewrite's verdicts, on the corpus."""
+    net = run_nets(corpus_nets())
     generated = [
         (surface, canonical_structure(ds, lex))
         for surface, ds in generate(key_tree(lex), lex).pairs
@@ -154,7 +146,9 @@ def test_criterion_4_matches_exhaustive_oracle(lex, announce, key_tree_oracle_pa
     announce(
         4,
         {
-            "parse agrees on every corpus sentence": not disagreements,
+            "parse and the validator agree on the corpus": not net.disagreements,
+            "every placement of the corpus trees judged": (net.judged, net.valid)
+            == (5040, 9),
             "generation agrees on the key tree's (surface, structure) pairs": (
                 generated == key_tree_oracle_pairs
             ),

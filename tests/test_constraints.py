@@ -16,7 +16,9 @@ from odgrammar import (
     check_precedence,
     check_valency,
     entries_for,
+    parse_structure_text,
     realize_structure,
+    render_structure_text,
 )
 
 from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
@@ -327,6 +329,16 @@ def test_word_out_of_range(key_ds, lex, word):
     for check, constraint in checks:
         with pytest.raises(StructureError, match="out of range"):
             check(constraint, word, key_ds)
+
+
+def test_tree_stage_failure(key_ds, lex):
+    # word 1 numbered -1: the tree stage reports ``tree.index``, and the
+    # index, which reads words by position, records no linking problem
+    text = render_structure_text(key_ds, lex).replace("token 1 ", "token -1 ")
+    bad = parse_structure_text(text, lex)
+    mann = entry(lex, "Mann", 1)
+    with pytest.raises(StructureError, match="indices"):
+        check_precedence(mann.predicates[0], 0, bad)
 
 
 def tiny_tree(lex, forms, entry_picks, root, edge_spec):

@@ -70,18 +70,6 @@ class TestParse:
         second = canon(parse(KEY_SENTENCE.split(), lex), lex)
         assert first == second
 
-    def test_prune_matches_oracle(self, lex):
-        for sentence in [
-            KEY_SENTENCE,
-            "der Junge hat den Mann gesehen",
-            "hat der Junge den Mann gesehen",
-            "der Junge hat gesehen",
-        ]:
-            tokens = sentence.split()
-            pruned = canon(parse(tokens, lex), lex)
-            oracle = [canonical_structure(ds, lex) for ds in oracle_parse(tokens, lex)]
-            assert pruned == oracle, sentence
-
     def test_unknown_token(self, lex):
         with pytest.raises(UnknownTokenError):
             parse(["der", "Hund"], lex)
@@ -133,12 +121,6 @@ class TestGenerate:
         result = generate(key_structure.tree, lex)
         keys = [(s, canonical_structure(ds, lex)) for s, ds in result.pairs]
         assert keys == sorted(keys)
-
-    def test_prune_matches_oracle(self, lex, key_structure, key_tree_oracle_pairs):
-        pruned = generate(key_structure.tree, lex)
-        assert [
-            (s, canonical_structure(d, lex)) for s, d in pruned.pairs
-        ] == key_tree_oracle_pairs
 
     def test_every_output_reparses(self, lex, key_structure):
         for surface, ds in generate(key_structure.tree, lex).pairs:

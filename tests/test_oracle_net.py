@@ -1,31 +1,30 @@
-"""Engine equals oracle on the genitive lexicon: noun phrases and clauses.
+"""The differential net's Tier-1 slice over the genitive lexicon: noun
+phrases and clauses (sources in ``oracle_net``).
 
-The sentences and the comparison live in ``oracle_net``; this is its
-Tier-1 slice.  Its nouns are the only test entries whose inserted words
-realize two domains, so a cardinality prune or an arrangement that keeps
-only one of them shows up here.
+Its nouns are the only test entries whose inserted words realize two
+domains, so a cardinality prune or an arrangement that keeps only one of
+them, or a validator check that misreads them, shows up here.
 """
 
-from oracle_net import (
-    CLAUSES,
-    clause_lexicon,
-    noun_root_lexicon,
-    run_net,
-    slice_sentences,
-)
+from oracle_net import clause_nets, noun_phrase_nets, run_nets
 
 
 def test_engine_equals_oracle_on_genitive_noun_phrases():
-    result = run_net(slice_sentences(), noun_root_lexicon())
+    result = run_nets(noun_phrase_nets())
     assert result.disagreements == []
     # 258 sentences of up to 3 tokens over six forms, 256 of 4 over four;
     # 6 and 13 of them have analyses, with 6 and 21 distinct trees
-    assert (result.sentences, result.with_analyses, result.trees) == (514, 19, 27)
-    assert result.pairs == 253
+    assert (result.sentences, result.with_analyses) == (514, 19)
+    assert (result.trees, result.pairs) == (27, 253)
+    # every placement in every word order; the valid ones are the pairs
+    assert (result.judged, result.valid) == (8084, 253)
 
 
 def test_engine_equals_oracle_on_genitive_clauses():
-    # the verb-rooted lexicon: only the grammatical clause has analyses
-    result = run_net((c.split() for c in CLAUSES), clause_lexicon(), trees=False)
+    # the verb-rooted lexicon: only the grammatical clause has analyses,
+    # two of one tree, which is judged in its own order
+    result = run_nets(clause_nets())
     assert result.disagreements == []
-    assert (result.sentences, result.with_analyses, result.trees) == (4, 1, 0)
+    assert (result.sentences, result.with_analyses) == (4, 1)
+    assert (result.trees, result.pairs) == (1, 0)
+    assert (result.judged, result.valid) == (864, 2)
