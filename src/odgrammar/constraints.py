@@ -11,16 +11,17 @@ into the introducer's domain from deeper in the tree.
 `PrecedencePredicate.misordered` applies this label rule.
 
 Each constraint's test lives here once (`PrecedencePredicate.misordered`,
-`CardinalityConstraint.broken_bound`, `missing_features`): the ``check_*``
-functions report from it and the engine's prunes call it.
+`CardinalityConstraint.broken_bound`, `missing_features`, `admits_class`,
+`admits_root`): the ``check_*`` functions report from it and the engine's
+prunes call it.
 
 The checks that read the domain layer navigate a `StructureIndex`.  They
 use the one passed as ``index`` or build their own, and raise
 StructureError when that index reports a linking problem or the word they
-are asked about is out of range.  An index is only defined on a tree that
-passes the tree stage, so before building their own they also raise
-StructureError on the tree stage's first finding; the validator passes
-its index only after that stage.
+are asked about is out of range.  An index is only defined on a structure
+whose layers pass their own stages (see `StructureIndex`), so before
+building their own they also raise StructureError on the first finding of
+the tree stage or the domain stage.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     StructureIndex,
     ValidationReport,
     Violation,
+    iter_ods_violations,
     iter_tree_violations,
 )
 
@@ -163,6 +165,16 @@ def missing_features(required: dict[str, str], features: dict[str, str]) -> list
     return missing
 
 
+def admits_class(slot: "ValencySlot", word_class: str) -> bool:
+    """Does the slot take a dependent of ``word_class`` (no class: any)?"""
+    return slot.dep_class is None or word_class == slot.dep_class
+
+
+def admits_root(lex: "Lexicon", word_class: str) -> bool:
+    """May a word of ``word_class`` head a sentence (no root classes: any)?"""
+    return not lex.root_classes or word_class in lex.root_classes
+
+
 # The extraction path set of a valency slot: dependency types an extracted
 # dependent may cross between its positional head and its direct head.
 ExtractionPathSet = frozenset
@@ -171,11 +183,13 @@ ExtractionPathSet = frozenset
 def _linked_index(
     ds: DependencyStructure, index: StructureIndex | None, word: int
 ) -> StructureIndex:
-    """The given index, or a new one on a tree that passes the tree stage;
-    StructureError if the tree or the linking failed, or ``word`` is no
+    """The given index, or a new one on layers that pass their own stages;
+    StructureError if a layer or the linking failed, or ``word`` is no
     word of the structure."""
     if index is None:
         for v in iter_tree_violations(ds.tree):
+            raise StructureError(v.message)
+        for v in iter_ods_violations(ds.domains, ds.tree.n):
             raise StructureError(v.message)
         index = StructureIndex(ds)
     if index.problems:
@@ -362,7 +376,7 @@ def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
                 continue
             filled[e.dtype] = e.dependent
             dep = tree.words[e.dependent]
-            if slot.dep_class is not None and dep.entry.word_class != slot.dep_class:
+            if not admits_class(slot, dep.entry.word_class):
                 violations.append(
                     Violation(
                         "lex.slot-class",
@@ -392,7 +406,7 @@ def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
                 )
 
     root = tree.words[tree.root]
-    if lex.root_classes and root.entry.word_class not in lex.root_classes:
+    if not admits_root(lex, root.entry.word_class):
         violations.append(
             Violation(
                 "lex.root-class",

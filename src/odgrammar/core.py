@@ -469,16 +469,11 @@ def iter_ods_violations(
             )
         for did in seq:
             if did is not None and did not in by_id:
-                yield _unknown_domain(w, did)
-
-
-def _unknown_domain(w: int, did: str) -> Violation:
-    """The finding for a sequence entry that names no domain of the layer."""
-    return Violation(
-        "ods.assoc-unknown",
-        (w, did),
-        f"sequence of word {w} names unknown domain {did!r}",
-    )
+                yield Violation(
+                    "ods.assoc-unknown",
+                    (w, did),
+                    f"sequence of word {w} names unknown domain {did!r}",
+                )
 
 
 def validate_domain_structure(
@@ -504,13 +499,15 @@ class StructureIndex:
 
     Derives, once, which word and slot own each domain, the top domain,
     each word's insertion (the one domain of its positional head's
-    sequence that holds it), the resulting tree of domains, and per-domain
-    immediate member lists in surface order.  This is the validator's
-    linking stage: every linking fault is recorded in ``problems``, in the
-    order the validator reports them, instead of being raised.  The domain
-    tree and the navigation below are only defined when ``problems`` is
-    empty.  Both layers must already pass their own checks (the tree and
-    domain stages); on other input the index may be incomplete.
+    sequence that holds it, and that domain's slot), the resulting tree of
+    domains, and per-domain immediate member lists in surface order.  This
+    is the validator's linking stage: every linking fault is recorded in
+    ``problems``, in the order the validator reports them, instead of
+    being raised.  The domain tree and the navigation below are only
+    defined when ``problems`` is empty.  Precondition: both layers pass
+    their own stages (`iter_tree_violations`, `iter_ods_violations`); the
+    index re-checks nothing those own, and the validator and the
+    ``check_*`` functions build it only after both.
     """
 
     def __init__(self, ds: DependencyStructure):
@@ -527,13 +524,6 @@ class StructureIndex:
         def fault(condition: str, subjects: tuple, message: str) -> None:
             self.problems.append(Violation(condition, subjects, message))
 
-        for w in assoc:
-            if not 0 <= w < n:
-                fault(
-                    "ds.assoc-extra",
-                    (w,),
-                    f"domain sequence given for unknown word {w}",
-                )
         for w in range(n):
             if w not in assoc:
                 fault("ds.assoc-missing", (w,), f"word {w} has no domain sequence")
@@ -559,10 +549,7 @@ class StructureIndex:
         self.owner: dict[str, tuple[int, int]] = {}
         for w in range(n):
             for slot, did in enumerate(assoc.get(w, ())):
-                if did is None:
-                    continue
                 if did not in by_id:
-                    self.problems.append(_unknown_domain(w, did))
                     continue
                 if did in self.owner:
                     fault(
@@ -589,6 +576,7 @@ class StructureIndex:
                     f"positional head recorded for unknown word {w}",
                 )
         self.insertion: dict[int, str | None] = {tree.root: self.top_id}
+        self.slot_of: dict[int, int] = {}
         for w in range(n):
             if w == tree.root:
                 if w in ds.positional:
@@ -610,9 +598,9 @@ class StructureIndex:
                 )
                 continue
             hosts = [
-                did
-                for did in assoc.get(p, ())
-                if did is not None and did in by_id and w in by_id[did].members
+                (slot, did)
+                for slot, did in enumerate(assoc.get(p, ()))
+                if did in by_id and w in by_id[did].members
             ]
             if len(hosts) != 1:
                 fault(
@@ -622,16 +610,15 @@ class StructureIndex:
                     f"sequence, found {len(hosts)}",
                 )
                 continue
-            self.insertion[w] = hosts[0]
+            self.slot_of[w], self.insertion[w] = hosts[0]
 
         self.domain_children: dict[str, tuple[str, ...]] = {}
         if self.problems:
             return
+        # each domain of a word's sequence nests in the word's insertion
         children: dict[str, list[str]] = {d.id: [] for d in ds.domains.domains}
-        for w in range(n):
-            target = self.insertion[w]
-            for did in ds.domains.realized(w):
-                children[target].append(did)
+        for did, (w, _) in self.owner.items():
+            children[self.insertion[w]].append(did)
         self.domain_children = {
             did: tuple(sorted(kids, key=lambda k: min(by_id[k].members)))
             for did, kids in children.items()
@@ -693,13 +680,10 @@ def iter_condition_violations(
                         "sequence are not pairwise disjoint",
                     )
 
-    # condition 4; a pair with an empty domain passes
     for w, seq in enumerate(seqs):
         for left_id, right_id in zip(seq, seq[1:]):
             left, right = by_id[left_id], by_id[right_id]
-            if left.members and right.members and max(left.members) >= min(
-                right.members
-            ):
+            if max(left.members) >= min(right.members):
                 yield Violation(
                     "ds.cond4",
                     (w, left.id, right.id),

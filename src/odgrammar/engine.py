@@ -45,8 +45,10 @@ before the search starts, and `_depth_first` runs both on one explicit
 stack.  No walk recurses, the flattening of a generated order included, so
 an input as deep as it is long meets the budget, never the recursion
 limit.  Every candidate counts against ``max_candidates``: `_depth_first`
-charges each choice taken and each complete assignment, and generation
-also charges each permutation drawn for a domain and each combined order.
+charges each choice taken and each complete assignment, the head-map
+search also each head candidate it rejects (a used slot, or a head below
+the word), and generation each permutation drawn for a domain and each
+combined order.
 Exceeding the budget raises ResourceLimitError rather than returning a
 truncated answer.
 """
@@ -57,7 +59,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .constraints import check_valency, missing_features
+from .constraints import admits_class, admits_root, check_valency, missing_features
 from .core import (
     DependencyEdge,
     DependencyStructure,
@@ -366,13 +368,13 @@ def _iter_head_maps(words, lex, budget, stats):
     for w, h in itertools.permutations(range(n), 2):
         entry = words[w].entry
         for dt, slot in frames[h]:
-            if slot.dep_class and entry.word_class != slot.dep_class:
+            if not admits_class(slot, entry.word_class):
                 continue
             if missing_features(slot.features, entry.features):
                 continue
             options[w].append((h, dt))
     for root in range(n):
-        if lex.root_classes and words[root].entry.word_class not in lex.root_classes:
+        if not admits_root(lex, words[root].entry.word_class):
             continue
         rest = [w for w in range(n) if w != root]
         parent: dict[int, int] = {}
@@ -382,6 +384,8 @@ def _iter_head_maps(words, lex, budget, stats):
         def heads(w):
             for h, dt in options[w]:
                 if (h, dt) in used or w in ancestor_chain(parent, h):
+                    # `_depth_first` charges the candidates taken
+                    budget.tick()
                     continue
                 parent[w] = h
                 dtype_of[w] = dt

@@ -5,8 +5,9 @@ sound base: first each layer on its own (tree, domain hierarchy), then the
 linking between the layers (sequences, ownership, positional heads,
 insertion, which settle linking condition 3), and finally linking
 conditions 1, 2 and 4, the derived member sets, and every lexical
-constraint.  The linking stage is building the
-structure's `StructureIndex`: the index reports the linking problems it
+constraint.  The linking stage is building the structure's
+`StructureIndex`, which is defined only on layers that passed the first
+stage (see its precondition): the index reports the linking problems it
 finds, and the final stage navigates the same index.  Within the final
 stage nothing stops at the first finding; the report lists all violations.
 
@@ -73,13 +74,7 @@ def _iter_constraint_violations(
     tree = ds.tree
 
     # stored member sets must match the sets the insertions generate
-    slot_of = {}
-    for w in range(tree.n):
-        if w == tree.root:
-            continue
-        did = idx.insertion[w]
-        slot_of[w] = idx.owner[did][1]
-    derived = derived_member_sets(tree, ds.positional, slot_of)
+    derived = derived_member_sets(tree, ds.positional, idx.slot_of)
     for w in range(tree.n):
         seq = ds.domains.assoc[w]
         for s, did in enumerate(seq):

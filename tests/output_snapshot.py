@@ -15,6 +15,10 @@ each part of its answer.
 - ``validate``: the full ``validate_structure`` report (condition,
   subjects, message of every violation) on each instance of a seeded
   ``harness.StructureSampler`` stream over the bundled lexicon.
+- ``check``: on the same instances, the outcome of every public
+  ``check_*`` call `check_calls` lists, with the key tree's valency slots:
+  the rendered report, or ``StructureError`` and its message; ``refused``
+  counts the calls that raised.
 - ``random seed=N``: over the seeded random lexicon N of
   ``random_lexicon``, N = 0..39, the parse structures and diagnostics of
   every sentence of 1 to 3 tokens, the generate pairs and diagnostics of
@@ -31,7 +35,7 @@ change's copy) against both source trees and compare:
     PYTHONPATH=src python tests/output_snapshot.py > change.txt
     diff parent.txt change.txt
 
-It takes under 30 s.  pytest does not collect this file.
+It takes under a minute.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from odgrammar import (  # noqa: E402
     ResourceLimitError,
+    StructureError,
+    check_cardinality,
+    check_domain_features,
+    check_extraction,
+    check_precedence,
     generate,
     load_lexicon,
     parse,
@@ -105,6 +114,33 @@ def report_obj(ds, lex) -> list:
     ]
 
 
+def check_calls(ds, slots):
+    """Every public ``check_*`` call on ``ds`` as (check, constraint, word):
+    each word's entry constraints against that word, then each of
+    ``slots`` against the word as the dependent."""
+    for word in ds.tree.words:
+        entry = word.entry
+        for check, constraints in (
+            (check_precedence, entry.predicates),
+            (check_cardinality, entry.cardinalities),
+            (check_domain_features, entry.domain_features),
+            (check_extraction, slots),
+        ):
+            for constraint in constraints:
+                yield check, constraint, word.index
+
+
+def check_line(ds, slots) -> str:
+    outcomes, refused = [], 0
+    for check, constraint, w in check_calls(ds, slots):
+        try:
+            outcomes.append(check(constraint, w, ds).render())
+        except StructureError as exc:
+            outcomes.append(f"StructureError: {exc}")
+            refused += 1
+    return f"calls={len(outcomes)}\trefused={refused}\tdigest={sha(outcomes)}"
+
+
 def random_lexicon_lines(seed: int):
     """The parse, generate and validate digests over one random lexicon."""
     lex = load_lexicon(random_lexicon_text(seed))
@@ -152,12 +188,14 @@ def main() -> int:
         print(f"generate genitive k={k}\t{generate_line(tree, glex)}")
 
     sampler = StructureSampler(VALIDATE_SEED, lex, grammatical_bases())
+    slots = [s for w in key_tree.words for s in w.entry.valency]
     for i in range(VALIDATE_COUNT):
         ds = sampler.next_instance()
         if ds is None:
             print(f"validate #{i}\tnone")
             continue
         print(f"validate #{i}\treport={sha(report_obj(ds, lex))}")
+        print(f"check #{i}\t{check_line(ds, slots)}")
 
     for seed in RANDOM_SEEDS:
         for line in random_lexicon_lines(seed):

@@ -283,6 +283,28 @@ class TestOracleCommand:
         assert "positional 0 1" in report["only_oracle"][0]
         assert "positional" not in report["only_engine"][0]
 
+    @pytest.mark.parametrize("fmt", ["human", "machine"])
+    def test_sentence(self, capsys, tmp_path, fmt):
+        from odgrammar import load_lexicon, oracle_parse
+        from odgrammar.serialize import structure_obj
+
+        lex_path = tmp_path / "noun.lex"
+        lex_path.write_text(NOUN_ROOT_LEXICON)
+        nlex = load_lexicon(NOUN_ROOT_LEXICON)
+        expected = oracle_parse(["der", "Junge"], nlex)
+        assert len(expected) == 1
+        code, out, _ = run(
+            capsys, "oracle", "der Junge", "--lexicon", str(lex_path), "--format", fmt
+        )
+        assert code == 0
+        if fmt == "human":
+            assert out.splitlines()[0] == "1 structure(s)."
+            assert render_structure_text(expected[0], nlex) in out
+        else:
+            report = json.loads(out)
+            assert report["status"] == "ok"
+            assert report["structures"] == [structure_obj(ds, nlex) for ds in expected]
+
     def test_token_limit(self, capsys):
         code, _, err = run(capsys, "oracle", "hat " * 8)
         assert code == 3

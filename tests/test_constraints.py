@@ -19,6 +19,7 @@ from odgrammar import (
     parse_structure_text,
     realize_structure,
     render_structure_text,
+    validate_structure,
 )
 
 from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
@@ -339,6 +340,38 @@ def test_tree_stage_failure(key_ds, lex):
     mann = entry(lex, "Mann", 1)
     with pytest.raises(StructureError, match="indices"):
         check_precedence(mann.predicates[0], 0, bad)
+
+
+@pytest.mark.parametrize(
+    "line, edited, conditions",
+    [
+        # the subject's domain overlaps three domains without nesting
+        ("domain d4.0 3 4", "domain d4.0 1 2 3 4", {"ods.hierarchy"}),
+        # the Mittelfeld loses the subject's determiner
+        (
+            "domain d2.1 2 3 4 5",
+            "domain d2.1 2 4 5",
+            {"ods.contiguity", "ods.hierarchy"},
+        ),
+    ],
+)
+def test_domain_stage_failure(key_ds, lex, line, edited, conditions):
+    # the domain stage fails and the index records no linking problem;
+    # every check refuses the structure rather than answer on it
+    text = render_structure_text(key_ds, lex)
+    assert f"{line}\n" in text
+    bad = parse_structure_text(text.replace(f"{line}\n", f"{edited}\n"), lex)
+    assert validate_structure(bad, lex).conditions() == conditions
+    hat = entry(lex, "hat")
+    checks = [
+        (check_precedence, hat.predicates[0], 2),
+        (check_cardinality, hat.cardinalities[0], 2),
+        (check_domain_features, hat.domain_features[0], 2),
+        (check_extraction, entry(lex, "Mann", 1).slot_for("det"), 0),
+    ]
+    for check, constraint, word in checks:
+        with pytest.raises(StructureError):
+            check(constraint, word, bad)
 
 
 def tiny_tree(lex, forms, entry_picks, root, edge_spec):

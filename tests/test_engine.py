@@ -91,6 +91,28 @@ class TestParse:
         with pytest.raises(ResourceLimitError):
             parse(tokens, lex, max_candidates=19)
 
+    def test_empty_slot_class_admits_no_dependent(self, lex):
+        # a det slot of class "" takes no word: ``check_valency`` reports
+        # every filler, so the head-map search offers none, and no map over
+        # these words completes
+        def empty_det(slot):
+            if slot.dtype != "det":
+                return slot
+            return dataclasses.replace(slot, dep_class="")
+
+        entries = {
+            form: tuple(
+                dataclasses.replace(e, valency=tuple(map(empty_det, e.valency)))
+                for e in es
+            )
+            for form, es in lex.entries.items()
+        }
+        elex = dataclasses.replace(lex, entries=entries)
+        tokens = "der Junge hat den Mann gesehen".split()
+        result = parse(tokens, elex)
+        assert result.structures == oracle_parse(tokens, elex) == ()
+        assert "labeled head maps enumerated: 0" in result.diagnostics
+
     def test_long_sentence_meets_the_budget(self):
         # der Junge hat den Mann (des Mannes)^500 gesehen: 1,006 tokens, and
         # a head-map search deeper than the interpreter's recursion limit
@@ -317,9 +339,9 @@ class TestBudgetThresholds:
     """The least budget each search fits in: N returns and N - 1 raises.
 
     Head maps and placements charge one tick per choice taken and one per
-    complete assignment; generation also charges each permutation drawn
-    and each order.  A search that ticks once too often or too rarely
-    moves these thresholds.
+    complete assignment, head maps also each head candidate they reject;
+    generation also charges each permutation drawn and each order.  A
+    search that ticks once too often or too rarely moves these thresholds.
     """
 
     @pytest.mark.parametrize(
@@ -328,6 +350,8 @@ class TestBudgetThresholds:
             ("den Mann hat der Junge gesehen", False, 37),
             ("den Mann hat gesehen der Junge", False, 40),
             ("der Junge hat den Mann des Mannes gesehen", True, 78),
+            ("den Mann hat den Junge gesehen", False, 16),
+            ("Mann gesehen gesehen gesehen hat hat", False, 110),
         ],
     )
     def test_parse(self, lex, sentence, genitive, needed):
@@ -336,6 +360,15 @@ class TestBudgetThresholds:
         parse(tokens, lexicon, max_candidates=needed)
         with pytest.raises(ResourceLimitError):
             parse(tokens, lexicon, max_candidates=needed - 1)
+
+    def test_parse_charges_rejected_head_candidates(self, lex):
+        # three participles and two finite verbs: the head-map search takes
+        # 50 head candidates and rejects 60 whose slot another word took or
+        # whose head lies below the word; the rejected ones alone overrun a
+        # budget of 50
+        tokens = "Mann gesehen gesehen gesehen hat hat".split()
+        with pytest.raises(ResourceLimitError):
+            parse(tokens, lex, max_candidates=50)
 
     def test_generate_key_tree(self, lex, key_structure):
         generate(key_structure.tree, lex, max_candidates=98)

@@ -27,10 +27,7 @@ from odgrammar import (
     SerializationError,
     StructureError,
     ValidationReport,
-    check_cardinality,
-    check_domain_features,
     check_extraction,
-    check_precedence,
     load_lexicon,
     parse,
     parse_structure_json,
@@ -43,6 +40,7 @@ from odgrammar import (
     validate_structure,
 )
 from odgrammar.cli import main, tokenize
+from odgrammar.core import StructureIndex, iter_ods_violations, iter_tree_violations
 from odgrammar.validate import iter_structure_violations
 
 from corpus import NOUN_ROOT_LEXICON, SENTENCES
@@ -52,6 +50,7 @@ from harness import (
     independent_verdict,
     run_agreement_trial,
 )
+from output_snapshot import check_calls
 from test_constraints import bad_mittelfeld, fronted_participle
 
 
@@ -183,22 +182,25 @@ class TestEditedStructureText:
             assert isinstance(validate_structure(ds, lex), ValidationReport)
             # each public lexical check, on every constraint of each word's
             # entry and on every valency slot of the key tree against each
-            # word as the dependent, ends in a report or StructureError
+            # word as the dependent, raises StructureError exactly when a
+            # layer stage or the linking fails (the lexicon's inventories
+            # aside), or when asked for the root's extraction; otherwise it
+            # ends in a report
+            unlinked = bool(
+                next(iter_tree_violations(ds.tree), None)
+                or next(iter_ods_violations(ds.domains, ds.tree.n), None)
+                or StructureIndex(ds).problems
+            )
             slots = [s for w in key_structure.tree.words for s in w.entry.valency]
-            for word in ds.tree.words:
-                entry, w = word.entry, word.index
-                for check, constraints in (
-                    (check_precedence, entry.predicates),
-                    (check_cardinality, entry.cardinalities),
-                    (check_domain_features, entry.domain_features),
-                    (check_extraction, slots),
-                ):
-                    for constraint in constraints:
-                        try:
-                            report = check(constraint, w, ds)
-                        except StructureError:
-                            continue
-                        assert isinstance(report, ValidationReport)
+            for check, constraint, w in check_calls(ds, slots):
+                root = check is check_extraction and w == ds.tree.root
+                try:
+                    report = check(constraint, w, ds)
+                except StructureError:
+                    assert unlinked or root, (check.__name__, w)
+                    continue
+                assert not (unlinked or root), (check.__name__, w)
+                assert isinstance(report, ValidationReport)
 
         stdin, sys.stdin = sys.stdin, io.StringIO(text)
         try:
