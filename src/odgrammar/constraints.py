@@ -321,9 +321,12 @@ def check_extraction(
     idx = _linked_index(ds, index, dependent)
     if dependent not in idx.head_of:
         raise StructureError(f"word {dependent} has no direct head")
-    chain = idx.ancestors(dependent)
+    # the index linked the positional head above the dependent, so the
+    # climb from the direct head reaches it
+    positional = ds.positional[dependent]
+    cur = idx.head_of[dependent]
     violations = []
-    for cur in chain[: chain.index(ds.positional[dependent])]:
+    while cur != positional:
         dtype = idx.dtype_of[cur]
         if dtype not in slot.extraction:
             violations.append(
@@ -334,6 +337,7 @@ def check_extraction(
                     f"not licensed by slot {slot.dtype!r}",
                 )
             )
+        cur = idx.head_of[cur]
     return ValidationReport(tuple(violations))
 
 

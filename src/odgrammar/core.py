@@ -516,7 +516,6 @@ class StructureIndex:
         n = self.n = tree.n
         self.head_of = tree.head_of()
         self.dtype_of = tree.dtype_of()
-        self._chains = {w: head_walk(self.head_of, w)[0][1:] for w in range(n)}
         by_id = self.by_id = ds.domains.by_id()
         assoc = ds.domains.assoc
         self.problems: list[Violation] = []
@@ -590,7 +589,14 @@ class StructureIndex:
             if p is None:
                 fault("ds.positional-missing", (w,), f"word {w} has no positional head")
                 continue
-            if p not in self.ancestors(w):
+            # climb from w no higher than p, and at most n steps, which
+            # also ends the walk on a cyclic tree
+            u = w
+            for _ in range(n):
+                u = self.head_of.get(u)
+                if u is None or u == p:
+                    break
+            if u != p:
                 fault(
                     "ds.positional-head",
                     (w, p),
@@ -626,7 +632,7 @@ class StructureIndex:
 
     def ancestors(self, w: int) -> tuple[int, ...]:
         """Transitive heads of word w, nearest first; stops short of a cycle."""
-        return self._chains[w]
+        return head_walk(self.head_of, w)[0][1:]
 
     def immediate_members(self, did: str) -> tuple[tuple[Member, int, int], ...]:
         """The domain's immediate members in surface order, each as (member,

@@ -15,15 +15,18 @@ set; the tests check this against the brute-force enumeration in
 `odgrammar.oracle`.  No lexical prune states a test of its own: each calls
 the one in `odgrammar.constraints` that the validator reports from.
 
-Parse alone adds two span checks, the domain layer's contiguity
-(``ods.contiguity``) and linking condition 4 (``ds.cond4``), run on each
-word's closure (`_span_fault`).  In parse, word indices are the surface
-positions, so a closed word whose member sets are not spans, or whose
-consecutive realized slots overlap or run backwards, fails on every
-candidate that shares the closure.  Generation places words of the
-unpermuted tree, whose indices say nothing of the surface order, so it
-must not run them.  The closures they cut are counted per check in a
-``rejections at closure`` diagnostics line.
+Parse alone runs three more checks on each word's closure: two span
+checks, the domain layer's contiguity (``ods.contiguity``) and linking
+condition 4 (``ds.cond4``) (`_span_fault`), and the word's precedence
+predicates (``prec.self``, ``prec.pair``) on its realized domains
+(`_precedence_fault`).  In parse, word indices are the surface positions,
+so a closed word whose member sets are not spans, whose consecutive
+realized slots overlap or run backwards, or whose domains' immediate
+members a predicate of its own finds misordered, fails on every candidate
+that shares the closure.  Generation places words of the unpermuted tree,
+whose indices say nothing of the surface order, so it must not run them.
+The closures they cut are counted per check in a ``rejections at
+closure`` diagnostics line.
 
 Placements (a positional head and a slot for every non-root word) are
 searched deepest first: words are placed in dependency post-order, each
@@ -59,7 +62,13 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from .constraints import admits_class, admits_root, check_valency, missing_features
+from .constraints import (
+    SELF_VS_ALL,
+    admits_class,
+    admits_root,
+    check_valency,
+    missing_features,
+)
 from .core import (
     DependencyEdge,
     DependencyStructure,
@@ -134,7 +143,7 @@ class _Budget:
 class _Stats:
     """Search counters plus first-violation tallies for diagnostics.
 
-    ``cuts`` counts the closures parse's span checks cut, by check.
+    ``cuts`` counts the closures parse's checks at closure cut, by check.
     """
 
     def __init__(self):
@@ -148,7 +157,12 @@ class _Stats:
     def lines(self, stages: tuple[tuple[str, str], ...]) -> tuple[str, ...]:
         out = [f"{label}: {self.counts.get(key, 0)}" for key, label in stages]
         if self.cuts:
-            cut = ", ".join(f"{cond} ({self.cuts[cond]})" for cond in _SPAN_CHECKS)
+            # the checks that cut, in the validator's order
+            cut = ", ".join(
+                f"{cond} ({self.cuts[cond]})"
+                for cond in _CLOSURE_CHECKS
+                if self.cuts[cond]
+            )
             out.append(f"rejections at closure: {cut}")
         if self.rejections:
             ranked = sorted(self.rejections.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -251,7 +265,7 @@ def _within_bounds(closure, cards) -> bool:
     return True
 
 
-_SPAN_CHECKS = ("ods.contiguity", "ds.cond4")
+_CLOSURE_CHECKS = ("ods.contiguity", "ds.cond4", "prec.self", "prec.pair")
 
 
 def _span_fault(closure) -> str | None:
@@ -274,7 +288,41 @@ def _span_fault(closure) -> str | None:
     return fault
 
 
-def _iter_realizations(tree, budget, *, span_cuts=None):
+def _precedence_fault(closure, preds, own, closed, dtype_of) -> str | None:
+    """The validator's id of the first of a closed word's precedence
+    predicates that its domains fail, or None.
+
+    ``preds`` are the word's predicates, ``own`` its self slot, and
+    ``closed`` the closures of the words it hosts.  Read with indices as
+    surface positions, each immediate member of a realized slot spans its
+    first to its last word: (w, None) just w, and (u, s) the member set of
+    u's slot s.  Those spans and the members' head dtypes are final once
+    the word closes, so `PrecedencePredicate.misordered` answers here as
+    `check_precedence` does on every completion.
+    """
+    spans: dict[int, list] = {}
+    for pred in preds:
+        for s, items, _ in closure:
+            if not pred.scopes(s, own):
+                continue
+            if s not in spans:
+                # left unsorted: whether a predicate finds a misordered
+                # pair does not depend on the members' order
+                members = spans[s] = []
+                for u, s2 in items:
+                    if s2 is None:
+                        members.append(((u, None), u, u))
+                        continue
+                    for t, _, words in closed[u]:
+                        if t == s2:
+                            members.append(((u, s2), min(words), max(words)))
+                            break
+            if pred.misordered(spans[s], dtype_of):
+                return "prec.self" if pred.kind == SELF_VS_ALL else "prec.pair"
+    return None
+
+
+def _iter_realizations(tree, budget, *, closure_cuts=None):
     """Yield (positional, slot_of, closed) for a valency-checked tree.
 
     Words are placed deepest first, in dependency post-order.  When a word
@@ -285,19 +333,23 @@ def _iter_realizations(tree, budget, *, span_cuts=None):
     that closure.  ``closed[w]`` is word w's closure.  The three values are
     the search's own state: read them before drawing the next placement.
 
-    ``span_cuts``, a Counter, says that word indices are surface positions,
-    as in parse.  Then each closure is also span-checked (`_span_fault`)
-    before its bounds: a closure's member sets are the ones every
-    completion realizes, so one that is not a span, or out of sequence,
-    fails ``ods.contiguity`` or ``ds.cond4`` on every completion, and is
-    cut and counted in ``span_cuts`` under that check.  Generation runs on
-    the unpermuted tree, whose indices are not the surface order, and
-    passes nothing.
+    ``closure_cuts``, a Counter, says that word indices are surface
+    positions, as in parse.  Then each closure is also span-checked
+    (`_span_fault`) before its bounds, and after them the word's precedence
+    predicates are run on its domains (`_precedence_fault`): a closure's
+    member sets are the ones every completion realizes, so one that is not
+    a span, is out of sequence, or misorders a scoped domain fails
+    ``ods.contiguity``, ``ds.cond4``, ``prec.self`` or ``prec.pair`` on
+    every completion, and is cut and counted in ``closure_cuts`` under that
+    check.  Generation runs on the unpermuted tree, whose indices are not
+    the surface order, and passes nothing.
     """
     n = tree.n
     order = _post_order(tree)
     options = _placement_options(tree)
     cards = [word.entry.cardinalities for word in tree.words]
+    preds = [word.entry.predicates for word in tree.words]
+    dtype_of = tree.dtype_of()
     self_slot = self_slots(tree)
     hosted: list[dict[int, list[int]]] = [{} for _ in range(n)]
     closed: list = [None] * n
@@ -329,13 +381,20 @@ def _iter_realizations(tree, budget, *, span_cuts=None):
         w = order[k]
         if w in hosts:
             closure = close_word(w, self_slot[w], hosted[w], closed)
-            if span_cuts is not None:
+            if closure_cuts is not None:
                 fault = _span_fault(closure)
                 if fault is not None:
-                    span_cuts[fault] += 1
+                    closure_cuts[fault] += 1
                     return None
             if not _within_bounds(closure, cards[w]):
                 return None
+            if closure_cuts is not None and preds[w]:
+                fault = _precedence_fault(
+                    closure, preds[w], self_slot[w], closed, dtype_of
+                )
+                if fault is not None:
+                    closure_cuts[fault] += 1
+                    return None
             closed[w] = closure
         return place(w)
 
@@ -453,7 +512,7 @@ def parse(
                 continue
             stats.bump("trees")
             for positional, slot_of, closed in _iter_realizations(
-                tree, budget, span_cuts=stats.cuts
+                tree, budget, closure_cuts=stats.cuts
             ):
                 ds = realize_structure(
                     tree, positional, slot_of, member_sets_of(closed)

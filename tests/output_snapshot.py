@@ -20,8 +20,8 @@ each part of its answer.
   the rendered report, or ``StructureError`` and its message; ``refused``
   counts the calls that raised.
 - ``random seed=N``: over the seeded random lexicon N of
-  ``random_lexicon``, N = 0..39, the parse structures and diagnostics of
-  every sentence of 1 to 3 tokens, the generate pairs and diagnostics of
+  ``random_lexicon``, N = 0..39, the parse structures and, apart, the
+  parse diagnostics of every sentence of 1 to 3 tokens, the generate pairs and diagnostics of
   every analysed tree, and the full ``validate_structure`` report on every
   placement of every analysed tree.  These lexica use every constraint
   kind, so this is the stream that shows whether the constraint checks
@@ -144,19 +144,21 @@ def check_line(ds, slots) -> str:
 def random_lexicon_lines(seed: int):
     """The parse, generate and validate digests over one random lexicon."""
     lex = load_lexicon(random_lexicon_text(seed))
-    parses, trees = [], {}
+    structures, diagnostics, trees = [], [], {}
     for tokens in sentences(FORMS, range(1, MAX_TOKENS + 1)):
         result = parse(tokens, lex)
-        parses.append(
-            ([structure_obj(ds, lex) for ds in result.structures], result.diagnostics)
-        )
+        structures.append([structure_obj(ds, lex) for ds in result.structures])
+        diagnostics.append(result.diagnostics)
         for ds in result.structures:
             trees.setdefault(render_tree_text(ds.tree, lex), ds.tree)
     generates, reports = [], []
     for tree in trees.values():
         generates.append(generate_line(tree, lex))
         reports.extend(report_obj(ds, lex) for ds in placements(tree))
-    yield f"random seed={seed} parse\tanswers={sha(parses)}"
+    yield (
+        f"random seed={seed} parse\tstructures={sha(structures)}"
+        f"\tdiagnostics={sha(diagnostics)}"
+    )
     yield f"random seed={seed} generate\ttrees={len(trees)}\tanswers={sha(generates)}"
     yield f"random seed={seed} validate\treports={len(reports)}\tdigest={sha(reports)}"
 

@@ -321,6 +321,23 @@ class TestStructureIndex:
         assert idx.ancestors(0) == (1, 5, 2)
         assert idx.ancestors(2) == ()
 
+    def test_cyclic_tree_ends_every_walk(self, ds):
+        # the index is only defined on a tree without cycles, but one built
+        # on a cycle anyway ends its walks: 1 and 5 now head each other, so
+        # the root, positional head of both, lies above neither
+        edges = tuple(
+            DependencyEdge(1, 5, "vpart") if e.dependent == 5 else e
+            for e in ds.tree.edges
+        )
+        bad = dataclasses.replace(ds, tree=dataclasses.replace(ds.tree, edges=edges))
+        idx = StructureIndex(bad)
+        assert [(v.condition, v.subjects) for v in idx.problems] == [
+            ("ds.positional-head", (1, 2)),
+            ("ds.positional-head", (5, 2)),
+        ]
+        assert idx.ancestors(0) == (1, 5)
+        assert idx.ancestors(5) == (1,)
+
     def test_double_owner_is_reported(self, ds):
         assoc = dict(ds.domains.assoc)
         assoc[3] = ("d0.0",)

@@ -28,6 +28,7 @@ from odgrammar import (
     parse,
     parse_tree_text,
 )
+from odgrammar.constraints import PRECEDES, SELF_VS_ALL
 from odgrammar.core import (
     _close_all,
     derived_member_sets,
@@ -348,8 +349,8 @@ class TestBudgetThresholds:
         "sentence, genitive, needed",
         [
             ("den Mann hat der Junge gesehen", False, 37),
-            ("den Mann hat gesehen der Junge", False, 40),
-            ("der Junge hat den Mann des Mannes gesehen", True, 78),
+            ("den Mann hat gesehen der Junge", False, 39),
+            ("der Junge hat den Mann des Mannes gesehen", True, 58),
             ("den Mann hat den Junge gesehen", False, 16),
             ("Mann gesehen gesehen gesehen hat hat", False, 110),
         ],
@@ -389,36 +390,32 @@ class TestDiagnostics:
         return load_lexicon(GENITIVE_LEXICON.read_text())
 
     @pytest.mark.parametrize(
-        "sentence, structures, closure, rejections, realized",
+        "sentence, structures, closure",
         [
             (
                 "den Mann des Mannes hat der Junge gesehen",
                 0,
-                "ods.contiguity (14), ds.cond4 (7)",
-                "prec.self (1)",
-                1,
+                "ods.contiguity (8), ds.cond4 (5), prec.self (2)",
             ),
             (
                 "der Junge hat den Mann des Mannes gesehen",
                 2,
-                "ods.contiguity (12), ds.cond4 (9)",
-                "prec.self (2)",
-                4,
+                "ods.contiguity (7), ds.cond4 (6), prec.self (2)",
             ),
         ],
     )
-    def test_parse_counts(self, glex, sentence, structures, closure, rejections, realized):
-        # parse's span checks cut a closure that is no span or out of
-        # sequence before any candidate through it is realized
+    def test_parse_counts(self, glex, sentence, structures, closure):
+        # parse's checks at closure cut a closure that is no span, out of
+        # sequence or misordered before any candidate through it is
+        # realized, so only the answers are realized
         result = parse(sentence.split(), glex)
         assert len(result.structures) == structures
         assert result.diagnostics == (
             "entry assignments tried: 4",
             "labeled head maps enumerated: 2",
             "head maps forming valency-checked trees: 2",
-            f"realized structures validated: {realized}",
+            f"realized structures validated: {structures}",
             f"rejections at closure: {closure}",
-            f"rejections by first failing check: {rejections}",
         )
 
     def test_generate_counts(self, glex):
@@ -465,7 +462,8 @@ class TestScaling:
     """A 14-token parse: der Junge hat den Mann (des Mannes)^4 gesehen.
 
     Without the span checks at closure this parse realizes 1,253,376
-    candidates and takes minutes.  ``DIGEST`` is the SHA-256 of the sorted
+    candidates and takes minutes; with the precedence cut too, it realizes
+    only its 66 answers.  ``DIGEST`` is the SHA-256 of the sorted
     canonical strings, newline-joined, as the engine gave them before the
     span checks existed (commit 5160ab8).
     """
@@ -478,9 +476,19 @@ class TestScaling:
         keys = sorted(canon(result, glex))
         assert len(keys) == 66
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_only_the_answers_are_realized(self, k):
+        # the checks at closure cut every candidate the validator would
+        # reject; the twin, with the participle before the object, has none
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        tokens = list(genitive_tokens(k))
+        twin = tokens[:3] + tokens[-1:] + tokens[3:-1]
         prefix = "realized structures validated: "
-        (line,) = [d for d in result.diagnostics if d.startswith(prefix)]
-        assert int(line[len(prefix):]) <= 15 * len(keys)
+        for words, answers in ((tokens, (6, 20, 66)[k - 2]), (twin, 0)):
+            result = parse(words, glex)
+            assert len(result.structures) == answers
+            assert f"{prefix}{answers}" in result.diagnostics
 
 
 class TestRealizationFromLayout:
@@ -510,7 +518,50 @@ class TestRealizationFromLayout:
             for line in parse(tokens, lexicon).diagnostics:
                 if line.startswith("realized structures validated: "):
                     realized += int(line.rsplit(" ", 1)[1])
-        assert compared == realized == 29
+        assert compared == realized == 13
+
+
+def misordered_somewhere(tree, layout, member_sets):
+    """Does a precedence predicate find a misordered pair in a realized
+    domain, with indices read as surface positions?
+
+    Each immediate member spans its first to its last word: (w, None) just
+    w, (u, s) the member set of u's slot s.  Self-vs-all reads the self
+    domain and pairs the introducer with every other member; a pair
+    predicate reads every domain and pairs left- with right-labelled
+    members of different head words, a member labelled with its head
+    word's dtype.
+    """
+    dtype_of = tree.dtype_of()
+    for (w, s), items in layout.items():
+        entry = tree.words[w].entry
+        members = [
+            (u, None, u, u)
+            if t is None
+            else (u, dtype_of[u], min(member_sets[u, t]), max(member_sets[u, t]))
+            for u, t in items
+        ]
+        for pred in entry.predicates:
+            if pred.kind == SELF_VS_ALL:
+                if s != entry.template.self_slot:
+                    continue
+                pairs = [(x, y) for x in members if x[1] is None for y in members]
+            else:
+                pairs = [
+                    (x, y)
+                    for x in members
+                    if x[1] in pred.left
+                    for y in members
+                    if y[1] in pred.right
+                ]
+            for (hx, _, x_first, x_last), (hy, _, y_first, y_last) in pairs:
+                if hx == hy:
+                    continue
+                if pred.direction == PRECEDES and not x_last < y_first:
+                    return True
+                if pred.direction != PRECEDES and not x_first > y_last:
+                    return True
+    return False
 
 
 def reference_placements(tree, spans):
@@ -521,8 +572,9 @@ def reference_placements(tree, spans):
     domain-feature demands its features all meet.  A placement is kept when
     every cardinality bound holds on the layout `close_word` derives, and,
     with ``spans`` (a parse tree, whose indices are surface positions), when
-    every member set is a span and each word's realized domains follow one
-    another in slot order.
+    every member set is a span, each word's realized domains follow one
+    another in slot order, and no precedence predicate finds a misordered
+    pair (`misordered_somewhere`).
     """
     head_of, dtype_of = tree.head_of(), tree.dtype_of()
     non_root = [w for w in range(tree.n) if w != tree.root]
@@ -567,6 +619,8 @@ def reference_placements(tree, spans):
             ):
                 continue
         layout = layout_of(closed)
+        if spans and misordered_somewhere(tree, layout, member_sets_of(closed)):
+            continue
         if all(
             card.min
             <= len(layout.get((w, card.slot), ()))
@@ -611,9 +665,9 @@ class TestPlacementSearch:
         placements = 0
         for tree, spans in trees:
             found = set()
-            span_cuts = {"span_cuts": Counter()} if spans else {}
+            cuts = {"closure_cuts": Counter()} if spans else {}
             budget = engine_module._Budget(10**7)
-            for positional, slot_of, closed in search(tree, budget, **span_cuts):
+            for positional, slot_of, closed in search(tree, budget, **cuts):
                 key = (tuple(sorted(positional.items())), tuple(sorted(slot_of.items())))
                 assert key not in found
                 found.add(key)
@@ -628,7 +682,7 @@ class TestPlacementSearch:
             placements += len(found)
         # parse trees are span-checked, generate trees never
         parse_trees = sum(spans for _, spans in trees)
-        assert (len(trees), parse_trees, placements) == (77, 66, 578)
+        assert (len(trees), parse_trees, placements) == (77, 66, 512)
 
 
 
@@ -684,4 +738,4 @@ class TestClosureMembers:
         for k in range(3):
             parse(list(genitive_tokens(k)), glex)
         generate(key_structure.tree, lex)
-        assert domains == 451
+        assert domains == 215
