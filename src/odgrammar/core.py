@@ -38,7 +38,7 @@ two sequences, so those two domains are distinct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -132,18 +132,13 @@ class DependencyTree:
     Words are kept sorted by index and edges by dependent, so that two
     trees with the same content compare equal regardless of construction
     order.  Projectivity is not required here; discontinuity is constrained
-    on the domain layer instead.  ``_tree_stage`` is the validator's memo of
-    its tree-stage findings (see `odgrammar.validate`); it takes no part in
-    construction, comparison or repr.
+    on the domain layer instead.
     """
 
     words: tuple[WordToken, ...]
     root: int
     edges: tuple[DependencyEdge, ...]
     classes: dict[int, str]
-    _tree_stage: tuple | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         object.__setattr__(

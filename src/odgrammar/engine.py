@@ -8,12 +8,13 @@ validator accepts the realized structure.
 
 The search skips candidates that some validator check is guaranteed to
 reject: unusable head slots, cyclic head maps, extraction paths outside a
-slot's set, hosts whose domain features the dependent cannot satisfy,
-cardinality-breaking slot choices, and arrangements that break sequence
-order or a precedence predicate.  Pruning must never change the result
-set; the tests check this against the brute-force enumeration in
-`odgrammar.oracle`.  No lexical prune states a test of its own: each calls
-the one in `odgrammar.constraints` that the validator reports from.
+slot's set, domain-feature demands a word cannot meet (its host slot's or
+its own self slot's), cardinality-breaking slot choices, and arrangements
+that break sequence order or a precedence predicate.  Pruning must never
+change the result set; the tests check this against the brute-force
+enumeration in `odgrammar.oracle`.  No lexical prune states a test of its
+own: each calls the one in `odgrammar.constraints` that the validator
+reports from.
 
 Parse alone runs three more checks on each word's closure: two span
 checks, the domain layer's contiguity (``ods.contiguity``) and linking
@@ -40,7 +41,7 @@ of its closures (passed to `realize_structure`, not derived again), and
 generation arranges their immediate members and realizes each order from
 the same sets, renamed to the order's indices.  The validator is asked for
 one finding per candidate, so a rejected candidate costs only the checks
-up to its first failing one, and it runs its tree stage once per tree.
+up to its first failing one, from the tree stage on.
 
 Head maps and placements are one kind of search: every word makes one
 choice (a labeled head, or a host and a slot) from a list of options built
@@ -265,7 +266,8 @@ def _within_bounds(closure, cards) -> bool:
     return True
 
 
-_CLOSURE_CHECKS = ("ods.contiguity", "ds.cond4", "prec.self", "prec.pair")
+_CLOSURE_CHECKS = ("ods.contiguity", "ds.cond4", "domfeat.value", "prec.self",
+                   "prec.pair")
 
 
 def _span_fault(closure) -> str | None:
@@ -345,12 +347,21 @@ def _iter_realizations(tree, budget, *, closure_cuts=None):
     the surface order, and passes nothing.
     """
     n = tree.n
+    self_slot = self_slots(tree)
+    # a word is an immediate member of its own self domain, so one that lacks
+    # a feature demanded there fails ``domfeat.value`` on every placement
+    for w, word in enumerate(tree.words):
+        feats, demands = word.entry.features, word.entry.domain_features
+        if any(r.slot == self_slot[w] and missing_features(r.required, feats)
+               for r in demands):
+            if closure_cuts is not None:
+                closure_cuts["domfeat.value"] += 1
+            return
     order = _post_order(tree)
     options = _placement_options(tree)
     cards = [word.entry.cardinalities for word in tree.words]
     preds = [word.entry.predicates for word in tree.words]
     dtype_of = tree.dtype_of()
-    self_slot = self_slots(tree)
     hosted: list[dict[int, list[int]]] = [{} for _ in range(n)]
     closed: list = [None] * n
     positional: dict[int, int] = {}
@@ -419,19 +430,17 @@ def _judge(ds, lex, stats) -> bool:
 def _iter_head_maps(words, lex, budget, stats):
     """Labeled trees over the words, as (root, parent, dtype_of) triples."""
     n = len(words)
-    frames = [[(s.dtype, w.entry.slot_for(s.dtype)) for s in w.entry.valency]
-              for w in words]
     # each word's (head, dtype) options: heads ascending, dtypes in valency
     # order, and only slots whose class and features the word meets
     options: list[list[tuple[int, str]]] = [[] for _ in words]
     for w, h in itertools.permutations(range(n), 2):
         entry = words[w].entry
-        for dt, slot in frames[h]:
+        for slot in words[h].entry.valency:
             if not admits_class(slot, entry.word_class):
                 continue
             if missing_features(slot.features, entry.features):
                 continue
-            options[w].append((h, dt))
+            options[w].append((h, slot.dtype))
     for root in range(n):
         if not admits_root(lex, words[root].entry.word_class):
             continue

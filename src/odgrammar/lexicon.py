@@ -104,6 +104,12 @@ class LexicalEntry:
         object.__setattr__(self, "cardinalities", tuple(self.cardinalities))
         object.__setattr__(self, "domain_features", tuple(self.domain_features))
         object.__setattr__(self, "predicates", tuple(self.predicates))
+        dtypes = [slot.dtype for slot in self.valency]
+        if len(set(dtypes)) != len(dtypes):
+            raise ValueError("valency slot dependency types must be distinct")
+        slots = range(len(self.template.slots))
+        if any(c.slot not in slots for c in self.cardinalities + self.domain_features):
+            raise ValueError("cardinality or domain-feature slot out of range")
 
     def slot_for(self, dtype: str) -> ValencySlot | None:
         for slot in self.valency:

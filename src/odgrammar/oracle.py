@@ -3,12 +3,14 @@
 The functions in this module answer the same questions as the engine
 (`odgrammar.engine`) but by brute force: every head assignment, every
 positional-head choice, every slot assignment, and (for ordering) every
-permutation of the input is generated and handed to the validator.  Nothing
-here knows about the engine's search order or its pruning; the only code
-shared with the engine is the validator and the data model in `core`
-(constructors, realization, and the tree helpers).  That makes the oracle
-slow but trustworthy, which is the point: it is the one reference the
-engine's pruned search is tested against, on a corpus of short inputs.
+permutation of the input is generated.  Each tree is checked once (tree
+stage and valency), and the validator judges each structure over it from
+its domain stage on.  Nothing here knows about the engine's search order
+or its pruning; the only code shared with the engine is the validator and
+the data model in `core` (constructors, realization, and the tree
+helpers).  That makes the oracle slow but trustworthy, which is the point:
+it is the one reference the engine's pruned search is tested against, on
+a corpus of short inputs.
 Through `realize_structure` it reads the same `core.close_word` as the
 engine's search: one derivation of the domain layer from insertion.
 
@@ -37,7 +39,7 @@ from .core import (
 )
 from .lexicon import Lexicon, entries_for
 from .serialize import canonical_structure
-from .validate import structure_is_valid
+from .validate import _iter_from_domain_stage
 
 
 @dataclass(frozen=True)
@@ -90,11 +92,7 @@ def _parent_maps(words, slot_names):
 
 
 def _valid_structures(tree: DependencyTree, lex: Lexicon):
-    """Yield every valid DependencyStructure over a fixed tree."""
-    if not validate_tree(tree, lex).ok:
-        return
-    if not check_valency(tree, lex).ok:
-        return
+    """Yield every valid DependencyStructure over a fixed, checked tree."""
     head_of = tree.head_of()
     non_root = [w for w in range(tree.n) if w != tree.root]
     pos_choices = [ancestor_chain(head_of, w) for w in non_root]
@@ -107,7 +105,7 @@ def _valid_structures(tree: DependencyTree, lex: Lexicon):
         for slot_combo in itertools.product(*slot_choices):
             slot_of = dict(zip(non_root, slot_combo))
             ds = realize_structure(tree, positional, slot_of)
-            if structure_is_valid(ds, lex):
+            if next(_iter_from_domain_stage(ds, lex), None) is None:
                 yield ds
 
 
@@ -143,6 +141,8 @@ def oracle_parse(
                 for w in sorted(parent)
             )
             tree = DependencyTree(words, root, edges, classes)
+            if not (validate_tree(tree, lex).ok and check_valency(tree, lex).ok):
+                continue
             for ds in _valid_structures(tree, lex):
                 found.setdefault(canonical_structure(ds, lex), ds)
     return tuple(found[key] for key in sorted(found))
@@ -163,11 +163,10 @@ def oracle_generate(
     """
     config = config or _DEFAULT_CONFIG
     _check_size(tree.n, config)
-    if not validate_tree(tree, lex).ok:
-        return ()
-    # valency does not depend on surface order, so one failed check here
-    # rules out every permutation
-    if not check_valency(tree, lex).ok:
+    # a permutation renames the words and keeps heads, dependency types,
+    # classes and entries, so it passes the tree stage and valency exactly
+    # when the tree does: one check covers every permutation
+    if not (validate_tree(tree, lex).ok and check_valency(tree, lex).ok):
         return ()
     found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
     for order in itertools.permutations(range(tree.n)):

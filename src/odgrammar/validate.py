@@ -16,8 +16,8 @@ each as soon as its check has found it.  A caller that takes only the first
 finding, as the search and `structure_is_valid` do, pays for the checks up
 to that finding: a candidate with a gapped domain costs the tree stage and
 the domain checks up to the first gap, not every domain and the nesting
-check.  The tree stage's findings are kept on the tree, so the many
-candidates of one tree, in the search and in the oracle, run it once.
+check.  Nothing is kept between calls.  The oracle checks each tree once
+itself and asks only from the domain stage on (`_iter_from_domain_stage`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .constraints import (
 )
 from .core import (
     DependencyStructure,
-    DependencyTree,
     StructureIndex,
     ValidationReport,
     Violation,
@@ -110,28 +109,25 @@ def _iter_constraint_violations(
             yield from check_precedence(pred, w, ds, idx).violations
 
 
-def _tree_findings(tree: DependencyTree, lex: Lexicon) -> tuple[Violation, ...]:
-    """The tree stage's findings, run once per tree object and inventory.
-
-    The findings are kept on the tree with the lexicon's inventories and a
-    snapshot of the class map, the one mutable field the stage reads; the
-    stage runs again when any of them changed.
-    """
-    key = (lex.dtypes, lex.classes, tuple(tree.classes.items()))
-    memo = tree._tree_stage
-    if memo is None or memo[0] != key:
-        memo = (key, tuple(iter_tree_violations(tree, lex)))
-        object.__setattr__(tree, "_tree_stage", memo)
-    return memo[1]
-
-
 def iter_structure_violations(
     ds: DependencyStructure, lex: Lexicon
 ) -> Iterator[Violation]:
     found = False
-    for violation in _tree_findings(ds.tree, lex):
+    for violation in iter_tree_violations(ds.tree, lex):
         found = True
         yield violation
+    if found:
+        yield from iter_ods_violations(ds.domains, ds.tree.n)
+        return
+    yield from _iter_from_domain_stage(ds, lex)
+
+
+def _iter_from_domain_stage(
+    ds: DependencyStructure, lex: Lexicon
+) -> Iterator[Violation]:
+    """Findings of a structure whose tree passes the tree stage, in report
+    order; the oracle asks here for each structure over a tree it checked."""
+    found = False
     for violation in iter_ods_violations(ds.domains, ds.tree.n):
         found = True
         yield violation

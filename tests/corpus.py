@@ -183,3 +183,49 @@ entry "n" class=N {
   domains [d] self=d;
 }
 """
+
+# "v" orders its x dependent before its y dependent.  Its self field holds
+# nothing but "v" itself, so both dependents share the field before it, and
+# only there can the pair predicate fail.
+PAIR_IN_FIELD_LEXICON = """
+dtypes: x y
+classes: V X Y
+root: V
+
+entry "v" class=V {
+  slot x: class=X optional extract {};
+  slot y: class=Y optional extract {};
+  domains [f s] self=s;
+  card s <= 1;
+  order <x> before <y>;
+}
+
+entry "a" class=X {
+  domains [d] self=d;
+}
+
+entry "b" class=Y {
+  domains [d] self=d;
+}
+"""
+
+# "v" demands f=a of every member of its own field, itself included, and
+# carries f=b, so no structure with "v" in it is valid.
+SELF_DEMAND_LEXICON = """
+dtypes: o
+classes: V N
+attr f: a b
+root: V
+
+entry "v" class=V {
+  feat f=b;
+  slot o: class=N optional extract {};
+  domains [x] self=x;
+  feat x f=a;
+}
+
+entry "n" class=N {
+  feat f=a;
+  domains [d] self=d;
+}
+"""

@@ -45,6 +45,8 @@ from corpus import (
     KEY_TREE_PAIRS,
     LEAF_BOUNDS_LEXICON,
     NOUN_ROOT_LEXICON,
+    PAIR_IN_FIELD_LEXICON,
+    SELF_DEMAND_LEXICON,
     SENTENCES,
     TWO_DEMANDS_LEXICON,
 )
@@ -425,6 +427,57 @@ class TestDiagnostics:
             "positional and slot assignments tried: 18",
             "domain arrangements laid out: 42",
             "realized structures validated: 42",
+        )
+
+    @pytest.mark.parametrize(
+        "sentence, structures, closure",
+        [
+            ("b a v", 0, "ods.contiguity (1), prec.pair (1)"),
+            ("a b v", 1, "ods.contiguity (1)"),
+        ],
+    )
+    def test_pair_misordered_outside_the_self_field_is_cut(
+        self, sentence, structures, closure
+    ):
+        # both dependents of "v" must share its field f, which is not its
+        # self field; "b a v" misorders them there
+        plex = load_lexicon(PAIR_IN_FIELD_LEXICON)
+        tokens = sentence.split()
+        result = parse(tokens, plex)
+        assert canon(result, plex) == [
+            canonical_structure(ds, plex) for ds in oracle_parse(tokens, plex)
+        ]
+        assert len(result.structures) == structures
+        assert result.diagnostics == (
+            "entry assignments tried: 1",
+            "labeled head maps enumerated: 1",
+            "head maps forming valency-checked trees: 1",
+            f"realized structures validated: {structures}",
+            f"rejections at closure: {closure}",
+        )
+
+    def test_a_word_lacking_its_own_field_demand_realizes_nothing(self):
+        # "v" is a member of its own field x, which demands f=a, and has f=b
+        slex = load_lexicon(SELF_DEMAND_LEXICON)
+        for sentence in ("v", "v n", "n v"):
+            result = parse(sentence.split(), slex)
+            assert result.structures == oracle_parse(sentence.split(), slex) == ()
+            assert result.diagnostics == (
+                "entry assignments tried: 1",
+                "labeled head maps enumerated: 1",
+                "head maps forming valency-checked trees: 1",
+                "realized structures validated: 0",
+                "rejections at closure: domfeat.value (1)",
+            )
+        tree = parse_tree_text(
+            "token 0 v 0 V\ntoken 1 n 0 N\nroot 0\nedge 0 o 1\n", slex
+        )
+        generated = generate(tree, slex)
+        assert generated.pairs == oracle_generate(tree, slex) == ()
+        assert generated.diagnostics == (
+            "positional and slot assignments tried: 0",
+            "domain arrangements laid out: 0",
+            "realized structures validated: 0",
         )
 
     def test_every_domain_feature_demand_of_a_slot_prunes(self):

@@ -3,7 +3,12 @@
 import pytest
 
 from odgrammar import (
+    CardinalityConstraint,
+    DomainFeatureRequirement,
+    DomainTemplate,
+    LexicalEntry,
     LexiconError,
+    ValencySlot,
     entries_for,
     load_lexicon,
     reference_lexicon,
@@ -282,6 +287,28 @@ entry "Haus" class=N {
         )
         card = entries_for("Haus", load_lexicon(at_least))[0].cardinalities[0]
         assert (card.min, card.max) == (1, None)
+
+
+class TestEntryModel:
+    """Entries built in code keep the rules the reader enforces."""
+
+    def test_two_slots_of_one_dependency_type_are_refused(self):
+        # the head-map search would read the first slot, valency the last
+        slots = (ValencySlot("obj", dep_class="X"), ValencySlot("obj", dep_class="N"))
+        with pytest.raises(ValueError, match="must be distinct"):
+            LexicalEntry("a", "V", valency=slots)
+
+    @pytest.mark.parametrize(
+        "field, constraint",
+        [
+            ("cardinalities", CardinalityConstraint(3, 0, 1)),
+            ("domain_features", DomainFeatureRequirement(1, {"case": "nom"})),
+        ],
+    )
+    def test_constraint_slots_lie_in_the_template(self, field, constraint):
+        template = DomainTemplate(("d",), 0)
+        with pytest.raises(ValueError, match="slot out of range"):
+            LexicalEntry("a", "V", template=template, **{field: (constraint,)})
 
 
 class TestLookup:
