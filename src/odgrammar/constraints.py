@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .core import (
     DependencyStructure,
     DependencyTree,
-    Member,
+    SpannedMember,
     StructureError,
     StructureIndex,
     ValidationReport,
@@ -86,7 +86,7 @@ class PrecedencePredicate:
         return self.kind == LABELED_PAIR or slot == self_slot
 
     def misordered(
-        self, members: Sequence[tuple[Member, int, int]], dtype_of: Mapping[int, str]
+        self, members: Sequence[SpannedMember], dtype_of: Mapping[int, str]
     ) -> list:
         """The (x, y) pairs it puts in the wrong order, in member order.
 
@@ -173,11 +173,6 @@ def admits_class(slot: "ValencySlot", word_class: str) -> bool:
 def admits_root(lex: "Lexicon", word_class: str) -> bool:
     """May a word of ``word_class`` head a sentence (no root classes: any)?"""
     return not lex.root_classes or word_class in lex.root_classes
-
-
-# The extraction path set of a valency slot: dependency types an extracted
-# dependent may cross between its positional head and its direct head.
-ExtractionPathSet = frozenset
 
 
 def _linked_index(

@@ -39,6 +39,7 @@ two sequences, so those two domains are distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from sys import maxsize
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 if TYPE_CHECKING:
@@ -338,6 +339,8 @@ def iter_tree_violations(
                 (w.index, cls),
                 f"class {cls!r} is not declared",
             )
+    for w in sorted(w for w in tree.classes if not 0 <= w < n):
+        yield Violation("tree.class-extra", (w,), f"class given for unknown word {w}")
 
     incoming: dict[int, list[DependencyEdge]] = {w.index: [] for w in tree.words}
     structural = False
@@ -485,8 +488,10 @@ def validate_domain_structure(
 # is the introducing word w itself, and (u, s) the realized domain of slot s
 # of a word u inserted into the domain, under the key `layout_of` and
 # `member_sets_of` give that domain.  The search's closures and
-# `StructureIndex.immediate_members` both name members this way.
+# `StructureIndex.immediate_members` both record a member with its span, as
+# (member, first position, last position).
 Member = tuple[int, int | None]
+SpannedMember = tuple[Member, int, int]
 
 
 class StructureIndex:
@@ -629,11 +634,11 @@ class StructureIndex:
         """Transitive heads of word w, nearest first; stops short of a cycle."""
         return head_walk(self.head_of, w)[0][1:]
 
-    def immediate_members(self, did: str) -> tuple[tuple[Member, int, int], ...]:
+    def immediate_members(self, did: str) -> tuple[SpannedMember, ...]:
         """The domain's immediate members in surface order, each as (member,
         first position, last position): its introducer, when ``did`` is the
         introducer's self domain, and its maximal sub-domains."""
-        members: list[tuple[Member, int, int]] = []
+        members: list[SpannedMember] = []
         owner = self.owner.get(did)
         if owner is not None:
             w, slot = owner
@@ -694,8 +699,11 @@ def iter_condition_violations(
 
 
 # One word's realized domains, ascending by slot: (slot, immediate members,
-# member set) per realized slot.  See `close_word`.
-Closure = tuple[tuple[int, list[Member], frozenset[int]], ...]
+# member set, first word, last word) per realized slot, each immediate member
+# as (member, first word, last word).  See `close_word`.  Firsts and lasts
+# are word indices: surface positions in parse, the unpermuted tree's
+# indices, never read, in generation.
+Closure = tuple[tuple[int, list[SpannedMember], frozenset[int], int, int], ...]
 
 
 def close_word(
@@ -713,21 +721,26 @@ def close_word(
     a word.  Its immediate members (see `Member`) are (w, None) in the self
     slot, then (u, s) for every hosted word u (ascending) and each of u's
     realized slots s (ascending); its member set is w (in the self slot)
-    plus the member sets of those domains.
+    plus the member sets of those domains.  Each member spans its first to
+    its last word: (w, None) just w, (u, s) what u's closure records for
+    slot s; the slot spans the least first and the greatest last of its
+    members, so each span is computed once, as its slot closes.
     """
     out = []
     for s in sorted({own, *hosted}) if hosted else (own,):
         if s == own:
-            items: list[Member] = [(w, None)]
-            acc = {w}
+            items, acc, lo, hi = [((w, None), w, w)], {w}, w, w
         else:
-            items = []
-            acc = set()
+            items, acc, lo, hi = [], set(), maxsize, -1
         for u in sorted(hosted.get(s, ())):
-            for s2, _, members in closed[u]:
-                items.append((u, s2))
+            for s2, _, members, first, last in closed[u]:
+                items.append(((u, s2), first, last))
                 acc |= members
-        out.append((s, items, frozenset(acc)))
+                if first < lo:
+                    lo = first
+                if last > hi:
+                    hi = last
+        out.append((s, items, frozenset(acc), lo, hi))
     return tuple(out)
 
 
@@ -760,17 +773,15 @@ def _close_all(
     return closed
 
 
-def layout_of(closed: Sequence[Closure]) -> dict[tuple[int, int], list[Member]]:
-    """Each realized domain (owner, slot) mapped to its immediate members.
-
-    Keys come in ascending order.
-    """
-    return {(w, s): items for w, c in enumerate(closed) for s, items, _ in c}
+def layout_of(closed: Sequence[Closure]) -> dict[tuple[int, int], list[SpannedMember]]:
+    """Each realized domain (owner, slot) mapped to its immediate members,
+    each as (member, first word, last word), with keys in ascending order."""
+    return {(w, s): items for w, c in enumerate(closed) for s, items, _, _, _ in c}
 
 
 def member_sets_of(closed: Sequence[Closure]) -> dict[tuple[int, int], frozenset[int]]:
     """Each realized domain (owner, slot) mapped to the words it contains."""
-    return {(w, s): members for w, c in enumerate(closed) for s, _, members in c}
+    return {(w, s): members for w, c in enumerate(closed) for s, _, members, _, _ in c}
 
 
 def self_slots(tree: DependencyTree) -> list[int]:

@@ -12,9 +12,10 @@ slot's set, domain-feature demands a word cannot meet (its host slot's or
 its own self slot's), cardinality-breaking slot choices, and arrangements
 that break sequence order or a precedence predicate.  Pruning must never
 change the result set; the tests check this against the brute-force
-enumeration in `odgrammar.oracle`.  No lexical prune states a test of its
-own: each calls the one in `odgrammar.constraints` that the validator
-reports from.
+enumeration in `odgrammar.oracle`.  Every lexical prune but one calls the
+test in `odgrammar.constraints` that the validator reports from; the
+extraction prune in `_placement_options` states its own membership test,
+a crossed dtype in the slot's extraction set, as it climbs.
 
 Parse alone runs three more checks on each word's closure: two span
 checks, the domain layer's contiguity (``ods.contiguity``) and linking
@@ -257,7 +258,7 @@ def _within_bounds(closure, cards) -> bool:
     """Does a closed word meet its cardinality constraints ``cards``?"""
     for card in cards:
         count = 0
-        for s, items, _ in closure:
+        for s, items, _, _, _ in closure:
             if s == card.slot:
                 count = len(items)
                 break
@@ -273,53 +274,39 @@ _CLOSURE_CHECKS = ("ods.contiguity", "ds.cond4", "domfeat.value", "prec.self",
 def _span_fault(closure) -> str | None:
     """The first span check a closed word's domains fail, or None.
 
-    Read with indices as surface positions: every member set must be a span
-    (``ods.contiguity``), and each realized slot's set must lie wholly
-    before the next one's (``ds.cond4``, on consecutive slots of the word's
-    sequence).  The validator checks contiguity first.
+    Read with indices as surface positions, on the first and last word
+    `close_word` records for each realized slot: every member set must fill
+    its span (``ods.contiguity``), and each realized slot's set must lie
+    wholly before the next one's (``ds.cond4``, on consecutive slots of the
+    word's sequence).  The validator checks contiguity first.
     """
     fault = None
-    last = -1  # the end of the previous slot's set; indices start at 0
-    for _, _, members in closure:
-        lo, hi = min(members), max(members)
-        if hi - lo + 1 != len(members):
+    prev = -1  # the end of the previous slot's set; indices start at 0
+    for _, _, members, first, last in closure:
+        if last - first + 1 != len(members):
             return "ods.contiguity"
-        if lo <= last:
+        if first <= prev:
             fault = "ds.cond4"
-        last = hi
+        prev = last
     return fault
 
 
-def _precedence_fault(closure, preds, own, closed, dtype_of) -> str | None:
+def _precedence_fault(closure, preds, own, dtype_of) -> str | None:
     """The validator's id of the first of a closed word's precedence
     predicates that its domains fail, or None.
 
-    ``preds`` are the word's predicates, ``own`` its self slot, and
-    ``closed`` the closures of the words it hosts.  Read with indices as
-    surface positions, each immediate member of a realized slot spans its
-    first to its last word: (w, None) just w, and (u, s) the member set of
-    u's slot s.  Those spans and the members' head dtypes are final once
-    the word closes, so `PrecedencePredicate.misordered` answers here as
-    `check_precedence` does on every completion.
+    ``preds`` are the word's predicates and ``own`` its self slot.  Read
+    with indices as surface positions, each scoped slot's immediate members
+    are the (member, first, last) triples `close_word` records.  Those
+    spans and the members' head dtypes are final once the word closes, so
+    `PrecedencePredicate.misordered` answers here as `check_precedence`
+    does on every completion.
     """
-    spans: dict[int, list] = {}
     for pred in preds:
-        for s, items, _ in closure:
-            if not pred.scopes(s, own):
-                continue
-            if s not in spans:
-                # left unsorted: whether a predicate finds a misordered
-                # pair does not depend on the members' order
-                members = spans[s] = []
-                for u, s2 in items:
-                    if s2 is None:
-                        members.append(((u, None), u, u))
-                        continue
-                    for t, _, words in closed[u]:
-                        if t == s2:
-                            members.append(((u, s2), min(words), max(words)))
-                            break
-            if pred.misordered(spans[s], dtype_of):
+        for s, items, _, _, _ in closure:
+            # items are not in surface order, which cannot change whether
+            # a predicate finds a misordered pair
+            if pred.scopes(s, own) and pred.misordered(items, dtype_of):
                 return "prec.self" if pred.kind == SELF_VS_ALL else "prec.pair"
     return None
 
@@ -332,19 +319,22 @@ def _iter_realizations(tree, budget, *, closure_cuts=None):
     host, is placed, so its domains are closed then (`close_word`) and its
     cardinality bounds checked (immediate members of one slot's domain; an
     unrealized slot counts 0); every placement of the words after it shares
-    that closure.  ``closed[w]`` is word w's closure.  The three values are
-    the search's own state: read them before drawing the next placement.
+    that closure.  ``closed[w]`` is word w's closure, which records each
+    realized slot's members, member set and span, and each immediate
+    member's span (see `odgrammar.core.Closure`).  The three values are the
+    search's own state: read them before drawing the next placement.
 
     ``closure_cuts``, a Counter, says that word indices are surface
     positions, as in parse.  Then each closure is also span-checked
     (`_span_fault`) before its bounds, and after them the word's precedence
-    predicates are run on its domains (`_precedence_fault`): a closure's
-    member sets are the ones every completion realizes, so one that is not
-    a span, is out of sequence, or misorders a scoped domain fails
-    ``ods.contiguity``, ``ds.cond4``, ``prec.self`` or ``prec.pair`` on
-    every completion, and is cut and counted in ``closure_cuts`` under that
-    check.  Generation runs on the unpermuted tree, whose indices are not
-    the surface order, and passes nothing.
+    predicates are run on its domains (`_precedence_fault`), both on the
+    spans the closure records: a closure's member sets are the ones every
+    completion realizes, so one that is not a span, is out of sequence, or
+    misorders a scoped domain fails ``ods.contiguity``, ``ds.cond4``,
+    ``prec.self`` or ``prec.pair`` on every completion, and is cut and
+    counted in ``closure_cuts`` under that check.  Generation runs on the
+    unpermuted tree, whose indices are not the surface order, and passes
+    nothing; it reads only the members' names.
     """
     n = tree.n
     self_slot = self_slots(tree)
@@ -400,9 +390,7 @@ def _iter_realizations(tree, budget, *, closure_cuts=None):
             if not _within_bounds(closure, cards[w]):
                 return None
             if closure_cuts is not None and preds[w]:
-                fault = _precedence_fault(
-                    closure, preds[w], self_slot[w], closed, dtype_of
-                )
+                fault = _precedence_fault(closure, preds[w], self_slot[w], dtype_of)
                 if fault is not None:
                     closure_cuts[fault] += 1
                     return None
@@ -513,11 +501,12 @@ def parse(
                 DependencyEdge(parent[w], w, dtype_of[w]) for w in sorted(parent)
             )
             tree = DependencyTree(words, root, edges, classes)
-            tree_report = validate_tree(tree, lex)
-            valency_report = check_valency(tree, lex)
-            if not (tree_report.ok and valency_report.ok):
-                first = (tree_report.violations + valency_report.violations)[0]
-                stats.rejections[first.condition] += 1
+            # the search builds well-formed trees, and only a lexicon built
+            # in code can break their inventories: `_judge` runs the tree
+            # stage on each candidate
+            valency = check_valency(tree, lex)
+            if not valency.ok:
+                stats.rejections[valency.violations[0].condition] += 1
                 continue
             stats.bump("trees")
             for positional, slot_of, closed in _iter_realizations(
@@ -539,11 +528,12 @@ def parse(
 def _arrangements(items, slot, entry, dtype_of, budget):
     """Orderings of the immediate members of the owner's domain ``slot``.
 
-    ``items`` are the domain's (word, slot) members (see
-    `odgrammar.core.Member`).  Orderings that put a word's own domains out
-    of template-slot order are dropped, since they can never satisfy the
-    sequence-order condition, and so are those that one of the owner's
-    precedence predicates (from ``entry``) scoped to ``slot`` finds
+    ``items`` are the domain's (member, first, last) records from its
+    closure (see `odgrammar.core.Closure`); an ordering is of those records,
+    and only their member names are read.  Orderings that put a word's own
+    domains out of template-slot order are dropped, since they can never
+    satisfy the sequence-order condition, and so are those that one of the
+    owner's precedence predicates (from ``entry``) scoped to ``slot`` finds
     misordered, each member spanning its rank.  Every ordering drawn counts
     against the budget, so a large domain raises ResourceLimitError before
     its permutations pile up.
@@ -552,7 +542,7 @@ def _arrangements(items, slot, entry, dtype_of, budget):
     for perm in itertools.permutations(items):
         budget.tick()
         last: dict[int, int] = {}
-        for word, s in perm:
+        for (word, s), _, _ in perm:
             if s is None:
                 continue
             if last.get(word, -1) > s:
@@ -560,7 +550,7 @@ def _arrangements(items, slot, entry, dtype_of, budget):
             last[word] = s
         else:
             if preds:
-                members = [(item, rank, rank) for rank, item in enumerate(perm)]
+                members = [(m, rank, rank) for rank, (m, _, _) in enumerate(perm)]
                 if any(p.misordered(members, dtype_of) for p in preds):
                     continue
             yield perm
@@ -622,13 +612,13 @@ def generate(
             # the root's realized slots hold the whole sentence, in slot
             # order; each domain (word, slot) opens into its chosen order
             order: list[int] = []
-            stack = [(tree.root, s) for s, _, _ in reversed(closed[tree.root])]
+            stack = [(tree.root, s) for s, _, _, _, _ in reversed(closed[tree.root])]
             while stack:
                 w, s = stack.pop()
                 if s is None:
                     order.append(w)
                 else:
-                    stack.extend(reversed(chosen[w, s]))
+                    stack.extend(m for m, _, _ in reversed(chosen[w, s]))
             permuted, new_index = permute_tree(tree, order)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}

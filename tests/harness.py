@@ -51,6 +51,8 @@ def _tree_ok(tree, lex) -> bool:
     for w in tree.words:
         if tree.classes.get(w.index) not in known_classes:
             return False
+    if set(tree.classes) != set(range(n)):
+        return False
     known_dtypes = set(lex.dtypes)
     parent: dict[int, int] = {}
     for e in tree.edges:

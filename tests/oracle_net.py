@@ -5,6 +5,9 @@ against the harness, over every test lexicon.
 
 - ``load_lexicon(render_lexicon(lex))`` with ``lex``;
 - on each sentence, ``parse`` with ``oracle_parse`` as canonical strings;
+- on each ``parse`` and ``generate`` call, its ``realized structures
+  validated`` count with its result count: the search realizes only its
+  answers, and a weakened prune, which changes no result, shows here;
 - on each distinct tree among the oracle's analyses, `structure_is_valid`
   with ``harness.independent_verdict`` on every placement of the tree in
   its own word order; the valid ones must be the oracle's analyses with
@@ -33,6 +36,10 @@ A source is a lexicon with a Tier-1 slice and a full sweep of sentences:
   sentence of 1 to 3 tokens; seeds 0..11 in the slice, 0..199 in the
   sweep.
 - ``corpus``: the bundled lexicon on the 25 corpus sentences, in both.
+- ``verb-clusters``: ``verb_cluster.lex``, whose objects climb out of
+  nested infinitives (``extract {vinf}``) and scramble; no other test
+  lexicon extracts across more than one head.  The slice is every order of
+  ``verb_cluster_tokens(1)``; the sweep adds ``VERB_CLUSTERS`` of 6 tokens.
 
 Tier-1 runs the slices in ``test_oracle_net.py``, ``test_random_lexicon.py``
 and criterion 4 of ``test_acceptance.py``.  The sweep of the chosen sources
@@ -75,6 +82,7 @@ from random_lexicon import FORMS as RANDOM_FORMS
 from random_lexicon import MAX_TOKENS, random_lexicon_text
 
 GENITIVE_LEXICON = Path(__file__).resolve().parent.parent / "bench" / "genitive.lex"
+VERB_CLUSTER_LEXICON = Path(__file__).resolve().parent / "verb_cluster.lex"
 
 FORMS = ("der", "den", "des", "Junge", "Mann", "Mannes")
 SLICE_FORMS = ("der", "des", "Mann", "Mannes")
@@ -88,6 +96,15 @@ CLAUSES = (
     "des Mannes hat der Junge gesehen",
 )
 FULL_CLAUSES = CLAUSES + ("hat der Junge den Mann des Mannes",)
+
+# verb_cluster_tokens(2), its second infinitive extraposed, and two orders
+# that break ``card vf = 1``
+VERB_CLUSTERS = (
+    "Hans will Maria Peter lassen sehen",
+    "Hans will Maria sehen Peter lassen",
+    "Maria Hans will Peter lassen sehen",
+    "will Hans Maria Peter lassen sehen",
+)
 
 # the largest tree whose every word order is judged and generated: 4 words
 # give 24 orders, 6 words (a clause) 720, where ``oracle_generate`` takes
@@ -110,6 +127,13 @@ def noun_root_lexicon():
 def genitive_tokens(k: int) -> tuple[str, ...]:
     """``der Junge hat den Mann (des Mannes)^k gesehen``."""
     return ("der", "Junge", "hat", "den", "Mann", *("des", "Mannes") * k, "gesehen")
+
+
+def verb_cluster_tokens(k: int) -> tuple[str, ...]:
+    """``Hans will N1 ... Nk Vk ... V1``, for k up to 4."""
+    names = ("Maria", "Peter", "Anna", "Eva")
+    verbs = ("sehen", "lassen", "helfen", "lehren")
+    return ("Hans", "will", *names[:k], *reversed(verbs[:k]))
 
 
 def genitive_tree_text(k: int) -> str:
@@ -188,6 +212,13 @@ def _pairs(pairs, lex) -> list:
     return [(surface, canonical_structure(ds, lex)) for surface, ds in pairs]
 
 
+def _realized(result) -> int:
+    """The ``realized structures validated`` count of a search result."""
+    prefix = "realized structures validated: "
+    return next(int(line[len(prefix):]) for line in result.diagnostics
+                if line.startswith(prefix))
+
+
 def run_net(token_lists, lex) -> NetResult:
     """Make every comparison of the net on one lexicon."""
     result = NetResult()
@@ -197,10 +228,14 @@ def run_net(token_lists, lex) -> NetResult:
     analysed = {}
     for tokens in token_lists:
         result.sentences += 1
-        engine = [canonical_structure(ds, lex) for ds in parse(tokens, lex).structures]
+        parsed = parse(tokens, lex)
+        engine = [canonical_structure(ds, lex) for ds in parsed.structures]
         oracle = oracle_parse(tokens, lex)
         if engine != [canonical_structure(ds, lex) for ds in oracle]:
             result.disagreements.append(f"parse {' '.join(tokens)!r}")
+        if _realized(parsed) != len(engine):
+            result.disagreements.append(f"parse realized {_realized(parsed)} "
+                                        f"for {len(engine)} of {' '.join(tokens)!r}")
         result.with_analyses += bool(oracle)
         for ds in oracle:
             text = render_tree_text(ds.tree, lex)
@@ -211,8 +246,12 @@ def run_net(token_lists, lex) -> NetResult:
         orders = [tuple(range(tree.n))]
         if tree.n <= ALL_ORDERS_MAX_WORDS:
             oracle = _pairs(oracle_generate(tree, lex), lex)
-            if _pairs(generate(tree, lex).pairs, lex) != oracle:
+            generated = generate(tree, lex)
+            if _pairs(generated.pairs, lex) != oracle:
                 result.disagreements.append(f"generate\n{text}")
+            if _realized(generated) != len(generated.pairs):
+                result.disagreements.append(f"generate realized {_realized(generated)} "
+                                            f"for {len(generated.pairs)} of\n{text}")
             result.pairs += len(oracle)
             orders, expected = itertools.permutations(range(tree.n)), len(oracle)
         valid = 0
@@ -257,6 +296,14 @@ def corpus_nets():
     return [("", reference_lexicon(), [s.split() for s, _ in SENTENCES])]
 
 
+def verb_cluster_nets(full: bool = False):
+    tokens = verb_cluster_tokens(1)
+    token_lists = [list(order) for order in itertools.permutations(tokens)]
+    if full:
+        token_lists += [s.split() for s in VERB_CLUSTERS]
+    return [("", load_lexicon(VERB_CLUSTER_LEXICON.read_text()), token_lists)]
+
+
 def run_nets(nets) -> NetResult:
     """Run the net on each (label, lexicon, sentences) of a source; each
     disagreement starts with its label."""
@@ -270,7 +317,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Run the net's full sweep.")
     parser.add_argument(
         "sources", nargs="*", metavar="SOURCE",
-        help="noun-phrases, clauses, random or corpus (default: all four)",
+        help="noun-phrases, clauses, random, corpus or verb-clusters "
+             "(default: all five)",
     )
     parser.add_argument(
         "--seeds", nargs=2, type=int, default=(0, 200), metavar=("FIRST", "LAST"),
@@ -282,6 +330,7 @@ def main(argv: list[str]) -> int:
         "clauses": lambda: clause_nets(full=True),
         "random": lambda: random_nets(range(*args.seeds)),
         "corpus": corpus_nets,
+        "verb-clusters": lambda: verb_cluster_nets(full=True),
     }
     unknown = [name for name in args.sources if name not in sweeps]
     if unknown:

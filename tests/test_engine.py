@@ -50,7 +50,13 @@ from corpus import (
     SENTENCES,
     TWO_DEMANDS_LEXICON,
 )
-from oracle_net import GENITIVE_LEXICON, genitive_tokens, genitive_tree_text
+from oracle_net import (
+    GENITIVE_LEXICON,
+    VERB_CLUSTER_LEXICON,
+    genitive_tokens,
+    genitive_tree_text,
+    verb_cluster_tokens,
+)
 from test_core import key_tree
 
 
@@ -186,6 +192,14 @@ class TestGenerate:
         classes[0] = "N"
         with pytest.raises(StructureError):
             generate(dataclasses.replace(tree, classes=classes), lex)
+
+    def test_class_for_an_unknown_word_rejected(self, lex):
+        # the tree stage reports the stray key, so neither search permutes it
+        tree = key_tree(lex)
+        bad = dataclasses.replace(tree, classes={**tree.classes, 9: "N"})
+        with pytest.raises(StructureError, match="tree.class-extra"):
+            generate(bad, lex)
+        assert oracle_generate(bad, lex) == ()
 
     def test_malformed_tree_rejected(self, lex):
         tree = key_tree(lex)
@@ -420,6 +434,25 @@ class TestDiagnostics:
             f"rejections at closure: {closure}",
         )
 
+    def test_undeclared_class_is_rejected_by_the_tree_stage(self, lex):
+        # a lexicon built in code whose entries use a class it does not
+        # declare: parse searches its trees, and the tree stage rejects
+        # each realized candidate, as it rejects the oracle's
+        narrow = dataclasses.replace(
+            lex, classes=tuple(c for c in lex.classes if c != "Det")
+        )
+        tokens = "der Junge hat den Mann gesehen".split()
+        result = parse(tokens, narrow)
+        assert result.structures == oracle_parse(tokens, narrow) == ()
+        assert result.diagnostics == (
+            "entry assignments tried: 4",
+            "labeled head maps enumerated: 2",
+            "head maps forming valency-checked trees: 2",
+            "realized structures validated: 2",
+            "rejections at closure: ods.contiguity (6), ds.cond4 (3)",
+            "rejections by first failing check: tree.class-inventory (2)",
+        )
+
     def test_generate_counts(self, glex):
         result = generate(parse_tree_text(GENITIVE_TREE, glex), glex)
         assert len(result.pairs) == 42
@@ -518,10 +551,15 @@ class TestScaling:
     candidates and takes minutes; with the precedence cut too, it realizes
     only its 66 answers.  ``DIGEST`` is the SHA-256 of the sorted
     canonical strings, newline-joined, as the engine gave them before the
-    span checks existed (commit 5160ab8).
+    span checks existed (commit 5160ab8).  ``VERB_CLUSTER_DIGEST`` is the
+    same for the 8-token verb cluster, as the engine gave it at commit
+    aaaedc8; the oracle takes too long there.
     """
 
     DIGEST = "dc0556809b52b1d806456a29548f53861c07d55449508f4c411102b96590e6aa"
+    VERB_CLUSTER_DIGEST = (
+        "6d837abc544d6618623cb4fa3e0e8c988c03c4fd614e4459a45ab01c8d1aeb02"
+    )
 
     def test_genitive_k4(self):
         glex = load_lexicon(GENITIVE_LEXICON.read_text())
@@ -529,6 +567,16 @@ class TestScaling:
         keys = sorted(canon(result, glex))
         assert len(keys) == 66
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
+
+    def test_verb_cluster_k3(self):
+        # Hans will Maria Peter Anna helfen lassen sehen
+        vlex = load_lexicon(VERB_CLUSTER_LEXICON.read_text())
+        result = parse(list(verb_cluster_tokens(3)), vlex)
+        keys = sorted(canon(result, vlex))
+        assert len(keys) == 384
+        assert "realized structures validated: 384" in result.diagnostics
+        digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
+        assert digest == self.VERB_CLUSTER_DIGEST
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_only_the_answers_are_realized(self, k):
@@ -592,7 +640,7 @@ def misordered_somewhere(tree, layout, member_sets):
             (u, None, u, u)
             if t is None
             else (u, dtype_of[u], min(member_sets[u, t]), max(member_sets[u, t]))
-            for u, t in items
+            for (u, t), _, _ in items
         ]
         for pred in entry.predicates:
             if pred.kind == SELF_VS_ALL:
@@ -658,7 +706,7 @@ def reference_placements(tree, spans):
         slot_of = {w: s for w, (_, s) in zip(non_root, combo)}
         closed = _close_all(tree, positional, slot_of)
         if spans:
-            sets = [[members for _, _, members in c] for c in closed]
+            sets = [[members for _, _, members, _, _ in c] for c in closed]
             if not all(
                 members == set(range(min(members), max(members) + 1))
                 for word_sets in sets
@@ -744,8 +792,10 @@ class TestClosureMembers:
 
     def test_closure_items_are_the_index_members(self, lex, key_structure, monkeypatch):
         # each realized candidate is compared with the closures of the
-        # placement it came from; generation renames them by the order's
-        # indices, parse keeps them
+        # placement it came from.  In parse, whose indices are surface
+        # positions, the closures' (member, first, last) triples are the
+        # index's; generation renames the members by the order's indices
+        # and compares their names, as its recorded spans are not read
         state = {}
         search = engine_module._iter_realizations
         permute = engine_module.permute_tree
@@ -754,7 +804,7 @@ class TestClosureMembers:
         def searching(tree, budget, **keywords):
             for positional, slot_of, closed in search(tree, budget, **keywords):
                 state["layout"] = layout_of(closed)
-                state["rename"] = range(tree.n)
+                state["rename"] = None
                 yield positional, slot_of, closed
 
         def permuting(tree, order):
@@ -776,9 +826,13 @@ class TestClosureMembers:
                 return w if s is None else min(by_id[domain_id(w, s)].members)
 
             for (w, s), items in state["layout"].items():
-                named = sorted(((new[u], t) for u, t in items), key=first)
-                got = [m for m, _, _ in idx.immediate_members(domain_id(new[w], s))]
-                assert got == named
+                if new is None:
+                    got = list(idx.immediate_members(domain_id(w, s)))
+                    assert got == sorted(items, key=lambda m: m[1])
+                else:
+                    named = sorted(((new[u], t) for (u, t), _, _ in items), key=first)
+                    got = [m for m, _, _ in idx.immediate_members(domain_id(new[w], s))]
+                    assert got == named
                 domains += 1
             return ds
 

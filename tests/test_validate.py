@@ -349,6 +349,15 @@ class TestTreeStage:
         ds.tree.classes[0] = "Det"
         assert validate_structure(ds, lex).ok
 
+    def test_class_for_an_unknown_word_is_reported(self, ds, lex):
+        bad = dataclasses.replace(
+            ds, tree=dataclasses.replace(ds.tree, classes={**ds.tree.classes, 9: "N"})
+        )
+        assert triples(validate_structure(bad, lex)) == [
+            ("tree.class-extra", (9,), "class given for unknown word 9"),
+        ]
+        assert not independent_verdict(bad, lex)
+
     def test_another_inventory_runs_the_stage_again(self, ds, lex):
         assert validate_structure(ds, lex).ok
         narrow = dataclasses.replace(
