@@ -165,10 +165,13 @@ class DependencyTree:
         return {e.dependent: e.dtype for e in self.edges}
 
 
-def is_tree(parent: dict[int, int], root: int, n: int) -> bool:
-    """Does every word of ``range(n)`` reach ``root`` without a cycle?
+def dependency_cycle(parent: dict[int, int], root: int, n: int) -> tuple[int, ...]:
+    """The cycle that keeps a word of ``range(n)`` from reaching ``root``.
 
-    ``parent`` must map every word but the root to a word in range.
+    ``()`` when every word reaches the root.  Otherwise the first word, in
+    index order, whose head chain misses the root, then its transitive
+    heads, nearest first, up to the last before one repeats.  ``parent``
+    must map every word but the root to a word in range.
     """
     state = [0] * n  # 0 unseen, 1 on current path, 2 reaches the root
     state[root] = 2
@@ -182,10 +185,11 @@ def is_tree(parent: dict[int, int], root: int, n: int) -> bool:
             path.append(w)
             w = parent[w]
         if state[w] == 1:
-            return False
+            # every earlier start reached the root, so this one is the first
+            return tuple(path)
         for p in path:
             state[p] = 2
-    return True
+    return ()
 
 
 def ancestor_chain(head_of: dict[int, int], w: int) -> tuple[int, ...]:
@@ -195,23 +199,6 @@ def ancestor_chain(head_of: dict[int, int], w: int) -> tuple[int, ...]:
         w = head_of[w]
         chain.append(w)
     return tuple(chain)
-
-
-def head_walk(head_of: dict[int, int], w: int) -> tuple[tuple[int, ...], bool]:
-    """``w`` and its transitive heads, nearest first, on any head map.
-
-    The walk stops at a word without a head, or before the first word it
-    would visit twice; the flag says whether it ran into such a cycle.
-    """
-    path = [w]
-    seen = {w}
-    while w in head_of:
-        w = head_of[w]
-        if w in seen:
-            return tuple(path), True
-        seen.add(w)
-        path.append(w)
-    return tuple(path), False
 
 
 def permute_tree(
@@ -392,16 +379,11 @@ def iter_tree_violations(
 
     if structural:
         return
-    head_of = tree.head_of()
-    if is_tree(head_of, tree.root, n):
-        return
-    for w in tree.words:
-        path, cyclic = head_walk(head_of, w.index)
-        if cyclic:
-            yield Violation(
-                "tree.cycle", tuple(sorted(path)), "dependency cycle detected"
-            )
-            return
+    cycle = dependency_cycle(tree.head_of(), tree.root, n)
+    if cycle:
+        yield Violation(
+            "tree.cycle", tuple(sorted(cycle)), "dependency cycle detected"
+        )
 
 
 def validate_tree(tree: DependencyTree, lex: "Lexicon | None" = None) -> ValidationReport:
@@ -632,7 +614,12 @@ class StructureIndex:
 
     def ancestors(self, w: int) -> tuple[int, ...]:
         """Transitive heads of word w, nearest first; stops short of a cycle."""
-        return head_walk(self.head_of, w)[0][1:]
+        chain, seen = [], {w}
+        while w in self.head_of and self.head_of[w] not in seen:
+            w = self.head_of[w]
+            seen.add(w)
+            chain.append(w)
+        return tuple(chain)
 
     def immediate_members(self, did: str) -> tuple[SpannedMember, ...]:
         """The domain's immediate members in surface order, each as (member,

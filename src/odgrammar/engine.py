@@ -49,11 +49,11 @@ choice (a labeled head, or a host and a slot) from a list of options built
 before the search starts, and `_depth_first` runs both on one explicit
 stack.  No walk recurses, the flattening of a generated order included, so
 an input as deep as it is long meets the budget, never the recursion
-limit.  Every candidate counts against ``max_candidates``: `_depth_first`
-charges each choice taken and each complete assignment, the head-map
-search also each head candidate it rejects (a used slot, or a head below
-the word), and generation each permutation drawn for a domain and each
-combined order.
+limit.  Every candidate counts against ``max_candidates``: parse charges
+each entry assignment, `_depth_first` each choice taken and each complete
+assignment, the head-map search also each head candidate it rejects (a
+used slot, or a head below the word), and generation each permutation
+drawn for a domain and each combined order.
 Exceeding the budget raises ResourceLimitError rather than returning a
 truncated answer.
 """
@@ -490,6 +490,7 @@ def parse(
         entry_options.append(opts)
     found: dict[str, DependencyStructure] = {}
     for entry_combo in itertools.product(*entry_options) if tokens else ():
+        budget.tick()
         stats.bump("entries")
         words = tuple(
             WordToken(i, tok, entry)

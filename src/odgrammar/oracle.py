@@ -32,7 +32,7 @@ from .core import (
     UnknownTokenError,
     WordToken,
     ancestor_chain,
-    is_tree,
+    dependency_cycle,
     permute_tree,
     realize_structure,
     validate_tree,
@@ -85,7 +85,7 @@ def _parent_maps(words, slot_names):
             continue
         for combo in itertools.product(*choices):
             parent = {w: hd for w, (hd, _) in zip(rest, combo)}
-            if not is_tree(parent, root, n):
+            if dependency_cycle(parent, root, n):
                 continue
             dtype_of = {w: dt for w, (_, dt) in zip(rest, combo)}
             yield root, parent, dtype_of

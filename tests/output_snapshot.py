@@ -19,6 +19,13 @@ each part of its answer.
   ``check_*`` call `check_calls` lists, with the key tree's valency slots:
   the rendered report, or ``StructureError`` and its message; ``refused``
   counts the calls that raised.
+- ``tree``: the ``validate_tree`` report (condition, subjects, message of
+  every violation) on each of a seeded stream of random head maps of 1 to
+  9 words over the bundled lexicon.  Every non-root word takes a head
+  other than itself, or, now and then, none, so cycles, reached directly
+  or through a tail, are common.
+- ``ancestors``: ``StructureIndex.ancestors`` of every word of the key
+  structure with some of its words re-headed at random, cycles included.
 - ``random seed=N``: over the seeded random lexicon N of
   ``random_lexicon``, N = 0..39, the parse structures and, apart, the
   parse diagnostics of every sentence of 1 to 3 tokens, the generate pairs and diagnostics of
@@ -40,16 +47,22 @@ It takes under a minute.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from odgrammar import (  # noqa: E402
+    DependencyEdge,
+    DependencyTree,
     ResourceLimitError,
     StructureError,
+    StructureIndex,
+    WordToken,
     check_cardinality,
     check_domain_features,
     check_extraction,
@@ -57,14 +70,16 @@ from odgrammar import (  # noqa: E402
     generate,
     load_lexicon,
     parse,
+    parse_structure_text,
     parse_tree_text,
     reference_lexicon,
     render_tree_text,
     validate_structure,
+    validate_tree,
 )
 from odgrammar.serialize import canonical_structure, structure_obj  # noqa: E402
 
-from cli_snapshot import KEY_TREE  # noqa: E402
+from cli_snapshot import KEY_STRUCTURE, KEY_TREE  # noqa: E402
 from corpus import SENTENCES  # noqa: E402
 from harness import StructureSampler, grammatical_bases  # noqa: E402
 from oracle_net import (  # noqa: E402
@@ -80,6 +95,9 @@ PARSE_BUDGETS = (1, 5, 19, 50, 200, 1000)
 GENERATE_BUDGETS = (97, 98)
 VALIDATE_SEED = 20261018
 VALIDATE_COUNT = 3000
+TREE_SEED = 20261019
+TREE_COUNT = 2000
+ANCESTORS_COUNT = 500
 RANDOM_SEEDS = range(40)
 
 
@@ -141,6 +159,57 @@ def check_line(ds, slots) -> str:
     return f"calls={len(outcomes)}\trefused={refused}\tdigest={sha(outcomes)}"
 
 
+def random_head_map(rng, lex, all_entries) -> DependencyTree:
+    """1 to 9 words, each non-root word headed by another word or, one
+    time in ten, by none."""
+    n = rng.randint(1, 9)
+    picks = [rng.choice(all_entries) for _ in range(n)]
+    words = tuple(WordToken(i, form, entry) for i, (form, entry) in enumerate(picks))
+    root = rng.randrange(n)
+    edges = tuple(
+        DependencyEdge(other_word(rng, n, w), w, rng.choice(lex.dtypes))
+        for w in range(n)
+        if w != root and rng.random() >= 0.1
+    )
+    classes = {w.index: w.entry.word_class for w in words}
+    return DependencyTree(words, root, edges, classes)
+
+
+def other_word(rng, n: int, w: int) -> int:
+    return rng.choice([h for h in range(n) if h != w])
+
+
+def reheaded(ds, rng):
+    """``ds`` with each non-root word, one time in two, given a new head."""
+    edges = tuple(
+        DependencyEdge(other_word(rng, ds.tree.n, e.dependent), e.dependent, e.dtype)
+        if rng.random() < 0.5
+        else e
+        for e in ds.tree.edges
+    )
+    return dataclasses.replace(ds, tree=dataclasses.replace(ds.tree, edges=edges))
+
+
+def tree_lines(lex):
+    """The ``tree`` lines, then the ``ancestors`` lines, from one seeded stream."""
+    rng = random.Random(TREE_SEED)
+    all_entries = [(form, e) for form, es in sorted(lex.entries.items()) for e in es]
+    for i in range(TREE_COUNT):
+        tree = random_head_map(rng, lex, all_entries)
+        report = [
+            (v.condition, v.subjects, v.message)
+            for v in validate_tree(tree, lex).violations
+        ]
+        yield f"tree #{i}\tn={tree.n}\treport={report}"
+    key = parse_structure_text(KEY_STRUCTURE, lex)
+    for i in range(ANCESTORS_COUNT):
+        ds = reheaded(key, rng)
+        idx = StructureIndex(ds)
+        heads = sorted((e.dependent, e.head) for e in ds.tree.edges)
+        walks = [idx.ancestors(w) for w in range(ds.tree.n)]
+        yield f"ancestors #{i}\theads={heads}\tancestors={walks}"
+
+
 def random_lexicon_lines(seed: int):
     """The parse, generate and validate digests over one random lexicon."""
     lex = load_lexicon(random_lexicon_text(seed))
@@ -198,6 +267,9 @@ def main() -> int:
             continue
         print(f"validate #{i}\treport={sha(report_obj(ds, lex))}")
         print(f"check #{i}\t{check_line(ds, slots)}")
+
+    for line in tree_lines(lex):
+        print(line)
 
     for seed in RANDOM_SEEDS:
         for line in random_lexicon_lines(seed):

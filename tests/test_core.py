@@ -18,12 +18,16 @@ from odgrammar import (
     check_cardinality,
     domain_id,
     entries_for,
+    load_lexicon,
+    parse_tree_text,
     realize_structure,
     validate_domain_structure,
     validate_structure,
     validate_tree,
 )
 from odgrammar.core import derived_member_sets, iter_condition_violations
+
+from oracle_net import GENITIVE_LEXICON, genitive_tree_text
 
 
 def entry(lex, form, i=0):
@@ -156,6 +160,40 @@ class TestTreeModel:
         classes = {0: "Vfin", 1: "Vpart", 2: "N"}
         report = validate_tree(DependencyTree(words, 0, edges, classes), lex)
         assert [v.subjects for v in report.by_condition("tree.cycle")] == [(1, 2)]
+
+    def test_cycle_reached_through_a_tail(self, lex):
+        words = (
+            WordToken(0, "hat", entry(lex, "hat")),
+            WordToken(1, "der", entry(lex, "der")),
+            WordToken(2, "Mann", entry(lex, "Mann", 1)),
+            WordToken(3, "gesehen", entry(lex, "gesehen")),
+        )
+        # 1 hangs off the cycle of 2 and 3, and is reported with it
+        edges = (
+            DependencyEdge(2, 1, "det"),
+            DependencyEdge(3, 2, "obj"),
+            DependencyEdge(2, 3, "vpart"),
+        )
+        classes = {0: "Vfin", 1: "Det", 2: "N", 3: "Vpart"}
+        report = validate_tree(DependencyTree(words, 0, edges, classes), lex)
+        assert [(v.condition, v.subjects) for v in report.violations] == [
+            ("tree.cycle", (1, 2, 3))
+        ]
+
+    def test_deep_cycle_is_reported_once(self):
+        # the genitive tree at k = 300 (606 words), with its last determiner
+        # and noun, the two deepest words, heading each other
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        tree = parse_tree_text(genitive_tree_text(300), glex)
+        det, noun = tree.n - 3, tree.n - 2
+        edges = tuple(
+            DependencyEdge(det, noun, e.dtype) if e.dependent == noun else e
+            for e in tree.edges
+        )
+        report = validate_tree(dataclasses.replace(tree, edges=edges), glex)
+        assert [(v.condition, v.subjects) for v in report.violations] == [
+            ("tree.cycle", (det, noun))
+        ]
 
     def test_nonprojective_tree_is_fine(self, tree, lex):
         # the object-fronted analysis itself is non-projective: the edge

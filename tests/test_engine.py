@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import itertools
+import math
 import subprocess
 import sys
 from collections import Counter
@@ -50,6 +51,7 @@ from corpus import (
     SENTENCES,
     TWO_DEMANDS_LEXICON,
 )
+from harness import independent_verdict
 from oracle_net import (
     GENITIVE_LEXICON,
     VERB_CLUSTER_LEXICON,
@@ -92,13 +94,14 @@ class TestParse:
 
     def test_resource_limit_counts_partial_head_maps(self, lex):
         # no labeled head map over these tokens completes, but the search
-        # extends partial maps by 20 head choices on the way
+        # extends partial maps by 20 head choices on the way, after the two
+        # entry assignments
         tokens = "gesehen Mann hat hat".split()
-        result = parse(tokens, lex, max_candidates=20)
+        result = parse(tokens, lex, max_candidates=22)
         assert result.structures == ()
         assert "labeled head maps enumerated: 0" in result.diagnostics
         with pytest.raises(ResourceLimitError):
-            parse(tokens, lex, max_candidates=19)
+            parse(tokens, lex, max_candidates=21)
 
     def test_empty_slot_class_admits_no_dependent(self, lex):
         # a det slot of class "" takes no word: ``check_valency`` reports
@@ -355,14 +358,15 @@ edge 6 det 5
 class TestBudgetThresholds:
     """The least budget each search fits in: N returns and N - 1 raises.
 
-    Head maps and placements charge one tick per choice taken and one per
-    complete assignment, head maps also each head candidate they reject;
-    generation also charges each permutation drawn and each order.  A
-    search that ticks once too often or too rarely moves these thresholds.
+    Parse charges one tick per entry assignment.  Head maps and placements
+    charge one tick per choice taken and one per complete assignment, head
+    maps also each head candidate they reject; generation also charges
+    each permutation drawn and each order.  A search that ticks once too
+    often or too rarely moves these thresholds.
     """
 
     @pytest.mark.parametrize(
-        "sentence, genitive, needed",
+        "sentence, genitive, searched",
         [
             ("den Mann hat der Junge gesehen", False, 37),
             ("den Mann hat gesehen der Junge", False, 39),
@@ -371,9 +375,14 @@ class TestBudgetThresholds:
             ("Mann gesehen gesehen gesehen hat hat", False, 110),
         ],
     )
-    def test_parse(self, lex, sentence, genitive, needed):
+    def test_parse(self, lex, sentence, genitive, searched):
+        # ``searched`` is what the head-map and placement searches charge;
+        # parse adds one tick per entry assignment, the product of each
+        # token's entry count
         lexicon = load_lexicon(GENITIVE_LEXICON.read_text()) if genitive else lex
         tokens = sentence.split()
+        assignments = math.prod(len(entries_for(tok, lexicon)) for tok in tokens)
+        needed = searched + assignments
         parse(tokens, lexicon, max_candidates=needed)
         with pytest.raises(ResourceLimitError):
             parse(tokens, lexicon, max_candidates=needed - 1)
@@ -386,6 +395,12 @@ class TestBudgetThresholds:
         tokens = "Mann gesehen gesehen gesehen hat hat".split()
         with pytest.raises(ResourceLimitError):
             parse(tokens, lex, max_candidates=50)
+
+    def test_parse_charges_entry_assignments(self, lex):
+        # no assignment of 13 nouns admits a root, so neither inner search
+        # runs; the 8,192 assignments alone must overrun the budget
+        with pytest.raises(ResourceLimitError):
+            parse(["Mann"] * 13, lex, max_candidates=100)
 
     def test_generate_key_tree(self, lex, key_structure):
         generate(key_structure.tree, lex, max_candidates=98)
@@ -553,7 +568,9 @@ class TestScaling:
     canonical strings, newline-joined, as the engine gave them before the
     span checks existed (commit 5160ab8).  ``VERB_CLUSTER_DIGEST`` is the
     same for the 8-token verb cluster, as the engine gave it at commit
-    aaaedc8; the oracle takes too long there.
+    aaaedc8; the oracle takes too long there.  A digest only shows that
+    the answers did not change, so the harness's independent rewrite of
+    the validator also judges every answer.
     """
 
     DIGEST = "dc0556809b52b1d806456a29548f53861c07d55449508f4c411102b96590e6aa"
@@ -567,6 +584,7 @@ class TestScaling:
         keys = sorted(canon(result, glex))
         assert len(keys) == 66
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
+        assert all(independent_verdict(ds, glex) for ds in result.structures)
 
     def test_verb_cluster_k3(self):
         # Hans will Maria Peter Anna helfen lassen sehen
@@ -577,6 +595,7 @@ class TestScaling:
         assert "realized structures validated: 384" in result.diagnostics
         digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
         assert digest == self.VERB_CLUSTER_DIGEST
+        assert all(independent_verdict(ds, vlex) for ds in result.structures)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_only_the_answers_are_realized(self, k):

@@ -100,9 +100,8 @@ class TestHarnessIndependence:
         "StructureIndex",
         "ancestor_chain",
         "close_word",
-        "is_tree",
+        "dependency_cycle",
         "derived_member_sets",
-        "head_walk",
     }
 
     def test_harness_imports_no_internals(self):
