@@ -309,19 +309,17 @@ def check_extraction(
 
     Every dependency type between the positional head and the direct head
     (the dependent's own edge excluded) must lie in the slot's extraction
-    set.  An empty set therefore pins the positional head to the direct
-    head.  Raises StructureError for the root, which has no direct head, and
-    when the structure's linking is ill defined.
+    set: the incoming edges of the heads the index records the insertion
+    crossing (``StructureIndex.crossed``), reported nearest first.  An
+    empty set therefore pins the positional head to the direct head.
+    Raises StructureError for the root, which has no direct head, and when
+    the structure's linking is ill defined.
     """
     idx = _linked_index(ds, index, dependent)
     if dependent not in idx.head_of:
         raise StructureError(f"word {dependent} has no direct head")
-    # the index linked the positional head above the dependent, so the
-    # climb from the direct head reaches it
-    positional = ds.positional[dependent]
-    cur = idx.head_of[dependent]
     violations = []
-    while cur != positional:
+    for cur in idx.crossed[dependent]:
         dtype = idx.dtype_of[cur]
         if dtype not in slot.extraction:
             violations.append(
@@ -332,7 +330,6 @@ def check_extraction(
                     f"not licensed by slot {slot.dtype!r}",
                 )
             )
-        cur = idx.head_of[cur]
     return ValidationReport(tuple(violations))
 
 
@@ -342,7 +339,11 @@ def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
     Covers: edges whose type names no slot, doubly filled slots, class and
     feature requirements on dependents, unfilled required slots, and the
     root word's class against the classes admitted at the sentence root.
+    Raises StructureError for a word bound to no entry.
     """
+    for w in tree.words:
+        if w.entry is None:
+            raise StructureError(f"word {w.index} is not bound to a lexical entry")
     violations: list[Violation] = []
     outgoing: dict[int, list] = {w.index: [] for w in tree.words}
     for e in tree.edges:

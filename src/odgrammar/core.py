@@ -315,6 +315,12 @@ def iter_tree_violations(
     dtypes = lex.dtype_set() if lex is not None else None
     classes = lex.class_set() if lex is not None else None
     for w in tree.words:
+        if w.entry is None:
+            yield Violation(
+                "tree.entry-missing",
+                (w.index,),
+                f"word {w.index} is not bound to a lexical entry",
+            )
         cls = tree.classes.get(w.index)
         if cls is None:
             yield Violation(
@@ -481,8 +487,12 @@ class StructureIndex:
 
     Derives, once, which word and slot own each domain, the top domain,
     each word's insertion (the one domain of its positional head's
-    sequence that holds it, and that domain's slot), the resulting tree of
-    domains, and per-domain immediate member lists in surface order.  This
+    sequence that holds it, and that domain's slot), the heads the
+    insertion crosses (``crossed[w]``: w's transitive heads from its
+    direct head up to, not including, its positional head, nearest first,
+    so ``()`` when the two coincide), the resulting tree of domains, and
+    per-domain immediate member lists in surface order.  Its climb from
+    each word to the positional head is the one such walk.  This
     is the validator's linking stage: every linking fault is recorded in
     ``problems``, in the order the validator reports them, instead of
     being raised.  The domain tree and the navigation below are only
@@ -558,6 +568,7 @@ class StructureIndex:
                 )
         self.insertion: dict[int, str | None] = {tree.root: self.top_id}
         self.slot_of: dict[int, int] = {}
+        self.crossed: dict[int, tuple[int, ...]] = {}
         for w in range(n):
             if w == tree.root:
                 if w in ds.positional:
@@ -572,12 +583,14 @@ class StructureIndex:
                 fault("ds.positional-missing", (w,), f"word {w} has no positional head")
                 continue
             # climb from w no higher than p, and at most n steps, which
-            # also ends the walk on a cyclic tree
-            u = w
+            # also ends the walk on a cyclic tree; the heads passed below p
+            # are those whose incoming edges w's insertion crosses
+            crossed, u = [], w
             for _ in range(n):
                 u = self.head_of.get(u)
                 if u is None or u == p:
                     break
+                crossed.append(u)
             if u != p:
                 fault(
                     "ds.positional-head",
@@ -599,6 +612,7 @@ class StructureIndex:
                 )
                 continue
             self.slot_of[w], self.insertion[w] = hosts[0]
+            self.crossed[w] = tuple(crossed)
 
         self.domain_children: dict[str, tuple[str, ...]] = {}
         if self.problems:
@@ -611,15 +625,6 @@ class StructureIndex:
             did: tuple(sorted(kids, key=lambda k: min(by_id[k].members)))
             for did, kids in children.items()
         }
-
-    def ancestors(self, w: int) -> tuple[int, ...]:
-        """Transitive heads of word w, nearest first; stops short of a cycle."""
-        chain, seen = [], {w}
-        while w in self.head_of and self.head_of[w] not in seen:
-            w = self.head_of[w]
-            seen.add(w)
-            chain.append(w)
-        return tuple(chain)
 
     def immediate_members(self, did: str) -> tuple[SpannedMember, ...]:
         """The domain's immediate members in surface order, each as (member,

@@ -577,17 +577,15 @@ def generate(
     class map, and the tree itself must be well formed, else
     StructureError.  A tree that breaks valency yields no pairs.
     """
-    for w in tree.words:
-        if w.entry is None:
-            raise StructureError(f"word {w.index} is not bound to a lexical entry")
-        if tree.classes.get(w.index) != w.entry.word_class:
-            raise StructureError(
-                f"word {w.index} has class {tree.classes.get(w.index)!r} but its "
-                f"entry is {w.entry.word_class!r}"
-            )
     report = validate_tree(tree, lex)
     if not report.ok:
         raise StructureError("tree is not well formed:\n" + report.render())
+    for w in tree.words:
+        if tree.classes[w.index] != w.entry.word_class:
+            raise StructureError(
+                f"word {w.index} has class {tree.classes[w.index]!r} but its "
+                f"entry is {w.entry.word_class!r}"
+            )
 
     budget = _Budget(max_candidates)
     stats = _Stats()

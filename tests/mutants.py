@@ -1,0 +1,211 @@
+"""Named mutants of the library, and the fast tests expected to kill them.
+
+Each entry of ``MUTANTS`` names a file under ``src/``, an exact text that
+occurs once in it, the text that replaces it, and the tests expected to
+kill the result: every one of them must fail on the mutant.  For each
+mutant the script copies ``src/`` to a temporary directory, applies the
+edit to the copy and runs the named tests against it with pytest, the
+copy first on ``PYTHONPATH``.  It prints one line per mutant, killed or
+survived, and exits 1 if an expected kill survives.  A test that failed on
+the unmutated copy would kill nothing, so the named tests first run once
+on a plain copy, which they must pass.
+
+``EQUIVALENT`` lists mutants that change no answer, each with the reason;
+they are not run, since no test can kill them.  `test_mutants.py` checks
+in Tier-1 that every old text of both tables still occurs exactly once
+and that every named test still exists, so the table cannot rot silently.
+
+Run from the repository root, for all mutants or the named ones:
+
+    PYTHONPATH=src python tests/mutants.py [NAME ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+# a mutant can make a walk endless; a run past this is counted as a kill
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # under src/
+    old: str
+    new: str
+    tests: tuple[str, ...] = ()  # pytest node ids, from the repository root
+    reason: str = ""  # why an equivalent mutant changes no answer
+
+
+MUTANTS = (
+    Mutant(
+        "close-word-span-ends-swapped",
+        "odgrammar/core.py",
+        "items.append(((u, s2), first, last))",
+        "items.append(((u, s2), last, first))",
+        ("tests/test_engine.py::TestClosureMembers",),
+    ),
+    Mutant(
+        "class-extra-removed",
+        "odgrammar/core.py",
+        '        yield Violation("tree.class-extra", (w,), f"class given for unknown word {w}")\n',
+        "        pass\n",
+        (
+            "tests/test_validate.py::TestTreeStage::test_class_for_an_unknown_word_is_reported",
+            "tests/test_engine.py::TestGenerate::test_class_for_an_unknown_word_rejected",
+        ),
+    ),
+    Mutant(
+        "cycle-without-its-tail",
+        "odgrammar/core.py",
+        "            return tuple(path)\n",
+        "            return tuple(path[path.index(w):])\n",
+        ("tests/test_core.py::TestTreeModel::test_cycle_reached_through_a_tail",),
+    ),
+    Mutant(
+        "crossed-path-without-direct-head",
+        "odgrammar/core.py",
+        "self.crossed[w] = tuple(crossed)",
+        "self.crossed[w] = tuple(crossed[1:])",
+        (
+            "tests/test_core.py::TestStructureIndex::test_crossed",
+            "tests/test_constraints.py::TestExtraction::test_unlicensed_crossing",
+        ),
+    ),
+    Mutant(
+        "unbound-word-check-removed",
+        "odgrammar/core.py",
+        "        if w.entry is None:\n"
+        "            yield Violation(\n"
+        '                "tree.entry-missing",\n',
+        "        if False:\n"
+        "            yield Violation(\n"
+        '                "tree.entry-missing",\n',
+        (
+            "tests/test_validate.py::TestTreeStage::test_unbound_word_is_reported",
+            "tests/test_validate.py::TestTreeStage::test_unbound_word_is_refused_by_every_check",
+            "tests/test_validate.py::TestTreeStage::test_unbound_word_is_refused_by_both_searches",
+            "tests/test_engine.py::TestGenerate::test_unbound_word_rejected",
+        ),
+    ),
+    # parse-only cuts, which the net's checks past the oracle's limit kill
+    Mutant(
+        "precedence-cut-first-slot-only",
+        "odgrammar/engine.py",
+        "        for s, items, _, _, _ in closure:\n            # items are not",
+        "        for s, items, _, _, _ in closure[:1]:\n            # items are not",
+        ("tests/test_oracle_net.py::test_checks_past_the_oracle_limit",),
+    ),
+    Mutant(
+        # a stand-in for a fault that needs a domain longer than any
+        # sentence the oracle takes, so no comparison with it can show
+        "contiguity-cut-past-the-oracle-limit",
+        "odgrammar/engine.py",
+        "        if last - first + 1 != len(members):\n",
+        "        if last - first + 1 != len(members) or len(members) > 7:\n",
+        ("tests/test_oracle_net.py::test_checks_past_the_oracle_limit",),
+    ),
+)
+
+EQUIVALENT = (
+    Mutant(
+        "precedence-cut-scopes-ignored",
+        "odgrammar/engine.py",
+        "if pred.scopes(s, own) and pred.misordered(items, dtype_of):",
+        "if pred.misordered(items, dtype_of):",
+        reason="a self-vs-all predicate pairs only the introducer, and (w, None) "
+        "is a member of w's self domain alone, so on any other slot "
+        "`misordered` finds nothing; pair predicates scope every slot",
+    ),
+)
+
+
+def apply(mutant: Mutant, src: Path) -> None:
+    """Edit the copy of ``src/`` at ``src``; the old text must occur once."""
+    path = src / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: old text occurs {text.count(mutant.old)} "
+                         f"times in src/{mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def run_tests(src: Path, tests) -> tuple[set[str], str]:
+    """Run ``tests`` against the package in ``src``: the node ids that
+    failed or errored, and pytest's output."""
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+           *tests]
+    try:
+        done = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True,
+                              text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return set(tests), f"timed out after {TIMEOUT_S} s"
+    failed = set(re.findall(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.M))
+    if done.returncode not in (0, 1):  # usage or collection trouble
+        failed |= set(tests)
+    return failed, done.stdout + done.stderr
+
+
+def killed_by(failed: set[str], test: str) -> bool:
+    """Did ``test``, a node id or a prefix of some (a class, a file), fail?"""
+    return any(f == test or f.startswith(test + "::") or f.startswith(test + "[")
+               for f in failed)
+
+
+def copy_src(into: Path) -> Path:
+    dest = into / "src"
+    shutil.copytree(SRC, dest, ignore=shutil.ignore_patterns("__pycache__"))
+    return dest
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description="Run the named mutants.")
+    parser.add_argument("names", nargs="*", metavar="NAME",
+                        help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutant {unknown[0]!r}")
+    chosen = [by_name[n] for n in args.names] or list(MUTANTS)
+
+    tests = sorted({t for m in chosen for t in m.tests})
+    with tempfile.TemporaryDirectory() as tmp:
+        failed, output = run_tests(copy_src(Path(tmp)), tests)
+    if failed:
+        print(output)
+        print(f"baseline: {len(failed)} named tests fail on the unmutated copy")
+        return 1
+    print(f"baseline: the {len(tests)} named tests pass on the unmutated copy")
+
+    survived = 0
+    for mutant in chosen:
+        with tempfile.TemporaryDirectory() as tmp:
+            src = copy_src(Path(tmp))
+            apply(mutant, src)
+            failed, _ = run_tests(src, mutant.tests)
+        alive = [t for t in mutant.tests if not killed_by(failed, t)]
+        if alive:
+            survived += 1
+            print(f"{mutant.name}: survived {', '.join(alive)}")
+        else:
+            print(f"{mutant.name}: killed by all {len(mutant.tests)} expected tests")
+    for mutant in EQUIVALENT:
+        print(f"{mutant.name}: equivalent, not run ({mutant.reason})")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

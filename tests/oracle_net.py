@@ -21,6 +21,23 @@ The engine prunes with the validator's own constraint tests, so engine
 and oracle agree even where such a test is wrong; the harness shares no
 code with the validator and sees it.
 
+A sentence longer than ``OracleConfig().max_tokens`` is past the oracle's
+reach, so ``run_net`` makes three checks that need no oracle in its place:
+
+- ``harness.independent_verdict`` on every ``parse`` answer (soundness);
+- the ``realized`` count against the result count, on every call;
+- with ``regenerate``, duality: ``generate`` on each distinct tree among
+  the answers must give the sentence with each of its answers, and every
+  (surface, structure) pair it gives must be among ``parse``'s answers
+  on that surface.
+
+Their limits: a valid structure that both directions miss does not show,
+since nothing enumerates structures apart from the engine.  Parse's
+closure cuts are not in generate, and generate's arrangement prunes are
+not in parse, so a fault in either shows as a broken duality; a fault in
+a step both share (``_placement_options``, ``close_word``,
+``_depth_first``) does not.
+
 A source is a lexicon with a Tier-1 slice and a full sweep of sentences:
 
 - ``noun-phrases``: ``bench/genitive.lex`` with its ``root:`` line replaced
@@ -40,6 +57,13 @@ A source is a lexicon with a Tier-1 slice and a full sweep of sentences:
   nested infinitives (``extract {vinf}``) and scramble; no other test
   lexicon extracts across more than one head.  The slice is every order of
   ``verb_cluster_tokens(1)``; the sweep adds ``VERB_CLUSTERS`` of 6 tokens.
+- ``above-limit``: sentences past the oracle's limit, with the checks
+  above.  The slice regenerates ``genitive_tokens(2)`` (10 tokens) and
+  judges the answers of ``genitive_tokens(4)`` (14) and
+  ``verb_cluster_tokens(3)`` (8); the sweep regenerates
+  ``genitive_tokens(2)``, ``genitive_tokens(3)`` and
+  ``verb_cluster_tokens(3)`` and judges the answers of
+  ``genitive_tokens(4)`` and ``genitive_tokens(5)`` (16).
 
 Tier-1 runs the slices in ``test_oracle_net.py``, ``test_random_lexicon.py``
 and criterion 4 of ``test_acceptance.py``.  The sweep of the chosen sources
@@ -62,6 +86,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from odgrammar import (
+    OracleConfig,
     canonical_structure,
     generate,
     load_lexicon,
@@ -190,9 +215,16 @@ class NetResult:
     # placements judged by both validators, and those both call valid
     judged: int = 0
     valid: int = 0
+    # past the oracle's limit: the sentences, their answers (each judged by
+    # the harness alone), and the pairs and surfaces of their regeneration
+    beyond: int = 0
+    answers: int = 0
+    regenerated: int = 0
+    surfaces: int = 0
     disagreements: list[str] = field(default_factory=list)
 
-    COUNTS = ("sentences", "with_analyses", "trees", "pairs", "judged", "valid")
+    COUNTS = ("sentences", "with_analyses", "trees", "pairs", "judged", "valid",
+              "beyond", "answers", "regenerated", "surfaces")
 
     def add(self, other: NetResult, label: str = "") -> None:
         for name in self.COUNTS:
@@ -200,12 +232,19 @@ class NetResult:
         self.disagreements += [label + item for item in other.disagreements]
 
     def summary(self) -> str:
-        return (
-            f"{self.sentences} sentences, {self.with_analyses} with analyses; "
-            f"{self.trees} trees, {self.pairs} (surface, structure) pairs; "
-            f"{self.judged} placements judged, {self.valid} valid; "
-            f"{len(self.disagreements)} disagreements"
-        )
+        parts = [f"{self.sentences} sentences, {self.with_analyses} with analyses"]
+        if self.beyond:
+            parts.append(
+                f"{self.beyond} past the oracle's limit, {self.answers} answers "
+                f"judged alone, {self.regenerated} pairs regenerated over "
+                f"{self.surfaces} surfaces"
+            )
+        if self.sentences > self.beyond:
+            parts += [
+                f"{self.trees} trees, {self.pairs} (surface, structure) pairs",
+                f"{self.judged} placements judged, {self.valid} valid",
+            ]
+        return "; ".join(parts + [f"{len(self.disagreements)} disagreements"])
 
 
 def _pairs(pairs, lex) -> list:
@@ -219,23 +258,72 @@ def _realized(result) -> int:
                 if line.startswith(prefix))
 
 
-def run_net(token_lists, lex) -> NetResult:
-    """Make every comparison of the net on one lexicon."""
+def _parse(tokens, lex, result: NetResult):
+    """``parse``'s answers as canonical strings, with the realized check."""
+    parsed = parse(tokens, lex)
+    engine = [canonical_structure(ds, lex) for ds in parsed.structures]
+    if _realized(parsed) != len(engine):
+        result.disagreements.append(f"parse realized {_realized(parsed)} "
+                                    f"for {len(engine)} of {' '.join(tokens)!r}")
+    return parsed, engine
+
+
+def _check_beyond(tokens, lex, parsed, engine, regenerate, result: NetResult):
+    """The checks that need no oracle, on one sentence past its limit."""
+    sentence = " ".join(tokens)
+    result.beyond += 1
+    result.answers += len(engine)
+    for ds in parsed.structures:
+        if not independent_verdict(ds, lex):
+            result.disagreements.append(f"the harness rejects an answer of "
+                                        f"{sentence!r}: {canonical_structure(ds, lex)}")
+    if not regenerate:
+        return
+    # tree text -> (tree, its answers); surface -> structures generated on it
+    trees, generated = {}, {}
+    for ds, canonical in zip(parsed.structures, engine):
+        text = render_tree_text(ds.tree, lex)
+        trees.setdefault(text, (ds.tree, []))[1].append(canonical)
+    for text, (tree, answers) in trees.items():
+        found = generate(tree, lex)
+        if _realized(found) != len(found.pairs):
+            result.disagreements.append(f"generate realized {_realized(found)} "
+                                        f"for {len(found.pairs)} of\n{text}")
+        result.regenerated += len(found.pairs)
+        for surface, canonical in _pairs(found.pairs, lex):
+            generated.setdefault(surface, set()).add(canonical)
+        missing = set(answers) - generated.get(sentence, set())
+        if missing:
+            result.disagreements.append(f"generate misses {len(missing)} answers "
+                                        f"of {sentence!r} on\n{text}")
+    result.surfaces += len(generated)
+    for surface, structures in generated.items():
+        _, parsed_back = _parse(surface.split(), lex, result)
+        missing = structures - set(parsed_back)
+        if missing:
+            result.disagreements.append(f"parse misses {len(missing)} generated "
+                                        f"structures of {surface!r}")
+
+
+def run_net(token_lists, lex, regenerate: bool = True) -> NetResult:
+    """Make every comparison of the net on one lexicon; past the oracle's
+    limit, the checks that need none, duality only with ``regenerate``."""
     result = NetResult()
     if load_lexicon(render_lexicon(lex)) != lex:
         result.disagreements.append("render round trip")
+    limit = OracleConfig().max_tokens
     # tree text -> (tree, the number of the oracle's analyses with it)
     analysed = {}
     for tokens in token_lists:
         result.sentences += 1
-        parsed = parse(tokens, lex)
-        engine = [canonical_structure(ds, lex) for ds in parsed.structures]
+        parsed, engine = _parse(tokens, lex, result)
+        if len(tokens) > limit:
+            result.with_analyses += bool(engine)
+            _check_beyond(tokens, lex, parsed, engine, regenerate, result)
+            continue
         oracle = oracle_parse(tokens, lex)
         if engine != [canonical_structure(ds, lex) for ds in oracle]:
             result.disagreements.append(f"parse {' '.join(tokens)!r}")
-        if _realized(parsed) != len(engine):
-            result.disagreements.append(f"parse realized {_realized(parsed)} "
-                                        f"for {len(engine)} of {' '.join(tokens)!r}")
         result.with_analyses += bool(oracle)
         for ds in oracle:
             text = render_tree_text(ds.tree, lex)
@@ -304,12 +392,27 @@ def verb_cluster_nets(full: bool = False):
     return [("", load_lexicon(VERB_CLUSTER_LEXICON.read_text()), token_lists)]
 
 
+def above_limit_nets(full: bool = False):
+    """Sentences past the oracle's limit, as (label, lexicon, sentences,
+    regenerate)."""
+    glex = clause_lexicon()
+    vlex = load_lexicon(VERB_CLUSTER_LEXICON.read_text())
+    clusters = [verb_cluster_tokens(3)]
+    regenerated = [genitive_tokens(k) for k in ((2, 3) if full else (2,))]
+    judged = [genitive_tokens(k) for k in ((4, 5) if full else (4,))]
+    return [
+        ("", glex, regenerated, True),
+        ("", glex, judged, False),
+        ("", vlex, clusters, full),
+    ]
+
+
 def run_nets(nets) -> NetResult:
-    """Run the net on each (label, lexicon, sentences) of a source; each
-    disagreement starts with its label."""
+    """Run the net on each (label, lexicon, sentences[, regenerate]) of a
+    source; each disagreement starts with its label."""
     total = NetResult()
-    for label, lex, token_lists in nets:
-        total.add(run_net(token_lists, lex), label)
+    for label, lex, token_lists, *regenerate in nets:
+        total.add(run_net(token_lists, lex, *regenerate), label)
     return total
 
 
@@ -317,8 +420,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Run the net's full sweep.")
     parser.add_argument(
         "sources", nargs="*", metavar="SOURCE",
-        help="noun-phrases, clauses, random, corpus or verb-clusters "
-             "(default: all five)",
+        help="noun-phrases, clauses, random, corpus, verb-clusters or "
+             "above-limit (default: all six)",
     )
     parser.add_argument(
         "--seeds", nargs=2, type=int, default=(0, 200), metavar=("FIRST", "LAST"),
@@ -331,6 +434,7 @@ def main(argv: list[str]) -> int:
         "random": lambda: random_nets(range(*args.seeds)),
         "corpus": corpus_nets,
         "verb-clusters": lambda: verb_cluster_nets(full=True),
+        "above-limit": lambda: above_limit_nets(full=True),
     }
     unknown = [name for name in args.sources if name not in sweeps]
     if unknown:

@@ -24,8 +24,10 @@ each part of its answer.
   9 words over the bundled lexicon.  Every non-root word takes a head
   other than itself, or, now and then, none, so cycles, reached directly
   or through a tail, are common.
-- ``ancestors``: ``StructureIndex.ancestors`` of every word of the key
-  structure with some of its words re-headed at random, cycles included.
+- ``crossed``: on the key structure with some of its words re-headed at
+  random, cycles included, the conditions of the linking index's
+  ``problems`` and its ``crossed`` map: for each word it links, the heads
+  its insertion crosses, from the direct head up to the positional head.
 - ``random seed=N``: over the seeded random lexicon N of
   ``random_lexicon``, N = 0..39, the parse structures and, apart, the
   parse diagnostics of every sentence of 1 to 3 tokens, the generate pairs and diagnostics of
@@ -97,7 +99,7 @@ VALIDATE_SEED = 20261018
 VALIDATE_COUNT = 3000
 TREE_SEED = 20261019
 TREE_COUNT = 2000
-ANCESTORS_COUNT = 500
+CROSSED_COUNT = 500
 RANDOM_SEEDS = range(40)
 
 
@@ -191,7 +193,7 @@ def reheaded(ds, rng):
 
 
 def tree_lines(lex):
-    """The ``tree`` lines, then the ``ancestors`` lines, from one seeded stream."""
+    """The ``tree`` lines, then the ``crossed`` lines, from one seeded stream."""
     rng = random.Random(TREE_SEED)
     all_entries = [(form, e) for form, es in sorted(lex.entries.items()) for e in es]
     for i in range(TREE_COUNT):
@@ -202,12 +204,13 @@ def tree_lines(lex):
         ]
         yield f"tree #{i}\tn={tree.n}\treport={report}"
     key = parse_structure_text(KEY_STRUCTURE, lex)
-    for i in range(ANCESTORS_COUNT):
+    for i in range(CROSSED_COUNT):
         ds = reheaded(key, rng)
         idx = StructureIndex(ds)
         heads = sorted((e.dependent, e.head) for e in ds.tree.edges)
-        walks = [idx.ancestors(w) for w in range(ds.tree.n)]
-        yield f"ancestors #{i}\theads={heads}\tancestors={walks}"
+        problems = [v.condition for v in idx.problems]
+        crossed = sorted(idx.crossed.items())
+        yield f"crossed #{i}\theads={heads}\tproblems={problems}\tcrossed={crossed}"
 
 
 def random_lexicon_lines(seed: int):

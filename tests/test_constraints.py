@@ -16,12 +16,14 @@ from odgrammar import (
     check_precedence,
     check_valency,
     entries_for,
+    load_lexicon,
     parse_structure_text,
     realize_structure,
     render_structure_text,
     validate_structure,
 )
 
+from oracle_net import VERB_CLUSTER_LEXICON
 from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
 
 
@@ -305,8 +307,31 @@ class TestExtraction:
         slot = entry(lex, "Mann", 1).slot_for("det")
         report = check_extraction(slot, 0, ds)
         assert report.conditions() == {"extract.path"}
-        crossed = {v.subjects[2] for v in report.violations}
-        assert crossed == {"obj", "vpart"}
+        # one finding per crossed head, nearest first
+        assert [v.subjects for v in report.violations] == [
+            (0, 1, "obj"),
+            (0, 5, "vpart"),
+        ]
+
+    def test_mixed_path(self):
+        # "will Peter lassen sehen" with the infinitive sehen as the subject
+        # of will, a tree no valency frame admits, so that Peter's climb to
+        # will crosses a licensed vinf edge into lassen, then an unlicensed
+        # subj edge into sehen; only the second is reported
+        vlex = load_lexicon(VERB_CLUSTER_LEXICON.read_text())
+        ds = clause(
+            vlex,
+            ["will", "Peter", "lassen", "sehen"],
+            {1: 1},
+            root=0,
+            edge_spec=[(2, "obj", 1), (3, "vinf", 2), (0, "subj", 3)],
+            positional={1: 0, 2: 3, 3: 0},
+            slots={1: 1, 2: 0, 3: 2},
+        )
+        slot = entry(vlex, "lassen").slot_for("obj")
+        assert slot.extraction == {"vinf"}
+        report = check_extraction(slot, 1, ds)
+        assert [v.subjects for v in report.violations] == [(1, 3, "subj")]
 
     def test_non_ancestor_positional_head(self, key_ds, lex):
         import dataclasses

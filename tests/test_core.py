@@ -354,15 +354,17 @@ class TestStructureIndex:
             ((5, 0), 5, 5),
         )
 
-    def test_ancestors(self, ds):
+    def test_crossed(self, ds):
+        # the heads each linked word's insertion crosses, below its
+        # positional head: Mann, hosted by the verb, crosses the participle
         idx = StructureIndex(ds)
-        assert idx.ancestors(0) == (1, 5, 2)
-        assert idx.ancestors(2) == ()
+        assert idx.crossed == {0: (), 1: (5,), 3: (), 4: (), 5: ()}
 
     def test_cyclic_tree_ends_every_walk(self, ds):
         # the index is only defined on a tree without cycles, but one built
-        # on a cycle anyway ends its walks: 1 and 5 now head each other, so
-        # the root, positional head of both, lies above neither
+        # on a cycle anyway ends its climbs: 1 and 5 now head each other, so
+        # the root, positional head of both, lies above neither, and neither
+        # is linked
         edges = tuple(
             DependencyEdge(1, 5, "vpart") if e.dependent == 5 else e
             for e in ds.tree.edges
@@ -373,8 +375,7 @@ class TestStructureIndex:
             ("ds.positional-head", (1, 2)),
             ("ds.positional-head", (5, 2)),
         ]
-        assert idx.ancestors(0) == (1, 5)
-        assert idx.ancestors(5) == (1,)
+        assert idx.crossed == {0: (), 3: (), 4: ()}
 
     def test_double_owner_is_reported(self, ds):
         assoc = dict(ds.domains.assoc)

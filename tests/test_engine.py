@@ -51,7 +51,6 @@ from corpus import (
     SENTENCES,
     TWO_DEMANDS_LEXICON,
 )
-from harness import independent_verdict
 from oracle_net import (
     GENITIVE_LEXICON,
     VERB_CLUSTER_LEXICON,
@@ -569,8 +568,9 @@ class TestScaling:
     span checks existed (commit 5160ab8).  ``VERB_CLUSTER_DIGEST`` is the
     same for the 8-token verb cluster, as the engine gave it at commit
     aaaedc8; the oracle takes too long there.  A digest only shows that
-    the answers did not change, so the harness's independent rewrite of
-    the validator also judges every answer.
+    the answers did not change; the net's checks past the oracle's limit
+    (``oracle_net.above_limit_nets``) judge every answer of both sentences
+    with the harness's independent rewrite of the validator.
     """
 
     DIGEST = "dc0556809b52b1d806456a29548f53861c07d55449508f4c411102b96590e6aa"
@@ -584,7 +584,6 @@ class TestScaling:
         keys = sorted(canon(result, glex))
         assert len(keys) == 66
         assert hashlib.sha256("\n".join(keys).encode()).hexdigest() == self.DIGEST
-        assert all(independent_verdict(ds, glex) for ds in result.structures)
 
     def test_verb_cluster_k3(self):
         # Hans will Maria Peter Anna helfen lassen sehen
@@ -595,7 +594,6 @@ class TestScaling:
         assert "realized structures validated: 384" in result.diagnostics
         digest = hashlib.sha256("\n".join(keys).encode()).hexdigest()
         assert digest == self.VERB_CLUSTER_DIGEST
-        assert all(independent_verdict(ds, vlex) for ds in result.structures)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_only_the_answers_are_realized(self, k):

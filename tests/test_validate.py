@@ -8,17 +8,26 @@ import odgrammar.validate as validate_module
 from odgrammar import (
     OrderDomain,
     OrderDomainStructure,
+    StructureError,
+    check_cardinality,
+    check_domain_features,
+    check_extraction,
+    check_precedence,
+    check_valency,
+    generate,
     load_lexicon,
+    oracle_generate,
     realize_structure,
     reference_lexicon_text,
     structure_is_valid,
     validate_structure,
+    validate_tree,
 )
 
 from corpus import KEY_SENTENCE
 from harness import independent_verdict
 from test_constraints import bad_mittelfeld, clause, fronted_participle
-from test_core import KEY_POSITIONAL, KEY_SLOTS, key_tree
+from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
 
 
 @pytest.fixture()
@@ -35,6 +44,14 @@ def with_domains(ds, domains, assoc=None):
         ds,
         domains=OrderDomainStructure(domains, assoc or ds.domains.assoc),
     )
+
+
+def with_word_unbound(ds, w):
+    words = tuple(
+        dataclasses.replace(word, entry=None) if word.index == w else word
+        for word in ds.tree.words
+    )
+    return dataclasses.replace(ds, tree=dataclasses.replace(ds.tree, words=words))
 
 
 class TestStages:
@@ -357,6 +374,39 @@ class TestTreeStage:
             ("tree.class-extra", (9,), "class given for unknown word 9"),
         ]
         assert not independent_verdict(bad, lex)
+
+    def test_unbound_word_is_reported(self, ds, lex):
+        # the key analysis with word 0 bound to no entry: a finding of the
+        # tree stage, with or without a lexicon, and the harness agrees
+        unbound = with_word_unbound(ds, 0)
+        expected = [
+            ("tree.entry-missing", (0,), "word 0 is not bound to a lexical entry"),
+        ]
+        assert triples(validate_tree(unbound.tree)) == expected
+        assert triples(validate_structure(unbound, lex)) == expected
+        assert not structure_is_valid(unbound, lex)
+        assert not independent_verdict(unbound, lex)
+
+    def test_unbound_word_is_refused_by_every_check(self, ds, lex):
+        unbound = with_word_unbound(ds, 0)
+        hat = entry(lex, "hat")
+        checks = [
+            (check_precedence, hat.predicates[0], 2),
+            (check_cardinality, hat.cardinalities[0], 2),
+            (check_domain_features, hat.domain_features[0], 2),
+            (check_extraction, entry(lex, "gesehen").slot_for("obj"), 1),
+        ]
+        for check, constraint, word in checks:
+            with pytest.raises(StructureError, match="word 0 is not bound"):
+                check(constraint, word, unbound)
+        with pytest.raises(StructureError, match="word 0 is not bound"):
+            check_valency(unbound.tree, lex)
+
+    def test_unbound_word_is_refused_by_both_searches(self, ds, lex):
+        unbound = with_word_unbound(ds, 0)
+        with pytest.raises(StructureError, match="tree.entry-missing"):
+            generate(unbound.tree, lex)
+        assert oracle_generate(unbound.tree, lex) == ()
 
     def test_another_inventory_runs_the_stage_again(self, ds, lex):
         assert validate_structure(ds, lex).ok
