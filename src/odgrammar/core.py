@@ -321,6 +321,13 @@ def iter_tree_violations(
                 (w.index,),
                 f"word {w.index} is not bound to a lexical entry",
             )
+        elif lex is not None and w.entry not in lex.entries.get(w.form, ()):
+            yield Violation(
+                "tree.entry-unknown",
+                (w.index,),
+                f"word {w.index} is bound to an entry the lexicon does not "
+                f"hold for {w.form!r}",
+            )
         cls = tree.classes.get(w.index)
         if cls is None:
             yield Violation(
@@ -475,9 +482,9 @@ def validate_domain_structure(
 # An immediate member of a domain is named by a (word, slot) pair: (w, None)
 # is the introducing word w itself, and (u, s) the realized domain of slot s
 # of a word u inserted into the domain, under the key `layout_of` and
-# `member_sets_of` give that domain.  The search's closures and
-# `StructureIndex.immediate_members` both record a member with its span, as
-# (member, first position, last position).
+# `member_sets_of` give that domain.  The search's closures and the linking
+# index (`StructureIndex.members`) each record a domain's members once, every
+# member with its span, as (member, first position, last position).
 Member = tuple[int, int | None]
 SpannedMember = tuple[Member, int, int]
 
@@ -490,20 +497,19 @@ class StructureIndex:
     sequence that holds it, and that domain's slot), the heads the
     insertion crosses (``crossed[w]``: w's transitive heads from its
     direct head up to, not including, its positional head, nearest first,
-    so ``()`` when the two coincide), the resulting tree of domains, and
-    per-domain immediate member lists in surface order.  Its climb from
-    each word to the positional head is the one such walk.  This
-    is the validator's linking stage: every linking fault is recorded in
-    ``problems``, in the order the validator reports them, instead of
-    being raised.  The domain tree and the navigation below are only
-    defined when ``problems`` is empty.  Precondition: both layers pass
-    their own stages (`iter_tree_violations`, `iter_ods_violations`); the
-    index re-checks nothing those own, and the validator and the
-    ``check_*`` functions build it only after both.
+    so ``()`` when the two coincide), and each domain's immediate members
+    in surface order (``members[did]``, what `immediate_members` returns).
+    Its climb from each word to the positional head is the one such walk.
+    This is the validator's linking stage: every linking fault is recorded
+    in ``problems``, in the order the validator reports them, instead of
+    being raised.  The member lists are only recorded when ``problems`` is
+    empty.  Precondition: both layers pass their own stages
+    (`iter_tree_violations`, `iter_ods_violations`); the index re-checks
+    nothing those own, and the validator and the ``check_*`` functions
+    build it only after both.
     """
 
     def __init__(self, ds: DependencyStructure):
-        self.ds = ds
         tree = ds.tree
         n = self.n = tree.n
         self.head_of = tree.head_of()
@@ -614,32 +620,27 @@ class StructureIndex:
             self.slot_of[w], self.insertion[w] = hosts[0]
             self.crossed[w] = tuple(crossed)
 
-        self.domain_children: dict[str, tuple[str, ...]] = {}
+        self.members: dict[str, tuple[SpannedMember, ...]] = {}
         if self.problems:
             return
-        # each domain of a word's sequence nests in the word's insertion
-        children: dict[str, list[str]] = {d.id: [] for d in ds.domains.domains}
-        for did, (w, _) in self.owner.items():
-            children[self.insertion[w]].append(did)
-        self.domain_children = {
-            did: tuple(sorted(kids, key=lambda k: min(by_id[k].members)))
-            for did, kids in children.items()
+        # each domain of a word's sequence nests in the word's insertion;
+        # an introducer goes first, so the stable sort keeps it ahead of a
+        # member that starts where it does
+        members: dict[str, list[SpannedMember]] = {did: [] for did in by_id}
+        for did, (w, slot) in self.owner.items():
+            if slot == tree.words[w].entry.template.self_slot:
+                members[did].insert(0, ((w, None), w, w))
+            members[self.insertion[w]].append(((w, slot), *by_id[did].span()))
+        self.members = {
+            did: tuple(sorted(items, key=lambda m: m[1]))
+            for did, items in members.items()
         }
 
     def immediate_members(self, did: str) -> tuple[SpannedMember, ...]:
         """The domain's immediate members in surface order, each as (member,
         first position, last position): its introducer, when ``did`` is the
         introducer's self domain, and its maximal sub-domains."""
-        members: list[SpannedMember] = []
-        owner = self.owner.get(did)
-        if owner is not None:
-            w, slot = owner
-            if self.ds.tree.words[w].entry.template.self_slot == slot:
-                members.append(((w, None), w, w))
-        for kid in self.domain_children[did]:
-            members.append((self.owner[kid], *self.by_id[kid].span()))
-        members.sort(key=lambda m: m[1])
-        return tuple(members)
+        return self.members[did]
 
 
 # ---------------------------------------------------------------------------

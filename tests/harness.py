@@ -49,7 +49,9 @@ def _tree_ok(tree, lex) -> bool:
         return False
     known_classes = set(lex.classes)
     for w in tree.words:
-        if w.entry is None or tree.classes.get(w.index) not in known_classes:
+        if w.entry not in lex.entries.get(w.form, ()):
+            return False
+        if tree.classes.get(w.index) not in known_classes:
             return False
     if set(tree.classes) != set(range(n)):
         return False

@@ -84,6 +84,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        # with a lexicon, `tree.entry-unknown` also refuses an unbound word,
+        # so generate's refusal (`TestGenerate::test_unbound_word_rejected`)
+        # survives this mutant; the finding's id and validate_tree without
+        # a lexicon still show it
         "unbound-word-check-removed",
         "odgrammar/core.py",
         "        if w.entry is None:\n"
@@ -96,7 +100,145 @@ MUTANTS = (
             "tests/test_validate.py::TestTreeStage::test_unbound_word_is_reported",
             "tests/test_validate.py::TestTreeStage::test_unbound_word_is_refused_by_every_check",
             "tests/test_validate.py::TestTreeStage::test_unbound_word_is_refused_by_both_searches",
-            "tests/test_engine.py::TestGenerate::test_unbound_word_rejected",
+        ),
+    ),
+    Mutant(
+        "entry-unknown-removed",
+        "odgrammar/core.py",
+        "        elif lex is not None and w.entry not in lex.entries.get(w.form, ()):\n",
+        "        elif False:\n",
+        (
+            "tests/test_validate.py::TestTreeStage::test_entry_the_lexicon_does_not_hold_is_reported",
+            "tests/test_validate.py::TestTreeStage::"
+            "test_entry_the_lexicon_does_not_hold_is_refused_by_both_searches",
+        ),
+    ),
+    Mutant(
+        "index-members-unsorted",
+        "odgrammar/core.py",
+        "            did: tuple(sorted(items, key=lambda m: m[1]))\n",
+        "            did: tuple(items)\n",
+        (
+            "tests/test_core.py::TestStructureIndex::test_identity_not_set_equality",
+            "tests/test_constraints.py::TestSelfVsAll::test_findings_in_surface_order",
+            "tests/test_engine.py::TestClosureMembers",
+        ),
+    ),
+    Mutant(
+        "index-introducer-left-out",
+        "odgrammar/core.py",
+        "                members[did].insert(0, ((w, None), w, w))\n",
+        "                pass\n",
+        (
+            "tests/test_core.py::TestStructureIndex::test_immediate_members_mittelfeld",
+            "tests/test_constraints.py::TestSelfVsAll::test_violated_when_noun_leads",
+        ),
+    ),
+    Mutant(
+        "close-word-introducer-left-out",
+        "odgrammar/core.py",
+        "            items, acc, lo, hi = [((w, None), w, w)], {w}, w, w\n",
+        "            items, acc, lo, hi = [], {w}, w, w\n",
+        (
+            "tests/test_engine.py::TestGenerate::test_key_tree",
+            "tests/test_engine.py::TestDiagnostics::test_parse_counts",
+            "tests/test_engine.py::TestClosureMembers",
+        ),
+    ),
+    Mutant(
+        "linked-index-domain-stage-dropped",
+        "odgrammar/constraints.py",
+        "        for v in iter_ods_violations(ds.domains, ds.tree.n):\n"
+        "            raise StructureError(v.message)\n",
+        "",
+        (
+            "tests/test_constraints.py::test_domain_stage_failure",
+            "tests/test_core.py::TestStructureIndex::test_unknown_sequence_domain_is_reported",
+        ),
+    ),
+    # the span and precedence cuts at closure
+    Mutant(
+        "span-cut-order-reversed",
+        "odgrammar/engine.py",
+        "        if first <= prev:\n",
+        "        if first > prev:\n",
+        (
+            "tests/test_engine.py::TestParse::test_key_sentence_analysis",
+            "tests/test_engine.py::TestScaling::test_verb_cluster_k3",
+        ),
+    ),
+    Mutant(
+        "span-cut-order-dropped",
+        "odgrammar/engine.py",
+        "        if first <= prev:\n",
+        "        if False:\n",
+        (
+            "tests/test_engine.py::TestDiagnostics::test_parse_counts",
+            "tests/test_engine.py::TestScaling::test_only_the_answers_are_realized",
+        ),
+    ),
+    Mutant(
+        "span-cut-contiguity-inverted",
+        "odgrammar/engine.py",
+        "        if last - first + 1 != len(members):\n",
+        "        if last - first + 1 == len(members):\n",
+        (
+            "tests/test_engine.py::TestParse::test_key_sentence_analysis",
+            "tests/test_engine.py::TestGenerate::test_key_tree",
+        ),
+    ),
+    Mutant(
+        "span-cut-contiguity-dropped",
+        "odgrammar/engine.py",
+        "        if last - first + 1 != len(members):\n",
+        "        if False:\n",
+        (
+            "tests/test_engine.py::TestDiagnostics::test_parse_counts",
+            "tests/test_engine.py::TestDiagnostics::"
+            "test_pair_misordered_outside_the_self_field_is_cut",
+        ),
+    ),
+    Mutant(
+        "precedence-cut-pairs-skipped",
+        "odgrammar/engine.py",
+        "    for pred in preds:\n        for s, items, _, _, _ in closure:\n",
+        "    for pred in preds:\n"
+        "        if pred.kind != SELF_VS_ALL:\n"
+        "            continue\n"
+        "        for s, items, _, _, _ in closure:\n",
+        (
+            "tests/test_engine.py::TestDiagnostics::"
+            "test_pair_misordered_outside_the_self_field_is_cut",
+            "tests/test_engine.py::TestScaling::test_only_the_answers_are_realized",
+        ),
+    ),
+    # budget ticks and generation's slot-order prune
+    Mutant(
+        "head-map-rejection-tick-dropped",
+        "odgrammar/engine.py",
+        "                    # `_depth_first` charges the candidates taken\n"
+        "                    budget.tick()\n",
+        "                    # `_depth_first` charges the candidates taken\n",
+        ("tests/test_engine.py::TestBudgetThresholds::test_parse",),
+    ),
+    Mutant(
+        "complete-assignment-tick-dropped",
+        "odgrammar/engine.py",
+        "            else:\n                budget.tick()\n                yield\n",
+        "            else:\n                yield\n",
+        (
+            "tests/test_engine.py::TestBudgetThresholds::test_parse",
+            "tests/test_engine.py::TestBudgetThresholds::test_generate_key_tree",
+        ),
+    ),
+    Mutant(
+        "arrangement-slot-order-reversed",
+        "odgrammar/engine.py",
+        "            if last.get(word, -1) > s:\n",
+        "            if last.get(word, -1) < s:\n",
+        (
+            "tests/test_engine.py::TestGenerate::test_key_tree",
+            "tests/test_engine.py::TestDiagnostics::test_generate_counts",
         ),
     ),
     # parse-only cuts, which the net's checks past the oracle's limit kill

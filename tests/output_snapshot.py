@@ -19,6 +19,10 @@ each part of its answer.
   ``check_*`` call `check_calls` lists, with the key tree's valency slots:
   the rendered report, or ``StructureError`` and its message; ``refused``
   counts the calls that raised.
+- ``members``: on the same instances, after every ``validate`` and
+  ``check`` line, one line for each instance whose layers pass their own
+  stages and whose linking index has no problems: the number of domains
+  and a digest of ``immediate_members`` on every domain, by domain id.
 - ``tree``: the ``validate_tree`` report (condition, subjects, message of
   every violation) on each of a seeded stream of random head maps of 1 to
   9 words over the bundled lexicon.  Every non-root word takes a head
@@ -76,6 +80,7 @@ from odgrammar import (  # noqa: E402
     parse_tree_text,
     reference_lexicon,
     render_tree_text,
+    validate_domain_structure,
     validate_structure,
     validate_tree,
 )
@@ -159,6 +164,20 @@ def check_line(ds, slots) -> str:
             outcomes.append(f"StructureError: {exc}")
             refused += 1
     return f"calls={len(outcomes)}\trefused={refused}\tdigest={sha(outcomes)}"
+
+
+def members_line(i: int, ds) -> str | None:
+    """The ``members`` line of instance ``i``, or None when its layers or
+    its linking fail, where the index records no members."""
+    if not validate_tree(ds.tree).ok:
+        return None
+    if not validate_domain_structure(ds.domains, ds.tree.n).ok:
+        return None
+    idx = StructureIndex(ds)
+    if idx.problems:
+        return None
+    members = [(d.id, idx.immediate_members(d.id)) for d in ds.domains.domains]
+    return f"members #{i}\tdomains={len(members)}\tdigest={sha(members)}"
 
 
 def random_head_map(rng, lex, all_entries) -> DependencyTree:
@@ -263,6 +282,7 @@ def main() -> int:
 
     sampler = StructureSampler(VALIDATE_SEED, lex, grammatical_bases())
     slots = [s for w in key_tree.words for s in w.entry.valency]
+    member_lines = []
     for i in range(VALIDATE_COUNT):
         ds = sampler.next_instance()
         if ds is None:
@@ -270,6 +290,11 @@ def main() -> int:
             continue
         print(f"validate #{i}\treport={sha(report_obj(ds, lex))}")
         print(f"check #{i}\t{check_line(ds, slots)}")
+        line = members_line(i, ds)
+        if line is not None:
+            member_lines.append(line)
+    for line in member_lines:
+        print(line)
 
     for line in tree_lines(lex):
         print(line)

@@ -118,6 +118,26 @@ class TestSelfVsAll:
         report = check_precedence(pred, 0, ds)
         assert [v.subjects for v in report.violations] == [(0, 1, "d0.0")]
 
+    def test_findings_in_surface_order(self, lex):
+        # the verb's last field, holding its participle, comes after the
+        # second noun on the surface, though the verb is the first word:
+        # findings follow the members' surface order, not their owners'
+        ds = clause(
+            lex,
+            ["hat", "Mann", "Mann", "gesehen"],
+            {1: 1, 2: 1},
+            root=1,
+            edge_spec=[(1, "det", 0), (1, "det", 2), (0, "vpart", 3)],
+            positional={0: 1, 2: 1, 3: 0},
+            slots={0: 0, 2: 0, 3: 2},
+        )
+        pred = entry(lex, "Mann", 1).predicates[0]
+        expected = [(1, 2, "d1.0"), (1, 0, "d1.0")]
+        report = check_precedence(pred, 1, ds)
+        assert [v.subjects for v in report.violations] == expected
+        report = validate_structure(ds, lex)
+        assert [v.subjects for v in report.by_condition("prec.self")] == expected
+
     def test_scoped_to_self_domain_only(self, key_ds, lex):
         # the verb precedes everything in its own field even though two
         # words precede it on the surface

@@ -341,8 +341,8 @@ class TestStructureIndex:
         idx = StructureIndex(ds)
         by_id = ds.domains.by_id()
         assert by_id["d2.0"].members == by_id["d1.0"].members
-        assert idx.domain_children["d2.0"] == ("d1.0",)
         assert idx.immediate_members("d2.0") == (((1, 0), 0, 1),)
+        assert idx.immediate_members("d1.0") == (((0, 0), 0, 0), ((1, None), 1, 1))
 
     def test_immediate_members_mittelfeld(self, ds):
         # the introducer spans itself; each sub-domain is named by its owner

@@ -54,6 +54,11 @@ def with_word_unbound(ds, w):
     return dataclasses.replace(ds, tree=dataclasses.replace(ds.tree, words=words))
 
 
+def without_form(lex, form):
+    entries = {f: es for f, es in lex.entries.items() if f != form}
+    return dataclasses.replace(lex, entries=entries)
+
+
 class TestStages:
     def test_key_structure_valid(self, ds, lex):
         report = validate_structure(ds, lex)
@@ -407,6 +412,32 @@ class TestTreeStage:
         with pytest.raises(StructureError, match="tree.entry-missing"):
             generate(unbound.tree, lex)
         assert oracle_generate(unbound.tree, lex) == ()
+
+    def test_entry_the_lexicon_does_not_hold_is_reported(self, ds, lex):
+        # the key analysis against a lexicon without the form of word 4:
+        # a finding of the tree stage when a lexicon is given, and the
+        # harness agrees
+        narrow = without_form(lex, "Junge")
+        expected = [
+            (
+                "tree.entry-unknown",
+                (4,),
+                "word 4 is bound to an entry the lexicon does not hold for 'Junge'",
+            ),
+        ]
+        assert triples(validate_tree(ds.tree, narrow)) == expected
+        assert triples(validate_structure(ds, narrow)) == expected
+        assert not structure_is_valid(ds, narrow)
+        assert not independent_verdict(ds, narrow)
+        assert validate_tree(ds.tree).ok
+
+    def test_entry_the_lexicon_does_not_hold_is_refused_by_both_searches(
+        self, ds, lex
+    ):
+        narrow = without_form(lex, "Junge")
+        with pytest.raises(StructureError, match="tree.entry-unknown"):
+            generate(ds.tree, narrow)
+        assert oracle_generate(ds.tree, narrow) == ()
 
     def test_another_inventory_runs_the_stage_again(self, ds, lex):
         assert validate_structure(ds, lex).ok
