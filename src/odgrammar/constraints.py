@@ -240,7 +240,9 @@ def check_cardinality(
 ) -> ValidationReport:
     """Count immediate members of the slot's realized domain; empty counts 0.
 
-    Raises StructureError when the structure's linking is ill defined.
+    Raises StructureError when the structure's linking is ill defined, and
+    IndexError when the constraint's slot is not in the introducer's
+    template.
     """
     idx = _linked_index(ds, index, introducer)
     seq = ds.domains.assoc[introducer]
@@ -276,7 +278,9 @@ def check_domain_features(
 ) -> ValidationReport:
     """Every member head of the slot's realized domain must carry the features.
 
-    Raises StructureError when the structure's linking is ill defined.
+    Raises StructureError when the structure's linking is ill defined, and
+    IndexError when the requirement's slot is not in the introducer's
+    template.
     """
     idx = _linked_index(ds, index, introducer)
     seq = ds.domains.assoc[introducer]

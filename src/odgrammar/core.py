@@ -223,6 +223,19 @@ def permute_tree(
     return DependencyTree(words, new_index[tree.root], edges, classes), new_index
 
 
+def labeled_tree(
+    words: tuple[WordToken, ...],
+    root: int,
+    parent: dict[int, int],
+    dtype_of: dict[int, str],
+) -> DependencyTree:
+    """The tree over ``words`` in which each word w but ``root`` depends on
+    ``parent[w]`` by ``dtype_of[w]``, each word classed by its entry."""
+    edges = tuple(DependencyEdge(h, w, dtype_of[w]) for w, h in parent.items())
+    classes = {w.index: w.entry.word_class for w in words}
+    return DependencyTree(words, root, edges, classes)
+
+
 @dataclass(frozen=True)
 class OrderDomain:
     """A named contiguous set of word indices."""

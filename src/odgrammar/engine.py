@@ -14,7 +14,7 @@ that break sequence order or a precedence predicate.  Pruning must never
 change the result set; the tests check this against the brute-force
 enumeration in `odgrammar.oracle`.  Every lexical prune but one calls the
 test in `odgrammar.constraints` that the validator reports from; the
-extraction prune in `_placement_options` states its own membership test,
+extraction prune in `_iter_realizations` states its own membership test,
 a crossed dtype in the slot's extraction set, as it climbs.
 
 Parse alone runs three more checks on each word's closure: two span
@@ -72,15 +72,13 @@ from .constraints import (
     missing_features,
 )
 from .core import (
-    DependencyEdge,
     DependencyStructure,
     DependencyTree,
     ResourceLimitError,
     StructureError,
-    UnknownTokenError,
-    WordToken,
     ancestor_chain,
     close_word,
+    labeled_tree,
     layout_of,
     member_sets_of,
     permute_tree,
@@ -88,7 +86,7 @@ from .core import (
     self_slots,
     validate_tree,
 )
-from .lexicon import Lexicon, entries_for
+from .lexicon import Lexicon, entry_assignments
 from .serialize import canonical_structure
 from .validate import iter_structure_violations
 
@@ -208,52 +206,6 @@ def _depth_first(levels, enter, budget):
 # realization search shared by parse and generate
 
 
-def _placement_options(tree):
-    """Per word, its (positional head, slot) choices; [] for the root.
-
-    Hosts come nearest first, slots ascending.  A host is cut once the
-    extraction path to it leaves the slot's extraction set, and a slot when
-    the word lacks a feature one of its domain-feature demands asks for.
-    """
-    parent = tree.head_of()
-    dtype_of = tree.dtype_of()
-    options = []
-    for w in range(tree.n):
-        if w == tree.root:
-            options.append([])
-            continue
-        slot = tree.words[parent[w]].entry.slot_for(dtype_of[w])
-        feats = tree.words[w].entry.features
-        choices = []
-        chain = ancestor_chain(parent, w)
-        for i, host in enumerate(chain):
-            # dtypes crossed so far grow as we climb; once one falls outside
-            # the slot's extraction set, every higher head is blocked too
-            if i > 0 and dtype_of[chain[i - 1]] not in slot.extraction:
-                break
-            entry = tree.words[host].entry
-            demands = entry.domain_features
-            lacking = {r.slot for r in demands if missing_features(r.required, feats)}
-            slots = range(len(entry.template.slots))
-            choices += [(host, s) for s in slots if s not in lacking]
-        options.append(choices)
-    return options
-
-
-def _post_order(tree) -> list[int]:
-    """Every word after the words below it, the root last."""
-    children: list[list[int]] = [[] for _ in range(tree.n)]
-    for e in tree.edges:
-        children[e.head].append(e.dependent)
-    # a word comes before every word below it in this walk; reversed, after
-    order, stack = [], [tree.root]
-    while stack:
-        w = stack.pop()
-        order.append(w)
-        stack.extend(children[w])
-    return order[::-1]
-
-
 def _within_bounds(closure, cards) -> bool:
     """Does a closed word meet its cardinality constraints ``cards``?"""
     for card in cards:
@@ -314,6 +266,13 @@ def _precedence_fault(closure, preds, own, dtype_of) -> str | None:
 def _iter_realizations(tree, budget, *, closure_cuts=None):
     """Yield (positional, slot_of, closed) for a valency-checked tree.
 
+    One pass over the words first lists each word's (positional head, slot)
+    options, hosts nearest first and slots ascending.  Climbing from its
+    direct head, a word stops at the root or after the first head whose
+    own dtype is outside its slot's extraction set, and it skips each slot
+    with a domain-feature demand it does not meet.  A word that does not
+    meet a demand of its own self slot ends the search there.
+
     Words are placed deepest first, in dependency post-order.  When a word
     comes up, every word below it, and so every word its domains can
     host, is placed, so its domains are closed then (`close_word`) and its
@@ -337,30 +296,58 @@ def _iter_realizations(tree, budget, *, closure_cuts=None):
     nothing; it reads only the members' names.
     """
     n = tree.n
+    words = tree.words
+    parent = tree.head_of()
+    dtype_of = tree.dtype_of()
     self_slot = self_slots(tree)
-    # a word is an immediate member of its own self domain, so one that lacks
-    # a feature demanded there fails ``domfeat.value`` on every placement
-    for w, word in enumerate(tree.words):
-        feats, demands = word.entry.features, word.entry.domain_features
+    children: list[list[int]] = [[] for _ in range(n)]
+    for w, h in parent.items():
+        children[h].append(w)
+    options: list[list[tuple[int, int]]] = []  # [] for the root
+    for w, word in enumerate(words):
+        feats = word.entry.features
+        # a word is an immediate member of its own self domain, so one that
+        # lacks a feature demanded there fails ``domfeat.value`` on every
+        # placement
         if any(r.slot == self_slot[w] and missing_features(r.required, feats)
-               for r in demands):
+               for r in word.entry.domain_features):
             if closure_cuts is not None:
                 closure_cuts["domfeat.value"] += 1
             return
-    order = _post_order(tree)
-    options = _placement_options(tree)
-    cards = [word.entry.cardinalities for word in tree.words]
-    preds = [word.entry.predicates for word in tree.words]
-    dtype_of = tree.dtype_of()
+        choices = []
+        options.append(choices)
+        if w == tree.root:
+            continue
+        host = parent[w]
+        slot = words[host].entry.slot_for(dtype_of[w])
+        while True:
+            entry = words[host].entry
+            lacking = {r.slot for r in entry.domain_features
+                       if missing_features(r.required, feats)}
+            choices += [(host, s) for s in range(len(entry.template.slots))
+                        if s not in lacking]
+            # the dtypes crossed grow as the word climbs; once one falls
+            # outside the slot's extraction set, every higher head is blocked
+            if host == tree.root or dtype_of[host] not in slot.extraction:
+                break
+            host = parent[host]
+    # every word after the words below it, the root last
+    order, stack = [], [tree.root]
+    while stack:
+        w = stack.pop()
+        order.append(w)
+        stack.extend(children[w])
+    order.reverse()
+    cards = [word.entry.cardinalities for word in words]
+    preds = [word.entry.predicates for word in words]
     hosted: list[dict[int, list[int]]] = [{} for _ in range(n)]
     closed: list = [None] * n
     positional: dict[int, int] = {}
     slot_of: dict[int, int] = {}
-    hosts = {e.head for e in tree.edges}
     # a word that hosts nothing closes the same way under every placement;
     # its one domain, {w}, passes the span checks
     for w in range(n):
-        if w not in hosts:
+        if not children[w]:
             closed[w] = close_word(w, self_slot[w], {}, closed)
             if not _within_bounds(closed[w], cards[w]):
                 return
@@ -380,7 +367,7 @@ def _iter_realizations(tree, budget, *, closure_cuts=None):
     def enter(k):
         """Close order[k]; its placements, or None when a check fails."""
         w = order[k]
-        if w in hosts:
+        if children[w]:
             closure = close_word(w, self_slot[w], hosted[w], closed)
             if closure_cuts is not None:
                 fault = _span_fault(closure)
@@ -416,7 +403,7 @@ def _judge(ds, lex, stats) -> bool:
 
 
 def _iter_head_maps(words, lex, budget, stats):
-    """Labeled trees over the words, as (root, parent, dtype_of) triples."""
+    """Labeled trees over the words."""
     n = len(words)
     # each word's (head, dtype) options: heads ascending, dtypes in valency
     # order, and only slots whose class and features the word meets
@@ -458,7 +445,7 @@ def _iter_head_maps(words, lex, budget, stats):
             stats.bump("maps")
             # every head choice kept the partial map acyclic, so the
             # complete map is a tree
-            yield root, dict(parent), dict(dtype_of)
+            yield labeled_tree(words, root, parent, dtype_of)
 
 
 _PARSE_STAGES = (
@@ -482,26 +469,11 @@ def parse(
     """
     budget = _Budget(max_candidates)
     stats = _Stats()
-    entry_options = []
-    for tok in tokens:
-        opts = entries_for(tok, lex)
-        if not opts:
-            raise UnknownTokenError(tok)
-        entry_options.append(opts)
     found: dict[str, DependencyStructure] = {}
-    for entry_combo in itertools.product(*entry_options) if tokens else ():
+    for words in entry_assignments(tokens, lex):
         budget.tick()
         stats.bump("entries")
-        words = tuple(
-            WordToken(i, tok, entry)
-            for i, (tok, entry) in enumerate(zip(tokens, entry_combo))
-        )
-        classes = {w.index: w.entry.word_class for w in words}
-        for root, parent, dtype_of in _iter_head_maps(words, lex, budget, stats):
-            edges = tuple(
-                DependencyEdge(parent[w], w, dtype_of[w]) for w in sorted(parent)
-            )
-            tree = DependencyTree(words, root, edges, classes)
+        for tree in _iter_head_maps(words, lex, budget, stats):
             # the search builds well-formed trees, and only a lexicon built
             # in code can break their inventories: `_judge` runs the tree
             # stage on each candidate

@@ -30,10 +30,12 @@ parse errors carry a line and column.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
+from typing import Iterator
 
 from .constraints import (
     FOLLOWS,
@@ -44,6 +46,7 @@ from .constraints import (
     DomainFeatureRequirement,
     PrecedencePredicate,
 )
+from .core import UnknownTokenError, WordToken
 
 
 class LexiconError(Exception):
@@ -152,6 +155,29 @@ class Lexicon:
 def entries_for(form: str, lex: Lexicon) -> tuple[LexicalEntry, ...]:
     """All entries whose form matches exactly (case sensitive); may be empty."""
     return lex.entries.get(form, ())
+
+
+def entry_assignments(
+    tokens: list[str] | tuple[str, ...], lex: Lexicon
+) -> Iterator[tuple[WordToken, ...]]:
+    """Each choice of one entry per token, as the tokens' words in order.
+
+    Every token is looked up before the first choice: the first one without
+    an entry raises UnknownTokenError.  No tokens yield no choice.
+    """
+    options = []
+    for tok in tokens:
+        entries = entries_for(tok, lex)
+        if not entries:
+            raise UnknownTokenError(tok)
+        options.append(entries)
+    if not options:
+        return
+    for combo in itertools.product(*options):
+        yield tuple(
+            WordToken(i, tok, entry)
+            for i, (tok, entry) in enumerate(zip(tokens, combo))
+        )
 
 
 # ---------------------------------------------------------------------------

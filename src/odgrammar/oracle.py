@@ -6,11 +6,14 @@ positional-head choice, every slot assignment, and (for ordering) every
 permutation of the input is generated.  Each tree is checked once (tree
 stage and valency), and the validator judges each structure over it from
 its domain stage on.  Nothing here knows about the engine's search order
-or its pruning; the only code shared with the engine is the validator and
+or its pruning; the only code shared with the engine is the validator,
 the data model in `core` (constructors, realization, and the tree
-helpers).  That makes the oracle slow but trustworthy, which is the point:
-it is the one reference the engine's pruned search is tested against, on
-a corpus of short inputs.
+helpers), and the two steps that start every candidate tree: the
+enumeration of entry assignments (`odgrammar.lexicon.entry_assignments`)
+and the tree built over a head map (`odgrammar.core.labeled_tree`).  That
+makes the oracle slow but trustworthy, which is the point: it is the one
+reference the engine's pruned search is tested against, on a corpus of
+short inputs.
 Through `realize_structure` it reads the same `core.close_word` as the
 engine's search: one derivation of the domain layer from insertion.
 
@@ -22,22 +25,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .constraints import check_valency
 from .core import (
-    DependencyEdge,
     DependencyStructure,
     DependencyTree,
     TokenLimitError,
-    UnknownTokenError,
-    WordToken,
     ancestor_chain,
     dependency_cycle,
+    labeled_tree,
     permute_tree,
     realize_structure,
     validate_tree,
 )
-from .lexicon import Lexicon, entries_for
+from .lexicon import Lexicon, entry_assignments
 from .serialize import canonical_structure
 from .validate import _iter_from_domain_stage
 
@@ -59,8 +61,8 @@ def _check_size(n: int, config: OracleConfig) -> None:
         )
 
 
-def _parent_maps(words, slot_names):
-    """Yield (root, parent, dtype_of) for every labeled head assignment.
+def _parent_maps(words):
+    """Yield the tree of every labeled head assignment over ``words``.
 
     Every non-root word picks every other word as head, with every dtype
     that the head's entry has a slot for.  Assignments whose parent map is
@@ -73,10 +75,10 @@ def _parent_maps(words, slot_names):
         choices = []
         for w in rest:
             opts = [
-                (h, dt)
+                (h, slot.dtype)
                 for h in range(n)
                 if h != w
-                for dt in slot_names[h]
+                for slot in words[h].entry.valency
             ]
             if not opts:
                 break
@@ -88,25 +90,30 @@ def _parent_maps(words, slot_names):
             if dependency_cycle(parent, root, n):
                 continue
             dtype_of = {w: dt for w, (_, dt) in zip(rest, combo)}
-            yield root, parent, dtype_of
+            yield labeled_tree(words, root, parent, dtype_of)
+
+
+def placements(tree: DependencyTree) -> Iterator[DependencyStructure]:
+    """Every structure realizing ``tree`` in its own word order, unjudged.
+
+    Each non-root word takes every transitive head as its positional head
+    and every template slot of that head.
+    """
+    head_of = tree.head_of()
+    non_root = [w for w in range(tree.n) if w != tree.root]
+    chains = [ancestor_chain(head_of, w) for w in non_root]
+    for heads in itertools.product(*chains):
+        positional = dict(zip(non_root, heads))
+        slot_ranges = [range(len(tree.words[p].entry.template.slots)) for p in heads]
+        for slots in itertools.product(*slot_ranges):
+            yield realize_structure(tree, positional, dict(zip(non_root, slots)))
 
 
 def _valid_structures(tree: DependencyTree, lex: Lexicon):
     """Yield every valid DependencyStructure over a fixed, checked tree."""
-    head_of = tree.head_of()
-    non_root = [w for w in range(tree.n) if w != tree.root]
-    pos_choices = [ancestor_chain(head_of, w) for w in non_root]
-    for pos_combo in itertools.product(*pos_choices):
-        positional = dict(zip(non_root, pos_combo))
-        slot_choices = [
-            range(len(tree.words[positional[w]].entry.template.slots))
-            for w in non_root
-        ]
-        for slot_combo in itertools.product(*slot_choices):
-            slot_of = dict(zip(non_root, slot_combo))
-            ds = realize_structure(tree, positional, slot_of)
-            if next(_iter_from_domain_stage(ds, lex), None) is None:
-                yield ds
+    for ds in placements(tree):
+        if next(_iter_from_domain_stage(ds, lex), None) is None:
+            yield ds
 
 
 def oracle_parse(
@@ -119,28 +126,10 @@ def oracle_parse(
     Results are sorted by their canonical serialization.
     """
     config = config or _DEFAULT_CONFIG
-    n = len(tokens)
-    _check_size(n, config)
-    entry_options = []
-    for tok in tokens:
-        opts = entries_for(tok, lex)
-        if not opts:
-            raise UnknownTokenError(tok)
-        entry_options.append(opts)
+    _check_size(len(tokens), config)
     found: dict[str, DependencyStructure] = {}
-    for entry_combo in itertools.product(*entry_options):
-        words = tuple(
-            WordToken(i, tok, entry)
-            for i, (tok, entry) in enumerate(zip(tokens, entry_combo))
-        )
-        classes = {w.index: w.entry.word_class for w in words}
-        slot_names = [tuple(s.dtype for s in e.valency) for e in entry_combo]
-        for root, parent, dtype_of in _parent_maps(words, slot_names):
-            edges = tuple(
-                DependencyEdge(parent[w], w, dtype_of[w])
-                for w in sorted(parent)
-            )
-            tree = DependencyTree(words, root, edges, classes)
+    for words in entry_assignments(tokens, lex):
+        for tree in _parent_maps(words):
             if not (validate_tree(tree, lex).ok and check_valency(tree, lex).ok):
                 continue
             for ds in _valid_structures(tree, lex):

@@ -219,7 +219,11 @@ MUTANTS = (
         "                    # `_depth_first` charges the candidates taken\n"
         "                    budget.tick()\n",
         "                    # `_depth_first` charges the candidates taken\n",
-        ("tests/test_engine.py::TestBudgetThresholds::test_parse",),
+        (
+            "tests/test_engine.py::TestBudgetThresholds::test_parse",
+            "tests/test_engine.py::TestBudgetThresholds::"
+            "test_parse_charges_rejected_head_candidates",
+        ),
     ),
     Mutant(
         "complete-assignment-tick-dropped",
@@ -239,6 +243,84 @@ MUTANTS = (
         (
             "tests/test_engine.py::TestGenerate::test_key_tree",
             "tests/test_engine.py::TestDiagnostics::test_generate_counts",
+        ),
+    ),
+    # the search's per-tree pass: placement options and its early returns
+    Mutant(
+        "extraction-stop-dropped",
+        "odgrammar/engine.py",
+        "            if host == tree.root or dtype_of[host] not in slot.extraction:\n",
+        "            if host == tree.root:\n",
+        (
+            "tests/test_engine.py::TestBudgetThresholds::test_parse",
+            "tests/test_engine.py::TestDiagnostics::test_parse_counts",
+        ),
+    ),
+    Mutant(
+        "extraction-stop-inverted",
+        "odgrammar/engine.py",
+        "            if host == tree.root or dtype_of[host] not in slot.extraction:\n",
+        "            if host == tree.root or dtype_of[host] in slot.extraction:\n",
+        (
+            "tests/test_engine.py::TestBudgetThresholds::test_parse",
+            "tests/test_engine.py::TestDiagnostics::test_parse_counts",
+        ),
+    ),
+    Mutant(
+        "domain-feature-slot-prune-dropped",
+        "odgrammar/engine.py",
+        "            choices += [(host, s) for s in range(len(entry.template.slots))\n"
+        "                        if s not in lacking]\n",
+        "            choices += [(host, s) for s in range(len(entry.template.slots))]\n",
+        (
+            "tests/test_engine.py::TestDiagnostics::"
+            "test_every_domain_feature_demand_of_a_slot_prunes",
+        ),
+    ),
+    Mutant(
+        "self-slot-demand-check-dropped",
+        "odgrammar/engine.py",
+        "        if any(r.slot == self_slot[w] and missing_features(r.required, feats)\n",
+        "        if False and any(r.slot == self_slot[w]\n"
+        "                         and missing_features(r.required, feats)\n",
+        (
+            "tests/test_engine.py::TestDiagnostics::"
+            "test_a_word_lacking_its_own_field_demand_realizes_nothing",
+            "tests/test_random_lexicon.py::test_engine_equals_oracle_on_random_lexica",
+        ),
+    ),
+    Mutant(
+        "leaf-bounds-return-dropped",
+        "odgrammar/engine.py",
+        "            if not _within_bounds(closed[w], cards[w]):\n                return\n",
+        "",
+        (
+            "tests/test_engine.py::TestGenerate::"
+            "test_leaf_outside_its_bounds_ends_the_search_before_any_tick",
+            "tests/test_random_lexicon.py::test_engine_equals_oracle_on_random_lexica",
+        ),
+    ),
+    # the two constructors parse and the oracle share: the differential net
+    # compares code that holds the same fault on both sides, so only pinned
+    # counts and digests see one
+    Mutant(
+        "entry-assignment-option-dropped",
+        "odgrammar/lexicon.py",
+        "        options.append(entries)\n",
+        "        options.append(entries[:1])\n",
+        (
+            "tests/test_engine.py::TestParse::test_corpus_counts",
+            "tests/test_engine.py::TestScaling::test_genitive_k4",
+        ),
+    ),
+    Mutant(
+        "labeled-tree-class-left-out",
+        "odgrammar/core.py",
+        "    classes = {w.index: w.entry.word_class for w in words}\n",
+        "    classes = {w.index: w.entry.word_class for w in words[1:]}\n",
+        (
+            "tests/test_engine.py::TestParse::test_corpus_counts",
+            "tests/test_engine.py::TestScaling::test_genitive_k4",
         ),
     ),
     # parse-only cuts, which the net's checks past the oracle's limit kill

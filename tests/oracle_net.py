@@ -35,8 +35,11 @@ Their limits: a valid structure that both directions miss does not show,
 since nothing enumerates structures apart from the engine.  Parse's
 closure cuts are not in generate, and generate's arrangement prunes are
 not in parse, so a fault in either shows as a broken duality; a fault in
-a step both share (``_placement_options``, ``close_word``,
-``_depth_first``) does not.
+a step both share (the search's per-tree pass in ``_iter_realizations``,
+``close_word``, ``_depth_first``) does not.  Nor does one in the two
+constructors the engine and the oracle share, ``entry_assignments`` and
+``labeled_tree``, in any comparison: only the pinned counts and digests
+of the tests see it.
 
 A source is a lexicon with a Tier-1 slice and a full sweep of sentences:
 
@@ -93,13 +96,13 @@ from odgrammar import (
     oracle_generate,
     oracle_parse,
     parse,
-    realize_structure,
     reference_lexicon,
     render_lexicon,
     render_tree_text,
     structure_is_valid,
 )
-from odgrammar.core import ancestor_chain, permute_tree
+from odgrammar.core import permute_tree
+from odgrammar.oracle import placements
 
 from corpus import SENTENCES
 from harness import independent_verdict
@@ -185,23 +188,6 @@ def genitive_tree_text(k: int) -> str:
 def sentences(forms, lengths):
     for k in lengths:
         yield from itertools.product(forms, repeat=k)
-
-
-def placements(tree):
-    """Every structure realizing ``tree`` in its own word order.
-
-    Each non-root word takes every transitive head as its positional head
-    and every template slot of that head, as `odgrammar.oracle` does; the
-    structures are not validated.
-    """
-    head_of = tree.head_of()
-    non_root = [w for w in range(tree.n) if w != tree.root]
-    chains = [ancestor_chain(head_of, w) for w in non_root]
-    for heads in itertools.product(*chains):
-        positional = dict(zip(non_root, heads))
-        slot_ranges = [range(len(tree.words[p].entry.template.slots)) for p in heads]
-        for slots in itertools.product(*slot_ranges):
-            yield realize_structure(tree, positional, dict(zip(non_root, slots)))
 
 
 @dataclass

@@ -84,6 +84,7 @@ from odgrammar import (  # noqa: E402
     validate_structure,
     validate_tree,
 )
+from odgrammar.oracle import placements  # noqa: E402
 from odgrammar.serialize import canonical_structure, structure_obj  # noqa: E402
 
 from cli_snapshot import KEY_STRUCTURE, KEY_TREE  # noqa: E402
@@ -93,7 +94,6 @@ from oracle_net import (  # noqa: E402
     GENITIVE_LEXICON,
     genitive_tokens,
     genitive_tree_text,
-    placements,
     sentences,
 )
 from random_lexicon import FORMS, MAX_TOKENS, random_lexicon_text  # noqa: E402
