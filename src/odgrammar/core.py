@@ -421,10 +421,27 @@ def validate_tree(tree: DependencyTree, lex: "Lexicon | None" = None) -> Validat
 # order domain structure validation
 
 
+def _spans_nest(spans: list[tuple[int, int]]) -> bool:
+    """Do the spans, each given as (start, -end), pairwise nest or lie apart?
+
+    Sorted by start, longest first, they do exactly when each lies within
+    the innermost earlier span that has not ended before it starts.
+    """
+    open_ends: list[int] = []  # the ends of a chain of nested spans
+    for start, neg_end in sorted(spans):
+        while open_ends and open_ends[-1] < start:
+            open_ends.pop()
+        if open_ends and open_ends[-1] < -neg_end:
+            return False
+        open_ends.append(-neg_end)
+    return True
+
+
 def iter_ods_violations(
     ods: OrderDomainStructure, n_words: int
 ) -> Iterator[Violation]:
     seen_ids: set[str] = set()
+    spans: list[tuple[int, int]] | None = []  # None once a domain is no span
     for d in ods.domains:
         if d.id in seen_ids:
             yield Violation("ods.dup-id", (d.id,), f"duplicate domain id {d.id!r}")
@@ -432,6 +449,7 @@ def iter_ods_violations(
         members = d.members
         if not members:
             yield Violation("ods.empty", (d.id,), f"domain {d.id!r} has no members")
+            spans = None
             continue
         lo, hi = min(members), max(members)
         if lo < 0 or hi >= n_words:
@@ -440,6 +458,7 @@ def iter_ods_violations(
                 (d.id, *sorted(m for m in members if not 0 <= m < n_words)),
                 f"domain {d.id!r} contains out-of-range indices",
             )
+            spans = None
             continue
         if len(members) != hi - lo + 1:
             yield Violation(
@@ -447,9 +466,15 @@ def iter_ods_violations(
                 (d.id,),
                 f"domain {d.id!r} is not contiguous: {sorted(members)}",
             )
+            spans = None
+        elif spans is not None:
+            spans.append((lo, -hi))
 
-    # Any two domains must be nested or disjoint.
-    domains = ods.domains
+    # Any two domains must be nested or disjoint.  When every domain is a
+    # span, sorting the spans decides it; only a crossing, or a domain that
+    # is no span, needs the pairwise loop, which reports every overlapping
+    # pair in id order.
+    domains = () if spans is not None and _spans_nest(spans) else ods.domains
     for i in range(len(domains)):
         for j in range(i + 1, len(domains)):
             a, b = domains[i].members, domains[j].members

@@ -40,9 +40,15 @@ cardinality bounds.  Every placement of the words after it shares that
 closure.  Parsing realizes each complete placement from the member sets
 of its closures (passed to `realize_structure`, not derived again), and
 generation arranges their immediate members and realizes each order from
-the same sets, renamed to the order's indices.  The validator is asked for
-one finding per candidate, so a rejected candidate costs only the checks
-up to its first failing one, from the tree stage on.
+the same sets, renamed to the order's indices.  A domain's orderings depend
+only on its owner, its slot and its members' names, so generation draws
+them once per call for each such triple.  The validator is asked for one
+finding per candidate, so a rejected candidate costs only the checks up to
+its first failing one.  Parse asks from the tree stage on.  Generation
+checks the tree stage and valency once, on the given tree: a permutation
+renames the words and keeps their heads, dependency types, classes and
+entries, so it asks about each order from the domain stage on, without
+valency.
 
 Head maps and placements are one kind of search: every word makes one
 choice (a labeled head, or a host and a slot) from a list of options built
@@ -53,7 +59,8 @@ limit.  Every candidate counts against ``max_candidates``: parse charges
 each entry assignment, `_depth_first` each choice taken and each complete
 assignment, the head-map search also each head candidate it rejects (a
 used slot, or a head below the word), and generation each permutation
-drawn for a domain and each combined order.
+drawn for a domain, again each time it reuses that domain's orderings,
+and each combined order.
 Exceeding the budget raises ResourceLimitError rather than returning a
 truncated answer.
 """
@@ -61,6 +68,7 @@ truncated answer.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -74,6 +82,7 @@ from .constraints import (
 from .core import (
     DependencyStructure,
     DependencyTree,
+    Member,
     ResourceLimitError,
     StructureError,
     ancestor_chain,
@@ -88,7 +97,7 @@ from .core import (
 )
 from .lexicon import Lexicon, entry_assignments
 from .serialize import canonical_structure
-from .validate import iter_structure_violations
+from .validate import _iter_from_domain_stage, iter_structure_violations
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 
@@ -132,8 +141,8 @@ class _Budget:
         self.limit = limit
         self.used = 0
 
-    def tick(self) -> None:
-        self.used += 1
+    def tick(self, count: int = 1) -> None:
+        self.used += count
         if self.used > self.limit:
             raise ResourceLimitError(
                 f"candidate budget of {self.limit} exhausted"
@@ -389,9 +398,11 @@ def _iter_realizations(tree, budget, *, closure_cuts=None):
         yield positional, slot_of, closed
 
 
-def _judge(ds, lex, stats) -> bool:
+def _judge(violations, stats) -> bool:
+    """Is a realized candidate valid?  ``violations`` are its findings, of
+    which only the first is read."""
     stats.bump("realized")
-    violation = next(iter_structure_violations(ds, lex), None)
+    violation = next(violations, None)
     if violation is None:
         return True
     stats.rejections[violation.condition] += 1
@@ -488,7 +499,7 @@ def parse(
                 ds = realize_structure(
                     tree, positional, slot_of, member_sets_of(closed)
                 )
-                if _judge(ds, lex, stats):
+                if _judge(iter_structure_violations(ds, lex), stats):
                     found.setdefault(canonical_structure(ds, lex), ds)
     structures = tuple(found[key] for key in sorted(found))
     return ParseResult(structures, stats.lines(_PARSE_STAGES))
@@ -498,24 +509,24 @@ def parse(
 # generation
 
 
-def _arrangements(items, slot, entry, dtype_of, budget):
-    """Orderings of the immediate members of the owner's domain ``slot``.
+def _arrangements(names, slot, entry, dtype_of, budget):
+    """Orderings of ``names``, the immediate members of the owner's domain
+    ``slot`` (see `odgrammar.core.Member`).
 
-    ``items`` are the domain's (member, first, last) records from its
-    closure (see `odgrammar.core.Closure`); an ordering is of those records,
-    and only their member names are read.  Orderings that put a word's own
-    domains out of template-slot order are dropped, since they can never
-    satisfy the sequence-order condition, and so are those that one of the
-    owner's precedence predicates (from ``entry``) scoped to ``slot`` finds
-    misordered, each member spanning its rank.  Every ordering drawn counts
-    against the budget, so a large domain raises ResourceLimitError before
-    its permutations pile up.
+    Orderings that put a word's own domains out of template-slot order are
+    dropped, since they can never satisfy the sequence-order condition, and
+    so are those that one of the owner's precedence predicates (from
+    ``entry``) scoped to ``slot`` finds misordered, each member spanning its
+    rank.  The result depends on the owner, the slot and the names alone,
+    so `generate` draws it once per call for each such triple.  Every
+    ordering drawn counts against the budget, so a large domain raises
+    ResourceLimitError before its permutations pile up.
     """
     preds = [p for p in entry.predicates if p.scopes(slot, entry.template.self_slot)]
-    for perm in itertools.permutations(items):
+    for perm in itertools.permutations(names):
         budget.tick()
         last: dict[int, int] = {}
-        for (word, s), _, _ in perm:
+        for word, s in perm:
             if s is None:
                 continue
             if last.get(word, -1) > s:
@@ -523,7 +534,7 @@ def _arrangements(items, slot, entry, dtype_of, budget):
             last[word] = s
         else:
             if preds:
-                members = [(m, rank, rank) for rank, (m, _, _) in enumerate(perm)]
+                members = [(m, rank, rank) for rank, m in enumerate(perm)]
                 if any(p.misordered(members, dtype_of) for p in preds):
                     continue
             yield perm
@@ -566,15 +577,26 @@ def generate(
         return GenerationResult((), stats.lines(_GEN_STAGES))
 
     dtype_of = tree.dtype_of()
+    # (owner, slot, member names) -> the orderings `_arrangements` drew
+    arranged: dict[tuple, list[tuple[Member, ...]]] = {}
     found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
     for positional, slot_of, closed in _iter_realizations(tree, budget):
         stats.bump("placements")
         layout = layout_of(closed)
         members = member_sets_of(closed)
-        choice_lists = [
-            list(_arrangements(items, s, tree.words[w].entry, dtype_of, budget))
-            for (w, s), items in layout.items()
-        ]
+        choice_lists = []
+        for (w, s), items in layout.items():
+            names = tuple(m for m, _, _ in items)
+            orderings = arranged.get((w, s, names))
+            if orderings is None:
+                orderings = arranged[w, s, names] = list(
+                    _arrangements(names, s, tree.words[w].entry, dtype_of, budget)
+                )
+            else:
+                # a reuse charges the draws it saves, so the budget runs
+                # out where drawing them again would exhaust it
+                budget.tick(math.factorial(len(names)))
+            choice_lists.append(orderings)
 
         for combo in itertools.product(*choice_lists):
             budget.tick()
@@ -589,7 +611,7 @@ def generate(
                 if s is None:
                     order.append(w)
                 else:
-                    stack.extend(m for m, _, _ in reversed(chosen[w, s]))
+                    stack.extend(reversed(chosen[w, s]))
             permuted, new_index = permute_tree(tree, order)
             pos2 = {new_index[w]: new_index[p] for w, p in positional.items()}
             slot2 = {new_index[w]: s for w, s in slot_of.items()}
@@ -598,7 +620,9 @@ def generate(
                 for (w, s), words in members.items()
             }
             ds = realize_structure(permuted, pos2, slot2, members2)
-            if _judge(ds, lex, stats):
+            # the tree stage and valency held on ``tree``, so they hold on
+            # every permutation of it
+            if _judge(_iter_from_domain_stage(ds, lex), stats):
                 surface = " ".join(permuted.forms())
                 found.setdefault((surface, canonical_structure(ds, lex)), (surface, ds))
     pairs = tuple(found[key] for key in sorted(found))

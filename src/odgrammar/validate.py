@@ -16,8 +16,14 @@ each as soon as its check has found it.  A caller that takes only the first
 finding, as the search and `structure_is_valid` do, pays for the checks up
 to that finding: a candidate with a gapped domain costs the tree stage and
 the domain checks up to the first gap, not every domain and the nesting
-check.  Nothing is kept between calls.  The oracle checks each tree once
-itself and asks only from the domain stage on (`_iter_from_domain_stage`).
+check.  Nothing is kept between calls.
+
+The tree stage and valency read the tree alone, and every structure over
+one tree, in any order of its words, shares their verdict: a permutation
+renames the words and keeps their heads, dependency types, classes and
+entries.  So generation and the oracle check each tree once themselves
+and enter at the domain stage, without valency (`_iter_from_domain_stage`).
+Parse enters at the tree stage (`iter_structure_violations`).
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ def _iter_entry_violations(ds: DependencyStructure) -> Iterator[Violation]:
 
 
 def _iter_constraint_violations(
-    ds: DependencyStructure, lex: Lexicon, idx: StructureIndex
+    ds: DependencyStructure, lex: Lexicon, idx: StructureIndex, valency: bool
 ) -> Iterator[Violation]:
     tree = ds.tree
 
@@ -89,7 +95,8 @@ def _iter_constraint_violations(
                     f"derives {derives}",
                 )
 
-    yield from check_valency(tree, lex).violations
+    if valency:
+        yield from check_valency(tree, lex).violations
 
     for w in range(tree.n):
         if w == tree.root:
@@ -119,14 +126,16 @@ def iter_structure_violations(
     if found:
         yield from iter_ods_violations(ds.domains, ds.tree.n)
         return
-    yield from _iter_from_domain_stage(ds, lex)
+    yield from _iter_from_domain_stage(ds, lex, valency=True)
 
 
 def _iter_from_domain_stage(
-    ds: DependencyStructure, lex: Lexicon
+    ds: DependencyStructure, lex: Lexicon, *, valency: bool = False
 ) -> Iterator[Violation]:
     """Findings of a structure whose tree passes the tree stage, in report
-    order; the oracle asks here for each structure over a tree it checked."""
+    order, with the tree's valency findings only if ``valency`` is set;
+    generation and the oracle, which check valency once per tree, leave it
+    unset."""
     found = False
     for violation in iter_ods_violations(ds.domains, ds.tree.n):
         found = True
@@ -142,7 +151,7 @@ def _iter_from_domain_stage(
 
     yield from iter_condition_violations(ds, idx)
     yield from _iter_entry_violations(ds)
-    yield from _iter_constraint_violations(ds, lex, idx)
+    yield from _iter_constraint_violations(ds, lex, idx, valency)
 
 
 def validate_structure(ds: DependencyStructure, lex: Lexicon) -> ValidationReport:

@@ -209,6 +209,36 @@ entry "b" class=Y {
 }
 """
 
+# "v" orders its x dependent before its y dependent, and both may climb to
+# the root "r", which orders nothing.  So the dependents of one tree share
+# a field of either verb, the same slot (0) and the same members, and only
+# in the field of "v" must "a" come first.
+TWO_OWNERS_LEXICON = """
+dtypes: c x y
+classes: R V X Y
+root: R
+
+entry "r" class=R {
+  slot c: class=V required extract {};
+  domains [f s] self=s;
+}
+
+entry "v" class=V {
+  slot x: class=X required extract {c};
+  slot y: class=Y required extract {c};
+  domains [f s] self=s;
+  order <x> before <y>;
+}
+
+entry "a" class=X {
+  domains [d] self=d;
+}
+
+entry "b" class=Y {
+  domains [d] self=d;
+}
+"""
+
 # "v" demands f=a of every member of its own field, itself included, and
 # carries f=b, so no structure with "v" in it is valid.
 SELF_DEMAND_LEXICON = """

@@ -323,6 +323,49 @@ MUTANTS = (
             "tests/test_engine.py::TestScaling::test_genitive_k4",
         ),
     ),
+    # generation's orderings, drawn once per call, and the sorted nesting check
+    Mutant(
+        "arrangement-reuse-uncharged",
+        "odgrammar/engine.py",
+        "                budget.tick(math.factorial(len(names)))\n",
+        "                pass\n",
+        (
+            "tests/test_engine.py::TestBudgetThresholds::test_generate_key_tree",
+            "tests/test_engine.py::TestBudgetThresholds::test_generate_genitive_k1",
+        ),
+    ),
+    Mutant(
+        "nesting-crossing-test-dropped",
+        "odgrammar/core.py",
+        "        if open_ends and open_ends[-1] < -neg_end:\n            return False\n",
+        "",
+        (
+            "tests/test_core.py::TestDomainChecks::test_overlap_without_nesting",
+            "tests/test_core.py::TestDomainChecks::test_nesting_equals_the_pairwise_check",
+            "tests/test_constraints.py::test_domain_stage_failure",
+        ),
+    ),
+    Mutant(
+        "nesting-shared-end-closed",
+        "odgrammar/core.py",
+        "        while open_ends and open_ends[-1] < start:\n",
+        "        while open_ends and open_ends[-1] <= start:\n",
+        (
+            "tests/test_core.py::TestDomainChecks::test_overlap_without_nesting",
+            "tests/test_core.py::TestDomainChecks::test_nesting_equals_the_pairwise_check",
+        ),
+    ),
+    Mutant(
+        "arrangement-key-without-owner",
+        "odgrammar/engine.py",
+        "            orderings = arranged.get((w, s, names))\n"
+        "            if orderings is None:\n"
+        "                orderings = arranged[w, s, names] = list(\n",
+        "            orderings = arranged.get((s, names))\n"
+        "            if orderings is None:\n"
+        "                orderings = arranged[s, names] = list(\n",
+        ("tests/test_engine.py::TestGenerate::test_orderings_are_drawn_per_owner",),
+    ),
     # parse-only cuts, which the net's checks past the oracle's limit kill
     Mutant(
         "precedence-cut-first-slot-only",
@@ -351,6 +394,15 @@ EQUIVALENT = (
         reason="a self-vs-all predicate pairs only the introducer, and (w, None) "
         "is a member of w's self domain alone, so on any other slot "
         "`misordered` finds nothing; pair predicates scope every slot",
+    ),
+    Mutant(
+        "nesting-equal-ends-cross",
+        "odgrammar/core.py",
+        "        if open_ends and open_ends[-1] < -neg_end:\n",
+        "        if open_ends and open_ends[-1] <= -neg_end:\n",
+        reason="a crossing the sort finds where there is none only sends the "
+        "family to the pairwise loop, which reports the same findings in the "
+        "same order; only the time changes",
     ),
 )
 

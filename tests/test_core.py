@@ -1,6 +1,8 @@
 """Data model, tree and domain checks, navigation, realization."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +27,11 @@ from odgrammar import (
     validate_structure,
     validate_tree,
 )
-from odgrammar.core import derived_member_sets, iter_condition_violations
+from odgrammar.core import (
+    derived_member_sets,
+    iter_condition_violations,
+    iter_ods_violations,
+)
 
 from oracle_net import GENITIVE_LEXICON, genitive_tree_text
 
@@ -256,6 +262,83 @@ class TestDomainChecks:
 
     def test_valid_layer(self, ds):
         assert validate_domain_structure(ds.domains, 6).ok
+
+    def test_nesting_equals_the_pairwise_check(self):
+        # the nesting check sorts spans and falls back to comparing every
+        # pair of domains on a crossing or a domain that is no span; both
+        # ways must give exactly the pairwise check's findings, in order
+        rng = random.Random(25)
+        seen = Counter()  # (every domain a span, any finding) per family
+        for trial in range(3000):
+            n = rng.randint(1, 10)
+            kinds = SPAN_KINDS if trial % 2 else SPAN_KINDS + ODD_KINDS
+            family = [random_span(rng, n)]
+            for _ in range(rng.randint(0, 7)):
+                family.append(random_domain(rng, rng.choice(kinds), n, family))
+            ods = OrderDomainStructure(
+                tuple(OrderDomain(f"d{rng.randrange(10)}", m) for m in family), {}
+            )
+            found = [
+                (v.subjects, v.message)
+                for v in iter_ods_violations(ods, n)
+                if v.condition == "ods.hierarchy"
+            ]
+            assert found == pairwise_hierarchy(ods.domains), ods
+            spans = all(
+                m and 0 <= min(m) and max(m) < n and max(m) - min(m) + 1 == len(m)
+                for m in family
+            )
+            seen[spans, bool(found)] += 1
+        # span families with and without a crossing, and the families with
+        # a domain that is no span, each came up many times
+        assert len(seen) == 4 and min(seen.values()) > 300, seen
+
+
+def pairwise_hierarchy(domains):
+    """Every pair of domains, in order, that overlaps without nesting."""
+    return [
+        ((a.id, b.id), f"domains {a.id!r} and {b.id!r} overlap without nesting")
+        for i, a in enumerate(domains)
+        for b in domains[i + 1:]
+        if a.members & b.members
+        and not (a.members <= b.members or b.members <= a.members)
+    ]
+
+
+def random_span(rng, n):
+    lo = rng.randrange(n)
+    return frozenset(range(lo, rng.randint(lo, n - 1) + 1))
+
+
+def random_domain(rng, kind, n, family):
+    """A member set of ``kind``, drawn against the sets in ``family``."""
+    base = sorted(m for m in rng.choice(family) if 0 <= m < n) or [0]
+    lo, hi = base[0], base[-1]
+    if kind == "equal":
+        return frozenset(base)
+    if kind == "nested":
+        start = rng.randint(lo, hi)
+        return frozenset(range(start, rng.randint(start, hi) + 1))
+    if kind == "touching":  # shares the other's first or last word, or adjoins it
+        if rng.random() < 0.5:
+            start = min(hi + rng.randint(0, 1), n - 1)
+            return frozenset(range(start, rng.randint(start, n - 1) + 1))
+        end = max(lo - rng.randint(0, 1), 0)
+        return frozenset(range(rng.randint(0, end), end + 1))
+    if kind == "crossing":
+        start = rng.randint(lo, hi)
+        return frozenset(range(start, rng.randint(hi, n - 1) + 1))
+    if kind == "gapped":
+        return frozenset(rng.sample(range(n), rng.randint(1, n)))
+    if kind == "empty":
+        return frozenset()
+    if kind == "out-of-range":
+        return random_span(rng, n) | {rng.choice((-1, n))}
+    return random_span(rng, n)
+
+
+SPAN_KINDS = ("span", "equal", "nested", "touching", "crossing")
+ODD_KINDS = ("gapped", "empty", "out-of-range")
 
 
 class TestRealization:

@@ -28,6 +28,7 @@ from odgrammar import (
     oracle_parse,
     parse,
     parse_tree_text,
+    validate_structure,
 )
 from odgrammar.constraints import PRECEDES, SELF_VS_ALL
 from odgrammar.core import (
@@ -50,7 +51,9 @@ from corpus import (
     SELF_DEMAND_LEXICON,
     SENTENCES,
     TWO_DEMANDS_LEXICON,
+    TWO_OWNERS_LEXICON,
 )
+from harness import independent_verdict
 from oracle_net import (
     GENITIVE_LEXICON,
     VERB_CLUSTER_LEXICON,
@@ -154,6 +157,40 @@ class TestGenerate:
         result = generate(key_structure.tree, lex)
         keys = [(s, canonical_structure(ds, lex)) for s, ds in result.pairs]
         assert keys == sorted(keys)
+
+    def test_every_pair_passes_the_full_checks(self, lex, key_structure):
+        # generation checks the tree once and asks the validator about each
+        # order from the domain stage on; every pair must still pass the
+        # whole validator, valency included, and the harness's rewrite
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        trees = [(key_structure.tree, lex)] + [
+            (parse_tree_text(genitive_tree_text(k), glex), glex) for k in range(3)
+        ]
+        for tree, lexicon in trees:
+            pairs = generate(tree, lexicon).pairs
+            assert pairs
+            for _, ds in pairs:
+                assert validate_structure(ds, lexicon).ok
+                assert independent_verdict(ds, lexicon)
+
+    def test_orderings_are_drawn_per_owner(self):
+        # "a" and "b" share slot 0 of "v" or, climbing, slot 0 of "r", with
+        # the same members, and only "v" orders them: the orderings drawn
+        # for one owner's domain must not stand for the other's
+        olex = load_lexicon(TWO_OWNERS_LEXICON)
+        tree = parse("a b v r".split(), olex).structures[0].tree
+        result = generate(tree, olex)
+
+        def pairs(found):
+            return [(surface, canonical_structure(ds, olex)) for surface, ds in found]
+
+        assert pairs(result.pairs) == pairs(oracle_generate(tree, olex))
+        assert len(result.pairs) == 177
+        assert result.diagnostics == (
+            "positional and slot assignments tried: 32",
+            "domain arrangements laid out: 177",
+            "realized structures validated: 177",
+        )
 
     def test_every_output_reparses(self, lex, key_structure):
         for surface, ds in generate(key_structure.tree, lex).pairs:
@@ -406,6 +443,16 @@ class TestBudgetThresholds:
         generate(key_structure.tree, lex, max_candidates=98)
         with pytest.raises(ResourceLimitError):
             generate(key_structure.tree, lex, max_candidates=97)
+
+    def test_generate_genitive_k1(self):
+        # this tree asks for 179 domains' orderings, over 25 distinct
+        # (owner, slot, members) keys; generation draws each key's orderings
+        # once and charges each of the 154 reuses the draws it saves
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        tree = parse_tree_text(GENITIVE_TREE, glex)
+        generate(tree, glex, max_candidates=661)
+        with pytest.raises(ResourceLimitError):
+            generate(tree, glex, max_candidates=660)
 
 
 class TestDiagnostics:
