@@ -12,22 +12,28 @@ into the introducer's domain from deeper in the tree.
 
 Each constraint's test lives here once (`PrecedencePredicate.misordered`,
 `CardinalityConstraint.broken_bound`, `missing_features`, `admits_class`,
-`admits_root`): the ``check_*`` functions report from it and the engine's
-prunes call it.
+`admits_root`): the checks report from it and the engine's prunes call it.
 
-The checks that read the domain layer navigate a `StructureIndex`.  They
-use the one passed as ``index`` or build their own, and raise
-StructureError when that index reports a linking problem or the word they
-are asked about is out of range.  An index is only defined on a structure
-whose layers pass their own stages (see `StructureIndex`), so before
-building their own they also raise StructureError on the first finding of
-the tree stage or the domain stage.
+Each check is a generator, ``iter_*_violations``, that yields its findings
+lazily in report order, and a ``check_*`` function that wraps it in a
+`ValidationReport`, as `odgrammar.core.validate_tree` wraps
+`iter_tree_violations`.  A caller that wants only the first finding, or
+that already holds a checked index, reads the generator.
+
+The checks that read the domain layer navigate a `StructureIndex`.  Their
+generators take an index without problems.  The ``check_*`` functions use
+the one passed as ``index`` or build their own, and raise StructureError
+when that index reports a linking problem or the word they are asked about
+is out of range.  An index is only defined on a structure whose layers
+pass their own stages (see `StructureIndex`), so before building their own
+they also raise StructureError on the first finding of the tree stage or
+the domain stage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .core import (
     DependencyStructure,
@@ -194,23 +200,16 @@ def _linked_index(
     return index
 
 
-def check_precedence(
+def iter_precedence_violations(
     pred: PrecedencePredicate,
     introducer: int,
     ds: DependencyStructure,
-    index: StructureIndex | None = None,
-) -> ValidationReport:
-    """Evaluate one predicate of the given introducer against the structure.
-
-    Words outside the introducer's realized domains never participate; a
-    topicalized constituent therefore escapes predicates scoped to the
-    domain it left.  Pairs whose members share a head word are skipped.
-    Raises StructureError when the structure's linking is ill defined.
-    """
-    idx = _linked_index(ds, index, introducer)
+    idx: StructureIndex,
+) -> Iterator[Violation]:
+    """`check_precedence`'s findings, in its order, on an index without
+    problems."""
     self_slot = ds.tree.words[introducer].entry.template.self_slot
     rel = "precede" if pred.direction == PRECEDES else "follow"
-    violations: list[Violation] = []
     for slot, did in enumerate(ds.domains.assoc[introducer]):
         if did is None or not pred.scopes(slot, self_slot):
             continue
@@ -228,8 +227,55 @@ def check_precedence(
                     f"in domain {did!r} the member headed by {hx} must "
                     f"{rel} the member headed by {hy} ({pred.render()})"
                 )
-            violations.append(Violation(condition, subjects, message))
-    return ValidationReport(tuple(violations))
+            yield Violation(condition, subjects, message)
+
+
+def check_precedence(
+    pred: PrecedencePredicate,
+    introducer: int,
+    ds: DependencyStructure,
+    index: StructureIndex | None = None,
+) -> ValidationReport:
+    """Evaluate one predicate of the given introducer against the structure.
+
+    Words outside the introducer's realized domains never participate; a
+    topicalized constituent therefore escapes predicates scoped to the
+    domain it left.  Pairs whose members share a head word are skipped.
+    Raises StructureError when the structure's linking is ill defined.
+    """
+    idx = _linked_index(ds, index, introducer)
+    return ValidationReport(
+        tuple(iter_precedence_violations(pred, introducer, ds, idx))
+    )
+
+
+def iter_cardinality_violations(
+    constraint: CardinalityConstraint,
+    introducer: int,
+    ds: DependencyStructure,
+    idx: StructureIndex,
+) -> Iterator[Violation]:
+    """`check_cardinality`'s finding, if any, on an index without problems;
+    IndexError when the constraint's slot is not in the template."""
+    seq = ds.domains.assoc[introducer]
+    if not 0 <= constraint.slot < len(seq):
+        raise IndexError(
+            f"slot {constraint.slot} out of range for word {introducer}"
+        )
+    did = seq[constraint.slot]
+    count = len(idx.immediate_members(did)) if did is not None else 0
+    bound = constraint.broken_bound(count)
+    if bound is None:
+        return
+    need = f"at least {constraint.min} required"
+    if bound == "max":
+        need = f"at most {constraint.max} allowed"
+    yield Violation(
+        f"card.{bound}",
+        (introducer, constraint.slot),
+        f"slot {constraint.slot} of word {introducer} holds {count} "
+        f"member(s); {need}",
+    )
 
 
 def check_cardinality(
@@ -245,29 +291,34 @@ def check_cardinality(
     template.
     """
     idx = _linked_index(ds, index, introducer)
-    seq = ds.domains.assoc[introducer]
-    if not 0 <= constraint.slot < len(seq):
-        raise IndexError(
-            f"slot {constraint.slot} out of range for word {introducer}"
-        )
-    did = seq[constraint.slot]
-    count = len(idx.immediate_members(did)) if did is not None else 0
-    bound = constraint.broken_bound(count)
-    if bound is None:
-        return ValidationReport(())
-    need = f"at least {constraint.min} required"
-    if bound == "max":
-        need = f"at most {constraint.max} allowed"
     return ValidationReport(
-        (
-            Violation(
-                f"card.{bound}",
-                (introducer, constraint.slot),
-                f"slot {constraint.slot} of word {introducer} holds {count} "
-                f"member(s); {need}",
-            ),
-        )
+        tuple(iter_cardinality_violations(constraint, introducer, ds, idx))
     )
+
+
+def iter_domain_feature_violations(
+    req: DomainFeatureRequirement,
+    introducer: int,
+    ds: DependencyStructure,
+    idx: StructureIndex,
+) -> Iterator[Violation]:
+    """`check_domain_features`'s findings, in its order, on an index without
+    problems; IndexError when the requirement's slot is not in the
+    template."""
+    seq = ds.domains.assoc[introducer]
+    if not 0 <= req.slot < len(seq):
+        raise IndexError(f"slot {req.slot} out of range for word {introducer}")
+    did = seq[req.slot]
+    if did is None:
+        return
+    for (hw, _), _, _ in idx.immediate_members(did):
+        for attr in missing_features(req.required, ds.features.get(hw, {})):
+            yield Violation(
+                "domfeat.value",
+                (introducer, req.slot, hw, attr),
+                f"member headed by {hw} in slot {req.slot} of word "
+                f"{introducer} lacks {attr}={req.required[attr]}",
+            )
 
 
 def check_domain_features(
@@ -283,24 +334,30 @@ def check_domain_features(
     template.
     """
     idx = _linked_index(ds, index, introducer)
-    seq = ds.domains.assoc[introducer]
-    if not 0 <= req.slot < len(seq):
-        raise IndexError(f"slot {req.slot} out of range for word {introducer}")
-    did = seq[req.slot]
-    if did is None:
-        return ValidationReport(())
-    violations = []
-    for (hw, _), _, _ in idx.immediate_members(did):
-        for attr in missing_features(req.required, ds.features.get(hw, {})):
-            violations.append(
-                Violation(
-                    "domfeat.value",
-                    (introducer, req.slot, hw, attr),
-                    f"member headed by {hw} in slot {req.slot} of word "
-                    f"{introducer} lacks {attr}={req.required[attr]}",
-                )
+    return ValidationReport(
+        tuple(iter_domain_feature_violations(req, introducer, ds, idx))
+    )
+
+
+def iter_extraction_violations(
+    slot: "ValencySlot",
+    dependent: int,
+    ds: DependencyStructure,
+    idx: StructureIndex,
+) -> Iterator[Violation]:
+    """`check_extraction`'s findings, nearest first, on an index without
+    problems; StructureError for the root."""
+    if dependent not in idx.head_of:
+        raise StructureError(f"word {dependent} has no direct head")
+    for cur in idx.crossed[dependent]:
+        dtype = idx.dtype_of[cur]
+        if dtype not in slot.extraction:
+            yield Violation(
+                "extract.path",
+                (dependent, cur, dtype),
+                f"extraction of word {dependent} crosses a {dtype!r} edge "
+                f"not licensed by slot {slot.dtype!r}",
             )
-    return ValidationReport(tuple(violations))
 
 
 def check_extraction(
@@ -320,35 +377,17 @@ def check_extraction(
     the structure's linking is ill defined.
     """
     idx = _linked_index(ds, index, dependent)
-    if dependent not in idx.head_of:
-        raise StructureError(f"word {dependent} has no direct head")
-    violations = []
-    for cur in idx.crossed[dependent]:
-        dtype = idx.dtype_of[cur]
-        if dtype not in slot.extraction:
-            violations.append(
-                Violation(
-                    "extract.path",
-                    (dependent, cur, dtype),
-                    f"extraction of word {dependent} crosses a {dtype!r} edge "
-                    f"not licensed by slot {slot.dtype!r}",
-                )
-            )
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(iter_extraction_violations(slot, dependent, ds, idx)))
 
 
-def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
-    """Match every word's outgoing edges against its entry's valency frame.
-
-    Covers: edges whose type names no slot, doubly filled slots, class and
-    feature requirements on dependents, unfilled required slots, and the
-    root word's class against the classes admitted at the sentence root.
-    Raises StructureError for a word bound to no entry.
-    """
+def iter_valency_violations(
+    tree: DependencyTree, lex: "Lexicon"
+) -> Iterator[Violation]:
+    """`check_valency`'s findings, in its order; StructureError, before the
+    first finding, for a word bound to no entry."""
     for w in tree.words:
         if w.entry is None:
             raise StructureError(f"word {w.index} is not bound to a lexical entry")
-    violations: list[Violation] = []
     outgoing: dict[int, list] = {w.index: [] for w in tree.words}
     for e in tree.edges:
         if e.head in outgoing and e.head != e.dependent:
@@ -361,61 +400,59 @@ def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
         for e in sorted(outgoing[w.index], key=lambda e: e.dependent):
             slot = slots.get(e.dtype)
             if slot is None:
-                violations.append(
-                    Violation(
-                        "lex.slot-unknown",
-                        (w.index, e.dependent, e.dtype),
-                        f"entry for {w.form!r} has no {e.dtype!r} slot",
-                    )
+                yield Violation(
+                    "lex.slot-unknown",
+                    (w.index, e.dependent, e.dtype),
+                    f"entry for {w.form!r} has no {e.dtype!r} slot",
                 )
                 continue
             if e.dtype in filled:
-                violations.append(
-                    Violation(
-                        "lex.slot-dup",
-                        (w.index, e.dependent, e.dtype),
-                        f"slot {e.dtype!r} of word {w.index} filled twice",
-                    )
+                yield Violation(
+                    "lex.slot-dup",
+                    (w.index, e.dependent, e.dtype),
+                    f"slot {e.dtype!r} of word {w.index} filled twice",
                 )
                 continue
             filled[e.dtype] = e.dependent
             dep = tree.words[e.dependent]
             if not admits_class(slot, dep.entry.word_class):
-                violations.append(
-                    Violation(
-                        "lex.slot-class",
-                        (w.index, e.dependent, e.dtype),
-                        f"slot {e.dtype!r} of {w.form!r} requires class "
-                        f"{slot.dep_class!r}, got {dep.entry.word_class!r}",
-                    )
+                yield Violation(
+                    "lex.slot-class",
+                    (w.index, e.dependent, e.dtype),
+                    f"slot {e.dtype!r} of {w.form!r} requires class "
+                    f"{slot.dep_class!r}, got {dep.entry.word_class!r}",
                 )
             for attr in missing_features(slot.features, dep.entry.features):
-                violations.append(
-                    Violation(
-                        "lex.slot-feat",
-                        (w.index, e.dependent, e.dtype, attr),
-                        f"slot {e.dtype!r} of {w.form!r} requires "
-                        f"{attr}={slot.features[attr]} on its dependent",
-                    )
+                yield Violation(
+                    "lex.slot-feat",
+                    (w.index, e.dependent, e.dtype, attr),
+                    f"slot {e.dtype!r} of {w.form!r} requires "
+                    f"{attr}={slot.features[attr]} on its dependent",
                 )
         for slot in entry.valency:
             if slot.required and slot.dtype not in filled:
-                violations.append(
-                    Violation(
-                        "lex.slot-required",
-                        (w.index, slot.dtype),
-                        f"required slot {slot.dtype!r} of word {w.index} "
-                        f"({w.form!r}) is unfilled",
-                    )
+                yield Violation(
+                    "lex.slot-required",
+                    (w.index, slot.dtype),
+                    f"required slot {slot.dtype!r} of word {w.index} "
+                    f"({w.form!r}) is unfilled",
                 )
 
     root = tree.words[tree.root]
     if not admits_root(lex, root.entry.word_class):
-        violations.append(
-            Violation(
-                "lex.root-class",
-                (tree.root, root.entry.word_class),
-                f"class {root.entry.word_class!r} cannot head a sentence",
-            )
+        yield Violation(
+            "lex.root-class",
+            (tree.root, root.entry.word_class),
+            f"class {root.entry.word_class!r} cannot head a sentence",
         )
-    return ValidationReport(tuple(violations))
+
+
+def check_valency(tree: DependencyTree, lex: "Lexicon") -> ValidationReport:
+    """Match every word's outgoing edges against its entry's valency frame.
+
+    Covers: edges whose type names no slot, doubly filled slots, class and
+    feature requirements on dependents, unfilled required slots, and the
+    root word's class against the classes admitted at the sentence root.
+    Raises StructureError for a word bound to no entry.
+    """
+    return ValidationReport(tuple(iter_valency_violations(tree, lex)))

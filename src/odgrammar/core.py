@@ -20,8 +20,10 @@ the word's realized slots, their immediate members and their member sets
 follow.  A domain contains its introducing word (if it is the self slot)
 plus every word of the domains inserted into it.  `derived_member_sets`
 closes every word in insertion order; the engine's search closes each word
-as it goes.  Validators below check the stored sets against this
-derivation, along with the four linking conditions:
+as it goes.  The validator (`odgrammar.validate`) checks each stored set
+against the same rule one domain at a time, on the linking index below,
+and derives the sets only to report a mismatch.  Validators below check
+the four linking conditions:
 
   1. each word lies in exactly one domain of its own sequence,
   2. the domains of one word's sequence are pairwise disjoint,
@@ -244,7 +246,8 @@ class OrderDomain:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
+        if not isinstance(self.members, frozenset):
+            object.__setattr__(self, "members", frozenset(self.members))
 
     def span(self) -> tuple[int, int]:
         return (min(self.members), max(self.members))
@@ -709,7 +712,7 @@ def iter_condition_violations(
     for w, seq in enumerate(seqs):
         for i in range(len(seq)):
             for j in range(i + 1, len(seq)):
-                if by_id[seq[i]].members & by_id[seq[j]].members:
+                if not by_id[seq[i]].members.isdisjoint(by_id[seq[j]].members):
                     yield Violation(
                         "ds.cond2",
                         (w, seq[i], seq[j]),
@@ -829,7 +832,9 @@ def derived_member_sets(
 
     A domain holds its introducing word (if it is the self slot) plus every
     word of the domains nested in it.  Raises StructureError when the
-    insertions form a cycle.
+    insertions form a cycle.  `realize_structure` calls it when it is not
+    given the sets, and the validator only to report the slots whose stored
+    sets differ; the searches derive their own as they close each word.
     """
     return member_sets_of(_close_all(tree, positional, slot_of))
 

@@ -144,10 +144,13 @@ class Lexicon:
         return frozenset(self.classes)
 
     def entry_ordinal(self, entry: LexicalEntry) -> int:
-        """Position of the entry among those sharing its form."""
+        """Position of the first entry equal to ``entry`` among those sharing
+        its form.  The identity test spares the field-by-field comparison
+        when the entry is the lexicon's own; an earlier equal entry still
+        matches first."""
         bucket = self.entries.get(entry.form, ())
         for i, candidate in enumerate(bucket):
-            if candidate == entry:
+            if candidate is entry or candidate == entry:
                 return i
         raise ValueError(f"entry for {entry.form!r} is not in this lexicon")
 

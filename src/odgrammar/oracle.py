@@ -4,14 +4,15 @@ The functions in this module answer the same questions as the engine
 (`odgrammar.engine`) but by brute force: every head assignment, every
 positional-head choice, every slot assignment, and (for ordering) every
 permutation of the input is generated.  Each tree is checked once (tree
-stage and valency), and the validator judges each structure over it from
-its domain stage on.  Nothing here knows about the engine's search order
-or its pruning; the only code shared with the engine is the validator,
-the data model in `core` (constructors, realization, and the tree
-helpers), and the two steps that start every candidate tree: the
-enumeration of entry assignments (`odgrammar.lexicon.entry_assignments`)
-and the tree built over a head map (`odgrammar.core.labeled_tree`).  That
-makes the oracle slow but trustworthy, which is the point: it is the one
+stage and valency, each up to its first finding), and the validator judges
+each structure over it from its domain stage on.  Nothing here knows about
+the engine's search order or its pruning; the only code shared with the
+engine is the validator, the data model in `core` (constructors,
+realization, and the tree helpers), and the two steps that start every
+candidate tree: the enumeration of entry assignments
+(`odgrammar.lexicon.entry_assignments`) and the tree built over a head map
+(`odgrammar.core.labeled_tree`).  That makes the oracle slow but
+trustworthy, which is the point: it is the one
 reference the engine's pruned search is tested against, on a corpus of
 short inputs.
 Through `realize_structure` it reads the same `core.close_word` as the
@@ -27,17 +28,17 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .constraints import check_valency
+from .constraints import iter_valency_violations
 from .core import (
     DependencyStructure,
     DependencyTree,
     TokenLimitError,
     ancestor_chain,
     dependency_cycle,
+    iter_tree_violations,
     labeled_tree,
     permute_tree,
     realize_structure,
-    validate_tree,
 )
 from .lexicon import Lexicon, entry_assignments
 from .serialize import canonical_structure
@@ -130,7 +131,12 @@ def oracle_parse(
     found: dict[str, DependencyStructure] = {}
     for words in entry_assignments(tokens, lex):
         for tree in _parent_maps(words):
-            if not (validate_tree(tree, lex).ok and check_valency(tree, lex).ok):
+            # valency first: it turns away most head maps, and the tree
+            # stage seldom finds anything in a tree built over bound words
+            if (
+                next(iter_valency_violations(tree, lex), None) is not None
+                or next(iter_tree_violations(tree, lex), None) is not None
+            ):
                 continue
             for ds in _valid_structures(tree, lex):
                 found.setdefault(canonical_structure(ds, lex), ds)
@@ -154,8 +160,12 @@ def oracle_generate(
     _check_size(tree.n, config)
     # a permutation renames the words and keeps heads, dependency types,
     # classes and entries, so it passes the tree stage and valency exactly
-    # when the tree does: one check covers every permutation
-    if not (validate_tree(tree, lex).ok and check_valency(tree, lex).ok):
+    # when the tree does: one check covers every permutation.  The tree
+    # stage goes first: it reports an unbound word, which valency refuses
+    if (
+        next(iter_tree_violations(tree, lex), None) is not None
+        or next(iter_valency_violations(tree, lex), None) is not None
+    ):
         return ()
     found: dict[tuple[str, str], tuple[str, DependencyStructure]] = {}
     for order in itertools.permutations(range(tree.n)):

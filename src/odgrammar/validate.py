@@ -11,6 +11,14 @@ stage (see its precondition): the index reports the linking problems it
 finds, and the final stage navigates the same index.  Within the final
 stage nothing stops at the first finding; the report lists all violations.
 
+The final stage pays for what it reads.  It checks the stored member sets
+one domain at a time against the index's immediate members
+(`_stored_sets_derive`), which holds exactly when they equal the sets
+insertion derives; only on a mismatch does `derived_member_sets` run, to
+report each differing slot.  It reads each lexical check's generator
+(``constraints.iter_*_violations``) with the index it already holds, so no
+report is built for a check that finds nothing.
+
 `iter_structure_violations` produces the findings lazily, in report order,
 each as soon as its check has found it.  A caller that takes only the first
 finding, as the search and `structure_is_valid` do, pays for the checks up
@@ -31,11 +39,11 @@ from __future__ import annotations
 from typing import Iterator
 
 from .constraints import (
-    check_cardinality,
-    check_domain_features,
-    check_extraction,
-    check_precedence,
     check_valency,
+    iter_cardinality_violations,
+    iter_domain_feature_violations,
+    iter_extraction_violations,
+    iter_precedence_violations,
 )
 from .core import (
     DependencyStructure,
@@ -73,12 +81,38 @@ def _iter_entry_violations(ds: DependencyStructure) -> Iterator[Violation]:
             )
 
 
-def _iter_constraint_violations(
-    ds: DependencyStructure, lex: Lexicon, idx: StructureIndex, valency: bool
-) -> Iterator[Violation]:
-    tree = ds.tree
+def _stored_sets_derive(idx: StructureIndex) -> bool:
+    """Does every stored domain hold the words insertion derives for it?
 
-    # stored member sets must match the sets the insertions generate
+    Each domain of a sequence must hold exactly its immediate members
+    (``idx.members``): its introducer, when it is the introducer's self
+    slot, and its sub-domains as stored.  When every domain does, the
+    stored sets are the derived ones, by induction up the insertion, which
+    is acyclic on an index without problems; a slot left empty is then
+    empty in the derivation too, since ``idx.slot_of`` only names realized
+    slots and the index refuses an empty self slot.  Every domain here is
+    a span, so the members, each a span too (first and last word), must
+    cover the domain's span without a gap and reach no further.
+    """
+    by_id = idx.by_id
+    for did in idx.owner:
+        lo, hi = by_id[did].span()
+        reach = lo - 1
+        for _, first, last in idx.members[did]:
+            if first < lo or first > reach + 1:
+                return False
+            if last > reach:
+                reach = last
+        if reach != hi:
+            return False
+    return True
+
+
+def _iter_member_violations(
+    ds: DependencyStructure, idx: StructureIndex
+) -> Iterator[Violation]:
+    """Each slot whose stored member set differs from the derived one."""
+    tree = ds.tree
     derived = derived_member_sets(tree, ds.positional, idx.slot_of)
     for w in range(tree.n):
         seq = ds.domains.assoc[w]
@@ -95,25 +129,38 @@ def _iter_constraint_violations(
                     f"derives {derives}",
                 )
 
+
+def _iter_constraint_violations(
+    ds: DependencyStructure, lex: Lexicon, idx: StructureIndex, valency: bool
+) -> Iterator[Violation]:
+    tree = ds.tree
+
+    # stored member sets must match the sets the insertions generate; the
+    # derivation runs only to report a mismatch
+    if not _stored_sets_derive(idx):
+        yield from _iter_member_violations(ds, idx)
+
     if valency:
         yield from check_valency(tree, lex).violations
 
+    crossed = idx.crossed
     for w in range(tree.n):
-        if w == tree.root:
+        # a word whose insertion crosses no head has no path to license
+        if not crossed.get(w):
             continue
         head = idx.head_of[w]
         slot = tree.words[head].entry.slot_for(idx.dtype_of[w])
         if slot is not None:
-            yield from check_extraction(slot, w, ds, idx).violations
+            yield from iter_extraction_violations(slot, w, ds, idx)
 
     for w in range(tree.n):
         entry = tree.words[w].entry
         for card in entry.cardinalities:
-            yield from check_cardinality(card, w, ds, idx).violations
+            yield from iter_cardinality_violations(card, w, ds, idx)
         for req in entry.domain_features:
-            yield from check_domain_features(req, w, ds, idx).violations
+            yield from iter_domain_feature_violations(req, w, ds, idx)
         for pred in entry.predicates:
-            yield from check_precedence(pred, w, ds, idx).violations
+            yield from iter_precedence_violations(pred, w, ds, idx)
 
 
 def iter_structure_violations(

@@ -366,6 +366,64 @@ MUTANTS = (
         "                orderings = arranged[s, names] = list(\n",
         ("tests/test_engine.py::TestGenerate::test_orderings_are_drawn_per_owner",),
     ),
+    # the validator's local member check, which the full findings cannot
+    # see when it fails spuriously: a mismatch only runs the derivation
+    Mutant(
+        "local-member-check-introducer-left-out",
+        "odgrammar/validate.py",
+        "        for _, first, last in idx.members[did]:\n",
+        "        for (_, slot), first, last in idx.members[did]:\n"
+        "            if slot is None:\n"
+        "                continue\n",
+        (
+            "tests/test_validate.py::TestDerivedMembers::"
+            "test_local_check_reads_each_domain",
+            "tests/test_validate.py::TestLocalMemberCheck",
+        ),
+    ),
+    Mutant(
+        "local-member-check-always-passes",
+        "odgrammar/validate.py",
+        "    by_id = idx.by_id\n    for did in idx.owner:\n",
+        "    return True\n    by_id = idx.by_id\n    for did in idx.owner:\n",
+        (
+            "tests/test_validate.py::TestDerivedMembers",
+            "tests/test_validate.py::TestLocalMemberCheck",
+        ),
+    ),
+    Mutant(
+        "local-member-check-left-edge-unchecked",
+        "odgrammar/validate.py",
+        "            if first < lo or first > reach + 1:\n",
+        "            if first > reach + 1:\n",
+        ("tests/test_validate.py::TestLocalMemberCheck",),
+    ),
+    Mutant(
+        "constraint-stage-extraction-skip-inverted",
+        "odgrammar/validate.py",
+        "        if not crossed.get(w):\n",
+        "        if crossed.get(w):\n",
+        (
+            "tests/test_cli.py::TestValidateCommand::test_invalid",
+            "tests/test_engine.py::TestGenerate::test_key_tree",
+        ),
+    ),
+    Mutant(
+        "oracle-generate-valency-first",
+        "odgrammar/oracle.py",
+        "    if (\n"
+        "        next(iter_tree_violations(tree, lex), None) is not None\n"
+        "        or next(iter_valency_violations(tree, lex), None) is not None\n"
+        "    ):\n",
+        "    if (\n"
+        "        next(iter_valency_violations(tree, lex), None) is not None\n"
+        "        or next(iter_tree_violations(tree, lex), None) is not None\n"
+        "    ):\n",
+        (
+            "tests/test_validate.py::TestTreeStage::"
+            "test_unbound_word_is_refused_by_both_searches",
+        ),
+    ),
     # parse-only cuts, which the net's checks past the oracle's limit kill
     Mutant(
         "precedence-cut-first-slot-only",

@@ -22,6 +22,7 @@ from odgrammar import (
     render_structure_text,
     validate_structure,
 )
+from odgrammar.constraints import iter_valency_violations
 
 from oracle_net import VERB_CLUSTER_LEXICON
 from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
@@ -464,3 +465,10 @@ class TestValency:
     def test_root_class(self, lex):
         t = tiny_tree(lex, ["der", "Junge"], {}, 1, [(1, "det", 0)])
         assert "lex.root-class" in check_valency(t, lex).conditions()
+
+    def test_generator_yields_the_report_in_order(self, lex):
+        t = tiny_tree(lex, ["hat", "gesehen"], {}, 0, [(0, "subj", 1)])
+        report = check_valency(t, lex)
+        assert len(report.violations) > 1
+        assert tuple(iter_valency_violations(t, lex)) == report.violations
+        assert next(iter_valency_violations(t, lex)) == report.violations[0]

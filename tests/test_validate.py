@@ -1,6 +1,8 @@
 """Staged full-structure validation."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
@@ -17,15 +19,19 @@ from odgrammar import (
     generate,
     load_lexicon,
     oracle_generate,
+    parse,
+    parse_tree_text,
     realize_structure,
     reference_lexicon_text,
     structure_is_valid,
     validate_structure,
     validate_tree,
 )
+from odgrammar.core import StructureIndex, derived_member_sets, iter_ods_violations
 
-from corpus import KEY_SENTENCE
+from corpus import GRAMMATICAL, KEY_SENTENCE
 from harness import independent_verdict
+from oracle_net import clause_lexicon, genitive_tree_text
 from test_constraints import bad_mittelfeld, clause, fronted_participle
 from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
 
@@ -452,7 +458,7 @@ class TestTreeStage:
 
 
 class TestDerivedMembers:
-    def test_stored_sets_must_match_insertion(self, ds, lex):
+    def participle_takes_the_subject(self, ds):
         # hand the subject's words to the participle domain; hierarchy and
         # contiguity still hold, the derivation does not
         domains = []
@@ -461,9 +467,135 @@ class TestDerivedMembers:
                 domains.append(OrderDomain(d.id, frozenset({3, 4, 5})))
             else:
                 domains.append(d)
-        bad = with_domains(ds, tuple(domains))
-        report = validate_structure(bad, lex)
+        return with_domains(ds, tuple(domains))
+
+    def test_stored_sets_must_match_insertion(self, ds, lex):
+        report = validate_structure(self.participle_takes_the_subject(ds), lex)
         assert "ds.members" in report.conditions()
+
+    def test_local_check_reads_each_domain(self, ds):
+        # every self domain holds its introducer, and the participle domain
+        # holds more than its introducer and sub-domains
+        assert validate_module._stored_sets_derive(StructureIndex(ds))
+        bad = self.participle_takes_the_subject(ds)
+        assert not validate_module._stored_sets_derive(StructureIndex(bad))
+
+
+def reference_member_findings(ds, idx):
+    """The ``ds.members`` findings, from the derived set of every slot."""
+    derived = derived_member_sets(ds.tree, ds.positional, idx.slot_of)
+    by_id = ds.domains.by_id()
+    found = []
+    for w in range(ds.tree.n):
+        for s, did in enumerate(ds.domains.assoc[w]):
+            expected = derived.get((w, s))
+            stored = by_id[did].members if did is not None else None
+            if stored != expected:
+                stores = f"members {sorted(stored)}" if stored else "no domain"
+                derives = sorted(expected) if expected else "no domain"
+                found.append((
+                    "ds.members",
+                    (w, s),
+                    f"slot {s} of word {w} stores {stores}, but insertion "
+                    f"derives {derives}",
+                ))
+    return found
+
+
+def random_realization(rng, tree):
+    """Positional heads and slots drawn uniformly from each word's options."""
+    head_of = tree.head_of()
+    positional, slot_of = {}, {}
+    for w in range(tree.n):
+        if w != tree.root:
+            chain = [head_of[w]]
+            while chain[-1] != tree.root:
+                chain.append(head_of[chain[-1]])
+            p = positional[w] = rng.choice(chain)
+            slot_of[w] = rng.randrange(len(tree.words[p].entry.template.slots))
+    return realize_structure(tree, positional, slot_of)
+
+
+def member_edits(ds):
+    """Each edit of the stored sets, as (kind, domain sets, sequences)."""
+    sets = {d.id: d.members for d in ds.domains.domains}
+    assoc = ds.domains.assoc
+    n = ds.tree.n
+    for w, seq in assoc.items():
+        for s, did in enumerate(seq):
+            if did is None:
+                new = f"x{w}.{s}"
+                grown = {**assoc, w: seq[:s] + (new,) + seq[s + 1:]}
+                for i in range(n):
+                    for j in range(i, n):
+                        span = frozenset(range(i, j + 1))
+                        yield "realize", {**sets, new: span}, grown
+                continue
+            words = sets[did]
+            for x in range(n):
+                if x not in words:
+                    yield "add", {**sets, did: words | {x}}, assoc
+                elif len(words) > 1:
+                    yield "drop", {**sets, did: words - {x}}, assoc
+                    for sibling in seq:
+                        if sibling not in (None, did):
+                            moved = {did: words - {x}, sibling: sets[sibling] | {x}}
+                            yield "move", {**sets, **moved}, assoc
+
+
+def reaches_member_check(ds):
+    """The structure's index, when both layers and the linking pass, else None."""
+    if next(iter_ods_violations(ds.domains, ds.tree.n), None) is not None:
+        return None
+    idx = StructureIndex(ds)
+    return None if idx.problems else idx
+
+
+class TestLocalMemberCheck:
+    """The per-domain member check decides exactly what the derivation does."""
+
+    EDITS_PER_KIND = 2  # taken from each realization, of those that reach the check
+
+    def test_equals_the_derivation_on_edited_realizations(self, lex):
+        genitive = clause_lexicon()
+        trees = [
+            (analysis.tree, lex)
+            for sentence in GRAMMATICAL
+            for analysis in parse(sentence.split(), lex).structures
+        ]
+        trees += [
+            (parse_tree_text(genitive_tree_text(k), genitive), genitive) for k in (0, 1)
+        ]
+        rng = random.Random(26)
+        kinds = Counter()
+        verdicts = Counter()
+        while sum(kinds.values()) < 2000 or min(kinds.values()) <= 200:
+            tree, lexicon = rng.choice(trees)
+            base = random_realization(rng, tree)
+            if reaches_member_check(base) is None:
+                continue
+            edits = list(member_edits(base))
+            rng.shuffle(edits)
+            taken = Counter()
+            for kind, sets, assoc in edits:
+                if taken[kind] == self.EDITS_PER_KIND:
+                    continue
+                domains = tuple(OrderDomain(did, words) for did, words in sets.items())
+                edited = with_domains(base, domains, assoc)
+                idx = reaches_member_check(edited)
+                if idx is None:
+                    continue
+                taken[kind] += 1
+                expected = reference_member_findings(edited, idx)
+                report = validate_structure(edited, lexicon)
+                found = report.by_condition("ds.members")
+                assert [(v.condition, v.subjects, v.message) for v in found] == expected
+                assert validate_module._stored_sets_derive(idx) == (not expected)
+                verdicts[bool(expected)] += 1
+            kinds += taken
+        assert set(kinds) == {"drop", "add", "move", "realize"}
+        # both verdicts occur: some edits keep the sets derivable
+        assert min(verdicts.values()) > 100
 
 
 class TestFullPipeline:
