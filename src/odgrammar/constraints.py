@@ -141,8 +141,6 @@ class CardinalityConstraint:
             raise ValueError("cardinality minimum must be 0 or 1")
         if self.max is not None and self.max != 1:
             raise ValueError("cardinality maximum must be 1 or unbounded")
-        if self.max is not None and self.min > self.max:
-            raise ValueError("cardinality minimum exceeds maximum")
 
     def broken_bound(self, count: int) -> str | None:
         """The bound ``count`` members break, "min" or "max", or None."""

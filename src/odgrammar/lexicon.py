@@ -204,31 +204,23 @@ class _Token:
         return f'"{self.value}"' if self.kind == "string" else repr(self.value)
 
 
+# whitespace separates tokens; the last group takes any other character
+# that starts no token, such as a quote left open
 _TOKEN_RE = re.compile(
     r'"(?P<string>[^"\n]*)"'
     r"|(?P<punct><=|>=|[:;{}\[\]=,<>*])"
     r'|(?P<word>[^\s:;{}\[\]=,<>*"#]+)'
+    r"|(?P<unreadable>\S)"
 )
 
 
 def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    text = text.split("#", 1)[0]
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise LexiconError(f"cannot read {text[pos]!r}", line_no, pos + 1)
-        if m.lastgroup == "string":
-            tokens.append(_Token("string", m.group("string"), line_no, pos + 1))
-        elif m.lastgroup == "punct":
-            tokens.append(_Token("punct", m.group("punct"), line_no, pos + 1))
-        else:
-            tokens.append(_Token("word", m.group("word"), line_no, pos + 1))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text.split("#", 1)[0]):
+        col = m.start() + 1
+        if m.lastgroup == "unreadable":
+            raise LexiconError(f"cannot read {m.group()!r}", line_no, col)
+        tokens.append(_Token(m.lastgroup, m.group(m.lastgroup), line_no, col))
     return tokens
 
 
@@ -267,6 +259,11 @@ class _TokenStream:
 
 # ---------------------------------------------------------------------------
 # parser
+
+
+# the (min, max) bounds each `card` operator states; every bound is 1
+_CARD_BOUNDS = {"=": (1, 1), "<=": (0, 1), ">=": (1, None)}
+_CARD_OPS = {bounds: op for op, bounds in _CARD_BOUNDS.items()}
 
 
 def load_lexicon(text: str) -> Lexicon:
@@ -456,9 +453,9 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
     valency: list[ValencySlot] = []
     template: DomainTemplate | None = None
     # statements referring to template slots, resolved once the template is known
-    card_stmts: list[tuple[_Token, str, _Token]] = []
+    card_stmts: list[tuple[_Token, tuple[int, int | None]]] = []
     domfeat_stmts: list[tuple[_Token, dict[str, str]]] = []
-    order_stmts: list[tuple[PrecedencePredicate | None, _Token | None, _Token]] = []
+    order_stmts: list[tuple[PrecedencePredicate, _Token | None]] = []
 
     while not ts.at("}"):
         stmt_head = ts.next(kind="word")
@@ -542,7 +539,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
         elif stmt_head.value == "card":
             slot_name = ts.next(kind="word")
             op = ts.next(kind="punct")
-            if op.value not in ("=", "<=", ">="):
+            if op.value not in _CARD_BOUNDS:
                 raise LexiconError(
                     f"expected '=', '<=' or '>=', found {op.value!r}",
                     op.line,
@@ -555,7 +552,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
                     bound.line,
                     bound.col,
                 )
-            card_stmts.append((slot_name, op.value, bound))
+            card_stmts.append((slot_name, _CARD_BOUNDS[op.value]))
         elif stmt_head.value == "feat":
             if ts.at("=", 1):
                 features.update(_parse_feature_pairs(ts, inv))
@@ -578,7 +575,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
                 pred = PrecedencePredicate(
                     SELF_VS_ALL, PRECEDES if op.value == "<" else FOLLOWS
                 )
-                order_stmts.append((pred, scope, stmt_head))
+                order_stmts.append((pred, scope))
             else:
                 left = _parse_label_set(ts, inv)
                 rel = ts.next(kind="word")
@@ -595,7 +592,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
                     left,
                     right,
                 )
-                order_stmts.append((pred, None, stmt_head))
+                order_stmts.append((pred, None))
         else:
             raise LexiconError(
                 f"unexpected {stmt_head.value!r} in entry body",
@@ -623,31 +620,20 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
             )
         return template.slots.index(tok.value)
 
-    cardinalities = []
-    for slot_name, op, _ in card_stmts:
-        ordinal = slot_ordinal(slot_name)
-        if op == "=":
-            cardinalities.append(CardinalityConstraint(ordinal, 1, 1))
-        elif op == "<=":
-            cardinalities.append(CardinalityConstraint(ordinal, 0, 1))
-        else:
-            cardinalities.append(CardinalityConstraint(ordinal, 1, None))
-
+    cardinalities = [
+        CardinalityConstraint(slot_ordinal(tok), *bounds) for tok, bounds in card_stmts
+    ]
     domain_features = [
         DomainFeatureRequirement(slot_ordinal(tok), pairs)
         for tok, pairs in domfeat_stmts
     ]
-
-    predicates = []
-    for pred, scope, stmt_tok in order_stmts:
-        if scope is not None:
-            if slot_ordinal(scope) != template.self_slot:
-                raise LexiconError(
-                    "self-ordering predicates are scoped to the self slot",
-                    scope.line,
-                    scope.col,
-                )
-        predicates.append(pred)
+    for _, scope in order_stmts:
+        if scope is not None and slot_ordinal(scope) != template.self_slot:
+            raise LexiconError(
+                "self-ordering predicates are scoped to the self slot",
+                scope.line,
+                scope.col,
+            )
 
     return LexicalEntry(
         form=form,
@@ -657,7 +643,7 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
         template=template,
         cardinalities=tuple(cardinalities),
         domain_features=tuple(domain_features),
-        predicates=tuple(predicates),
+        predicates=tuple(pred for pred, _ in order_stmts),
     )
 
 
@@ -666,7 +652,12 @@ def _parse_entry(block: list[_Token], line_no: int, inv: _Inventories) -> Lexica
 
 
 def render_lexicon(lex: Lexicon) -> str:
-    """Canonical text for a lexicon; load_lexicon(render_lexicon(lex)) == lex."""
+    """Canonical text for a lexicon; load_lexicon(render_lexicon(lex)) == lex.
+
+    Raises ValueError on an entry built in code that the format cannot
+    state: cardinality bounds no `card` operator states, or a domain-feature
+    requirement without a pair.
+    """
     out = []
     out.append("dtypes: " + " ".join(lex.dtypes))
     out.append("classes: " + " ".join(lex.classes))
@@ -703,14 +694,13 @@ def _render_entry(entry: LexicalEntry) -> list[str]:
         f"  domains [{' '.join(tpl.slots)}] self={tpl.slots[tpl.self_slot]};"
     )
     for card in entry.cardinalities:
-        name = tpl.slots[card.slot]
-        if (card.min, card.max) == (1, 1):
-            lines.append(f"  card {name} = 1;")
-        elif (card.min, card.max) == (0, 1):
-            lines.append(f"  card {name} <= 1;")
-        else:
-            lines.append(f"  card {name} >= 1;")
+        op = _CARD_OPS.get((card.min, card.max))
+        if op is None:
+            raise ValueError(f"card cannot state min {card.min} and max {card.max}")
+        lines.append(f"  card {tpl.slots[card.slot]} {op} 1;")
     for req in entry.domain_features:
+        if not req.required:
+            raise ValueError("feat needs at least one ATTR=VALUE")
         lines.append(
             f"  feat {tpl.slots[req.slot]} {_render_feats(req.required)};"
         )

@@ -1,9 +1,21 @@
 """Text and JSON serialization of trees and structures.
 
-The text form is line oriented; every line starts with a record keyword.
-Token lines carry the entry ordinal (the entry's position among those
-sharing its form in the lexicon) so that deserialization restores the
-exact entry even when a form is ambiguous.  Rendering is canonical:
+The text form is line oriented; every line starts with a record keyword,
+and ``#`` starts a comment.  The records, with the fields each takes:
+
+    token INDEX FORM ENTRY CLASS ATTR=VALUE...
+    root INDEX
+    edge HEAD DTYPE DEP
+    domain ID MEMBER...
+    assoc WORD SLOT...
+    positional WORD HEAD
+
+A field marked ``...`` repeats and may be absent: ``domain ID`` is an empty
+domain and ``assoc WORD`` an empty sequence.  A SLOT is a domain id, or
+``-`` for a slot left empty.  A tree takes the first three records only.
+ENTRY is the entry ordinal (the entry's position among those sharing its
+form in the lexicon), so that deserialization restores the exact entry
+even when a form is ambiguous.  Rendering is canonical:
 sorted records, sorted feature pairs, one space between fields.  For any
 value x, parsing the rendered form restores x exactly; this also holds
 for structures that would not validate, since the class and feature
@@ -116,8 +128,16 @@ def _int(field: str, line_no: int) -> int:
         ) from None
 
 
+# the fields after each keyword but ``token``, as the arity error states them
+_RECORDS = {
+    "root": "INDEX",
+    "edge": "HEAD DTYPE DEP",
+    "domain": "ID MEMBER...",
+    "assoc": "WORD SLOT...",
+    "positional": "WORD HEAD",
+}
 _TREE_RECORDS = frozenset({"token", "root", "edge"})
-_STRUCTURE_RECORDS = _TREE_RECORDS | {"domain", "assoc", "positional"}
+_STRUCTURE_RECORDS = _TREE_RECORDS.union(_RECORDS)
 
 
 def _read_text(text: str, lex: Lexicon, what: str) -> DependencyStructure:
@@ -140,38 +160,31 @@ def _read_text(text: str, lex: Lexicon, what: str) -> DependencyStructure:
             )
         if kind == "token":
             token_records.append((line_no, fields))
-        elif kind == "root":
-            if len(fields) != 2:
-                raise SerializationError(f"line {line_no}: root lines are 'root INDEX'")
-            root = _int(fields[1], line_no)
-        elif kind == "edge":
-            if len(fields) != 4:
-                raise SerializationError(
-                    f"line {line_no}: edge lines are 'edge HEAD DTYPE DEP'"
-                )
-            edges.append(
-                DependencyEdge(_int(fields[1], line_no), _int(fields[3], line_no), fields[2])
-            )
-        elif kind == "domain":
-            if len(fields) < 3:
-                raise SerializationError(
-                    f"line {line_no}: domain lines are 'domain ID MEMBER...'"
-                )
-            members = frozenset(_int(f, line_no) for f in fields[2:])
-            domains.append(OrderDomain(fields[1], members))
-        elif kind == "assoc":
-            if len(fields) < 3:
-                raise SerializationError(
-                    f"line {line_no}: assoc lines are 'assoc WORD SLOT...'"
-                )
-            word = _int(fields[1], line_no)
-            assoc[word] = tuple(None if f == "-" else f for f in fields[2:])
-        else:
-            if len(fields) != 3:
-                raise SerializationError(
-                    f"line {line_no}: positional lines are 'positional WORD HEAD'"
-                )
-            positional[_int(fields[1], line_no)] = _int(fields[2], line_no)
+            continue
+        # _int turns int()'s ValueError into a SerializationError, so a
+        # ValueError here comes from a record that does not unpack
+        try:
+            if kind == "root":
+                _, index = fields
+                root = _int(index, line_no)
+            elif kind == "edge":
+                _, head, dtype, dep = fields
+                head, dep = _int(head, line_no), _int(dep, line_no)
+                edges.append(DependencyEdge(head, dep, dtype))
+            elif kind == "domain":
+                _, did, *members = fields
+                members = frozenset(_int(m, line_no) for m in members)
+                domains.append(OrderDomain(did, members))
+            elif kind == "assoc":
+                _, word, *seq = fields
+                assoc[_int(word, line_no)] = tuple(None if f == "-" else f for f in seq)
+            else:
+                _, word, head = fields
+                positional[_int(word, line_no)] = _int(head, line_no)
+        except ValueError:
+            raise SerializationError(
+                f"line {line_no}: {kind} lines are '{kind} {_RECORDS[kind]}'"
+            ) from None
     if root is None:
         raise SerializationError(f"{what} input lacks a root record")
     words = []
@@ -182,12 +195,12 @@ def _read_text(text: str, lex: Lexicon, what: str) -> DependencyStructure:
             raise SerializationError(
                 f"line {line_no}: token lines need index, form, entry, class"
             )
-        index = _int(fields[1], line_no)
-        form = fields[2]
-        entry = _resolve_entry(form, _int(fields[3], line_no), lex, line_no)
+        _, index, form, ordinal, cls, *feats = fields
+        index = _int(index, line_no)
+        entry = _resolve_entry(form, _int(ordinal, line_no), lex, line_no)
         words.append(WordToken(index, form, entry))
-        classes[index] = fields[4]
-        features[index] = _parse_feats(fields[5:], line_no)
+        classes[index] = cls
+        features[index] = _parse_feats(feats, line_no)
     return DependencyStructure(
         tree=DependencyTree(tuple(words), root, tuple(edges), classes),
         features=features,

@@ -424,6 +424,35 @@ MUTANTS = (
             "test_unbound_word_is_refused_by_both_searches",
         ),
     ),
+    Mutant(
+        "card-table-bounds-swapped",
+        "odgrammar/lexicon.py",
+        '_CARD_BOUNDS = {"=": (1, 1), "<=": (0, 1), ">=": (1, None)}',
+        '_CARD_BOUNDS = {"=": (1, 1), "<=": (1, 1), ">=": (1, None)}',
+        ("tests/test_lexicon.py::TestEntryParsing::test_cardinality_inequalities",),
+    ),
+    Mutant(
+        "record-repeat-required",
+        "odgrammar/serialize.py",
+        "                _, did, *members = fields\n",
+        "                _, did, *members = fields if len(fields) > 2 else ()\n",
+        (
+            "tests/test_serialize.py::TestStructureText::test_invalid_structure_round_trips",
+            "tests/test_serialize.py::TestStructureText::"
+            "test_text_round_trip_equals_json_round_trip",
+            "tests/test_cli.py::TestValidateCommand::test_empty_domain",
+        ),
+    ),
+    Mutant(
+        "lexicon-token-column-shifted",
+        "odgrammar/lexicon.py",
+        "        col = m.start() + 1\n",
+        "        col = m.start()\n",
+        (
+            "tests/test_lexicon.py::TestReaderErrors::test_message",
+            "tests/test_lexicon.py::TestEntryParsing::test_quoted_text_is_only_a_form",
+        ),
+    ),
     # parse-only cuts, which the net's checks past the oracle's limit kill
     Mutant(
         "precedence-cut-first-slot-only",

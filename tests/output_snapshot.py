@@ -39,6 +39,13 @@ each part of its answer.
   placement of every analysed tree.  These lexica use every constraint
   kind, so this is the stream that shows whether the constraint checks
   still report the same findings.
+- ``validate-pool``: the full ``validate_structure`` report on each input
+  of the bench ``validate`` pool, read with ``parse_structure_text``.  The
+  inputs are built with ``bench/workloads.py``: ``valid_structures``, then
+  ``validate_item`` for the kinds ``valid``, ``realize`` and ``edit`` in
+  that order, ``validate_pool_size`` items of each.  One SHA-256 is
+  updated with ``json.dumps([[condition, list(subjects), message], ...])``
+  of each report in turn; the line gives the input count and its digest.
 
 No line holds a time, so two runs on the same code print the same bytes.
 To show that a change leaves the answers unchanged, run this script (the
@@ -61,6 +68,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(1, str(Path(__file__).parent.parent / "bench"))
 
 from odgrammar import (  # noqa: E402
     DependencyEdge,
@@ -97,6 +105,7 @@ from oracle_net import (  # noqa: E402
     sentences,
 )
 from random_lexicon import FORMS, MAX_TOKENS, random_lexicon_text  # noqa: E402
+import workloads  # noqa: E402
 
 PARSE_BUDGETS = (1, 5, 19, 50, 200, 1000)
 GENERATE_BUDGETS = (97, 98)
@@ -254,6 +263,22 @@ def random_lexicon_lines(seed: int):
     yield f"random seed={seed} validate\treports={len(reports)}\tdigest={sha(reports)}"
 
 
+def validate_pool_line() -> str:
+    lexica = workloads.load_lexica()
+    valid = workloads.valid_structures(lexica)
+    digest, count = hashlib.sha256(), 0
+    for kind in ("valid", "realize", "edit"):
+        for i in range(workloads.validate_pool_size(kind, valid)):
+            request = workloads.validate_item(kind, i, valid, lexica)
+            report = workloads.run_request(request, lexica)
+            triples = [
+                [v.condition, list(v.subjects), v.message] for v in report.violations
+            ]
+            digest.update(json.dumps(triples).encode())
+            count += 1
+    return f"validate-pool\tinputs={count}\tdigest={digest.hexdigest()}"
+
+
 def main() -> int:
     lex = reference_lexicon()
     glex = load_lexicon(GENITIVE_LEXICON.read_text(encoding="utf-8"))
@@ -302,6 +327,7 @@ def main() -> int:
     for seed in RANDOM_SEEDS:
         for line in random_lexicon_lines(seed):
             print(line)
+    print(validate_pool_line())
     return 0
 
 

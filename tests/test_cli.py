@@ -181,6 +181,14 @@ class TestValidateCommand:
         assert code == 1
         assert "extract.path" in out
 
+    def test_empty_domain(self, capsys, tmp_path, lex, key_structure):
+        # a domain line with no member field is an empty domain
+        path = tmp_path / "empty.txt"
+        path.write_text(render_structure_text(key_structure, lex) + "domain dx\n")
+        code, out, _ = run(capsys, "validate", "--file", str(path))
+        assert code == 1
+        assert "ods.empty" in out
+
     def test_malformed_input(self, capsys, tmp_path):
         path = tmp_path / "junk.txt"
         path.write_text("banana banana\n")

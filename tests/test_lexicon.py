@@ -1,5 +1,7 @@
 """Lexicon format: loading, validation, rendering, round-trips."""
 
+import dataclasses
+
 import pytest
 
 from odgrammar import (
@@ -15,6 +17,7 @@ from odgrammar import (
     reference_lexicon_text,
     render_lexicon,
 )
+from odgrammar.lexicon import _TokenStream
 
 MINIMAL = """
 dtypes: det
@@ -277,16 +280,87 @@ entry "Haus" class=N {
             load_lexicon(text)
 
     def test_cardinality_inequalities(self):
-        at_most = MINIMAL.replace(
-            "domains [d] self=d;", "domains [d] self=d;\n  card d <= 1;"
-        )
-        card = entries_for("Haus", load_lexicon(at_most))[0].cardinalities[0]
-        assert (card.min, card.max) == (0, 1)
-        at_least = MINIMAL.replace(
-            "domains [d] self=d;", "domains [d] self=d;\n  card d >= 1;"
-        )
-        card = entries_for("Haus", load_lexicon(at_least))[0].cardinalities[0]
-        assert (card.min, card.max) == (1, None)
+        for op, bounds in (("=", (1, 1)), ("<=", (0, 1)), (">=", (1, None))):
+            statement = f"card d {op} 1;"
+            text = MINIMAL.replace(
+                "domains [d] self=d;", f"domains [d] self=d;\n  {statement}"
+            )
+            loaded = load_lexicon(text)
+            card = entries_for("Haus", loaded)[0].cardinalities[0]
+            assert (card.min, card.max) == bounds
+            assert f"  {statement}\n" in render_lexicon(loaded)
+
+
+# MINIMAL with one attribute declared, so that rows can state features
+WITH_CASE = MINIMAL.replace("root: N", "root: N\nattr case: nom")
+
+
+class TestReaderErrors:
+    """The reader's error messages, each pinned in full with its position."""
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('entry "Haus"', 'entry "Haus', "line 7, col 7: cannot read '\"'"),
+            (
+                "attr case: nom",
+                "attr case: nom\nattr case: acc",
+                "line 6, col 1: attribute 'case' declared twice",
+            ),
+            (
+                "domains [d] self=d;",
+                "feat case=nom case=nom;\n  domains [d] self=d;",
+                "line 9, col 17: attribute 'case' given twice",
+            ),
+            (
+                '"Haus"',
+                '""',
+                "line 7, col 7: entry forms must be non-empty and free of whitespace",
+            ),
+            (
+                '"Haus"',
+                '"Ha us"',
+                "line 7, col 7: entry forms must be non-empty and free of whitespace",
+            ),
+            (
+                "order self > *;",
+                "order self <= *;",
+                "line 10, col 14: expected '<' or '>', found '<='",
+            ),
+            (
+                "order self > *;",
+                "order <det> beside <det>;",
+                "line 10, col 15: expected 'before' or 'after', found 'beside'",
+            ),
+            (
+                "order self > *;\n}",
+                "order self > *;\n} x",
+                "line 11, col 3: unexpected 'x' after entry body",
+            ),
+        ],
+        ids=[
+            "unclosed-quote",
+            "attribute-declared-twice",
+            "attribute-given-twice",
+            "empty-form",
+            "form-with-space",
+            "self-order-operator",
+            "pair-order-relation",
+            "after-entry-body",
+        ],
+    )
+    def test_message(self, old, new, message):
+        with pytest.raises(LexiconError) as exc:
+            load_lexicon(WITH_CASE.replace(old, new))
+        assert str(exc.value) == message
+
+    def test_end_of_statement(self):
+        # load_lexicon hands the parser blocks that end in the entry's
+        # closing brace, and no statement reads past it without failing
+        # first, so only the token stream itself reaches this guard
+        with pytest.raises(LexiconError) as exc:
+            _TokenStream([], 7).next()
+        assert str(exc.value) == "line 7, col 1: unexpected end of statement"
 
 
 class TestEntryModel:
@@ -310,6 +384,19 @@ class TestEntryModel:
         with pytest.raises(ValueError, match="slot out of range"):
             LexicalEntry("a", "V", template=template, **{field: (constraint,)})
 
+    @pytest.mark.parametrize(
+        "slots, self_slot, message",
+        [
+            ((), 0, "a template needs at least one slot"),
+            (("a",), 1, "self slot out of range"),
+            (("a", "a"), 0, "template slot names must be distinct"),
+        ],
+    )
+    def test_template_rules(self, slots, self_slot, message):
+        with pytest.raises(ValueError) as exc:
+            DomainTemplate(slots, self_slot)
+        assert str(exc.value) == message
+
 
 class TestLookup:
     def test_exact_and_case_sensitive(self, lex):
@@ -321,6 +408,11 @@ class TestLookup:
         nom, acc = entries_for("Mann", lex)
         assert lex.entry_ordinal(nom) == 0
         assert lex.entry_ordinal(acc) == 1
+
+    def test_entry_ordinal_of_a_foreign_entry(self, lex):
+        with pytest.raises(ValueError) as exc:
+            lex.entry_ordinal(LexicalEntry("Haus", "N"))
+        assert str(exc.value) == "entry for 'Haus' is not in this lexicon"
 
 
 class TestRoundTrip:
@@ -339,3 +431,30 @@ class TestRoundTrip:
     def test_minimal_round_trip(self):
         loaded = load_lexicon(MINIMAL)
         assert load_lexicon(render_lexicon(loaded)) == loaded
+
+    @pytest.mark.parametrize(
+        "field, constraint, message",
+        [
+            (
+                "cardinalities",
+                CardinalityConstraint(0),
+                "card cannot state min 0 and max None",
+            ),
+            (
+                "domain_features",
+                DomainFeatureRequirement(0, {}),
+                "feat needs at least one ATTR=VALUE",
+            ),
+        ],
+        ids=["card-optional-unbounded", "feat-empty"],
+    )
+    def test_render_refuses_what_the_format_cannot_write(
+        self, field, constraint, message
+    ):
+        loaded = load_lexicon(MINIMAL)
+        (entry,) = loaded.entries["Haus"]
+        entry = dataclasses.replace(entry, **{field: (constraint,)})
+        lex = dataclasses.replace(loaded, entries={"Haus": (entry,)})
+        with pytest.raises(ValueError) as exc:
+            render_lexicon(lex)
+        assert str(exc.value) == message

@@ -8,6 +8,8 @@ import random
 import pytest
 
 from odgrammar import (
+    OrderDomain,
+    OrderDomainStructure,
     SerializationError,
     ValidationReport,
     canonical_structure,
@@ -24,6 +26,7 @@ from odgrammar import (
     validate_tree,
 )
 
+from harness import StructureSampler
 from test_core import KEY_POSITIONAL, KEY_SLOTS, key_tree
 
 
@@ -106,10 +109,38 @@ class TestStructureText:
             parse_structure_text(text, lex)
 
     def test_invalid_structure_round_trips(self, ds, lex):
-        # serialization must preserve structures the validator rejects
-        bad = dataclasses.replace(ds, positional={**ds.positional, 0: 2})
-        text = render_structure_text(bad, lex)
-        assert parse_structure_text(text, lex) == bad
+        # serialization must preserve structures the validator rejects:
+        # a wrong positional head, an empty domain (`ods.empty`) and an
+        # empty sequence (`ds.assoc-arity`)
+        domains = ds.domains
+        empty_domain = OrderDomain("dx", frozenset())
+        for bad in (
+            dataclasses.replace(ds, positional={**ds.positional, 0: 2}),
+            dataclasses.replace(
+                ds,
+                domains=OrderDomainStructure(
+                    domains.domains + (empty_domain,), domains.assoc
+                ),
+            ),
+            dataclasses.replace(
+                ds,
+                domains=OrderDomainStructure(
+                    domains.domains, {**domains.assoc, 0: ()}
+                ),
+            ),
+        ):
+            text = render_structure_text(bad, lex)
+            assert parse_structure_text(text, lex) == bad
+
+    def test_text_round_trip_equals_json_round_trip(self, lex):
+        sampler = StructureSampler(1)
+        for _ in range(5000):
+            x = sampler.next_instance()
+            if x is None:
+                continue
+            from_json = parse_structure_json(render_structure_json(x, lex), lex)
+            from_text = parse_structure_text(render_structure_text(x, lex), lex)
+            assert from_text == from_json
 
     def test_structures_differing_only_in_domains_differ(self, tree, lex):
         continuous = realize_structure(
@@ -121,6 +152,28 @@ class TestStructureText:
         assert canonical_structure(continuous, lex) != canonical_structure(
             extracted, lex
         )
+
+
+class TestReaderErrors:
+    """The text reader's error messages, each pinned in full with its line."""
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("root", "line 2: root lines are 'root INDEX'"),
+            ("root 0 1", "line 2: root lines are 'root INDEX'"),
+            ("edge 0 det", "line 2: edge lines are 'edge HEAD DTYPE DEP'"),
+            ("domain", "line 2: domain lines are 'domain ID MEMBER...'"),
+            ("assoc", "line 2: assoc lines are 'assoc WORD SLOT...'"),
+            ("positional 1", "line 2: positional lines are 'positional WORD HEAD'"),
+            ("token 0 der 0", "line 2: token lines need index, form, entry, class"),
+            ("token 0 der 0 Det case", "line 2: expected ATTR=VALUE, found 'case'"),
+        ],
+    )
+    def test_message(self, lex, record, message):
+        with pytest.raises(SerializationError) as exc:
+            parse_structure_text(f"root 0\n{record}\n", lex)
+        assert str(exc.value) == message
 
 
 class TestJson:
