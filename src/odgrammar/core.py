@@ -41,6 +41,7 @@ two sequences, so those two domains are distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from sys import maxsize
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -240,17 +241,29 @@ def labeled_tree(
 
 @dataclass(frozen=True)
 class OrderDomain:
-    """A named contiguous set of word indices."""
+    """A named contiguous set of word indices.
+
+    Its first and last word are taken once, as it is made, and kept beside
+    the fields, so equality, hashing and repr do not see them.
+    """
 
     id: str
     members: frozenset[int]
 
     def __post_init__(self):
-        if not isinstance(self.members, frozenset):
-            object.__setattr__(self, "members", frozenset(self.members))
+        members = self.members
+        if not isinstance(members, frozenset):
+            members = frozenset(members)
+            object.__setattr__(self, "members", members)
+        object.__setattr__(
+            self, "_span", (min(members), max(members)) if members else None
+        )
 
     def span(self) -> tuple[int, int]:
-        return (min(self.members), max(self.members))
+        """(first, last) member; ValueError, as from min(), when empty."""
+        if self._span is None:
+            min(self.members)  # raises min()'s own ValueError
+        return self._span
 
     def sorted_members(self) -> tuple[int, ...]:
         return tuple(sorted(self.members))
@@ -454,7 +467,7 @@ def iter_ods_violations(
             yield Violation("ods.empty", (d.id,), f"domain {d.id!r} has no members")
             spans = None
             continue
-        lo, hi = min(members), max(members)
+        lo, hi = d.span()
         if lo < 0 or hi >= n_words:
             yield Violation(
                 "ods.range",
@@ -528,6 +541,7 @@ def validate_domain_structure(
 # member with its span, as (member, first position, last position).
 Member = tuple[int, int | None]
 SpannedMember = tuple[Member, int, int]
+_first = itemgetter(1)  # a spanned member's first position
 
 
 class StructureIndex:
@@ -553,96 +567,128 @@ class StructureIndex:
     def __init__(self, ds: DependencyStructure):
         tree = ds.tree
         n = self.n = tree.n
-        self.head_of = tree.head_of()
-        self.dtype_of = tree.dtype_of()
+        # one pass over the edges; problems are appended in report order
+        head_of: dict[int, int] = {}
+        dtype_of: dict[int, str] = {}
+        for e in tree.edges:
+            head_of[e.dependent] = e.head
+            dtype_of[e.dependent] = e.dtype
+        self.head_of, self.dtype_of = head_of, dtype_of
         by_id = self.by_id = ds.domains.by_id()
         assoc = ds.domains.assoc
-        self.problems: list[Violation] = []
+        problems: list[Violation] = []
+        self.problems = problems
 
-        def fault(condition: str, subjects: tuple, message: str) -> None:
-            self.problems.append(Violation(condition, subjects, message))
-
-        for w in range(n):
-            if w not in assoc:
-                fault("ds.assoc-missing", (w,), f"word {w} has no domain sequence")
+        self_slot: list[int | None] = [None] * n
+        for w, word in enumerate(tree.words):
+            seq = assoc.get(w)
+            if seq is None:
+                problems.append(
+                    Violation(
+                        "ds.assoc-missing", (w,), f"word {w} has no domain sequence"
+                    )
+                )
                 continue
-            template = tree.words[w].entry.template
-            seq = assoc[w]
+            template = word.entry.template
+            own = self_slot[w] = template.self_slot
             if len(seq) != len(template.slots):
-                fault(
-                    "ds.assoc-arity",
-                    (w,),
-                    f"word {w} realizes {len(seq)} slots but its template has "
-                    f"{len(template.slots)}",
+                problems.append(
+                    Violation(
+                        "ds.assoc-arity",
+                        (w,),
+                        f"word {w} realizes {len(seq)} slots but its template has "
+                        f"{len(template.slots)}",
+                    )
                 )
                 continue
-            self_id = seq[template.self_slot]
+            self_id = seq[own]
             if self_id not in by_id or w not in by_id[self_id].members:
-                fault(
-                    "ds.self-domain",
-                    (w,),
-                    f"the self slot of word {w} must be realized and contain it",
+                problems.append(
+                    Violation(
+                        "ds.self-domain",
+                        (w,),
+                        f"the self slot of word {w} must be realized and contain it",
+                    )
                 )
 
-        self.owner: dict[str, tuple[int, int]] = {}
+        owner: dict[str, tuple[int, int]] = {}
+        self.owner = owner
         for w in range(n):
             for slot, did in enumerate(assoc.get(w, ())):
                 if did not in by_id:
                     continue
-                if did in self.owner:
-                    fault(
-                        "ds.domain-shared",
-                        (did, self.owner[did][0], w),
-                        f"domain {did!r} appears in two sequences",
+                if did in owner:
+                    problems.append(
+                        Violation(
+                            "ds.domain-shared",
+                            (did, owner[did][0], w),
+                            f"domain {did!r} appears in two sequences",
+                        )
                     )
-                self.owner[did] = (w, slot)
-        unowned = [d.id for d in ds.domains.domains if d.id not in self.owner]
+                owner[did] = (w, slot)
+        unowned = [d.id for d in ds.domains.domains if d.id not in owner]
         if len(unowned) != 1 or by_id[unowned[0]].members != frozenset(range(n)):
-            fault(
-                "ds.top-owner",
-                tuple(unowned),
-                "exactly one domain (the top, spanning all words) may stay "
-                "outside every word's sequence",
+            problems.append(
+                Violation(
+                    "ds.top-owner",
+                    tuple(unowned),
+                    "exactly one domain (the top, spanning all words) may stay "
+                    "outside every word's sequence",
+                )
             )
         self.top_id = unowned[0] if unowned else None
 
-        for w in ds.positional:
+        positional = ds.positional
+        for w in positional:
             if not 0 <= w < n:
-                fault(
-                    "ds.positional-extra",
-                    (w,),
-                    f"positional head recorded for unknown word {w}",
+                problems.append(
+                    Violation(
+                        "ds.positional-extra",
+                        (w,),
+                        f"positional head recorded for unknown word {w}",
+                    )
                 )
         self.insertion: dict[int, str | None] = {tree.root: self.top_id}
         self.slot_of: dict[int, int] = {}
         self.crossed: dict[int, tuple[int, ...]] = {}
         for w in range(n):
             if w == tree.root:
-                if w in ds.positional:
-                    fault(
-                        "ds.positional-root",
-                        (w,),
-                        "the root has no positional head; it sits in the top domain",
+                if w in positional:
+                    problems.append(
+                        Violation(
+                            "ds.positional-root",
+                            (w,),
+                            "the root has no positional head; it sits in the "
+                            "top domain",
+                        )
                     )
                 continue
-            p = ds.positional.get(w)
+            p = positional.get(w)
             if p is None:
-                fault("ds.positional-missing", (w,), f"word {w} has no positional head")
+                problems.append(
+                    Violation(
+                        "ds.positional-missing",
+                        (w,),
+                        f"word {w} has no positional head",
+                    )
+                )
                 continue
             # climb from w no higher than p, and at most n steps, which
             # also ends the walk on a cyclic tree; the heads passed below p
             # are those whose incoming edges w's insertion crosses
             crossed, u = [], w
             for _ in range(n):
-                u = self.head_of.get(u)
+                u = head_of.get(u)
                 if u is None or u == p:
                     break
                 crossed.append(u)
             if u != p:
-                fault(
-                    "ds.positional-head",
-                    (w, p),
-                    f"positional head {p} is not a transitive head of word {w}",
+                problems.append(
+                    Violation(
+                        "ds.positional-head",
+                        (w, p),
+                        f"positional head {p} is not a transitive head of word {w}",
+                    )
                 )
                 continue
             hosts = [
@@ -651,31 +697,33 @@ class StructureIndex:
                 if did in by_id and w in by_id[did].members
             ]
             if len(hosts) != 1:
-                fault(
-                    "ds.insertion",
-                    (w, p),
-                    f"word {w} must lie in exactly one domain of word {p}'s "
-                    f"sequence, found {len(hosts)}",
+                problems.append(
+                    Violation(
+                        "ds.insertion",
+                        (w, p),
+                        f"word {w} must lie in exactly one domain of word {p}'s "
+                        f"sequence, found {len(hosts)}",
+                    )
                 )
                 continue
             self.slot_of[w], self.insertion[w] = hosts[0]
             self.crossed[w] = tuple(crossed)
 
         self.members: dict[str, tuple[SpannedMember, ...]] = {}
-        if self.problems:
+        if problems:
             return
         # each domain of a word's sequence nests in the word's insertion;
         # an introducer goes first, so the stable sort keeps it ahead of a
         # member that starts where it does
         members: dict[str, list[SpannedMember]] = {did: [] for did in by_id}
-        for did, (w, slot) in self.owner.items():
-            if slot == tree.words[w].entry.template.self_slot:
+        for did, (w, slot) in owner.items():
+            if slot == self_slot[w]:
                 members[did].insert(0, ((w, None), w, w))
             members[self.insertion[w]].append(((w, slot), *by_id[did].span()))
-        self.members = {
-            did: tuple(sorted(items, key=lambda m: m[1]))
-            for did, items in members.items()
-        }
+        for items in members.values():
+            if len(items) > 1:
+                items.sort(key=_first)
+        self.members = {did: tuple(items) for did, items in members.items()}
 
     def immediate_members(self, did: str) -> tuple[SpannedMember, ...]:
         """The domain's immediate members in surface order, each as (member,
@@ -688,15 +736,41 @@ class StructureIndex:
 # linking conditions and derived membership
 
 
+def _sequences_ordered(
+    assoc: dict[int, tuple[str | None, ...]], by_id: dict[str, OrderDomain], n: int
+) -> bool:
+    """Does the realized sequence of each word in ``range(n)`` name known,
+    non-empty domains, each ending before the next one starts?"""
+    for w in range(n):
+        last = -1  # a domain starting below word 0 just fails the check
+        for did in assoc[w]:
+            if did is None:
+                continue
+            d = by_id.get(did)
+            span = d._span if d is not None else None
+            if span is None or span[0] <= last:
+                return False
+            last = span[1]
+    return True
+
+
 def iter_condition_violations(
     ds: DependencyStructure, idx: StructureIndex
 ) -> Iterator[Violation]:
     """Linking conditions 1, 2 and 4, checked literally on the stored sets.
 
     ``idx`` is the structure's index, built without problems, which means
-    condition 3 already holds (see the module docstring).
+    condition 3 already holds (see the module docstring).  Such an index
+    has also checked that each word's self domain holds the word.  So when
+    every realized sequence names known, non-empty domains whose spans run
+    strictly left to right, all three conditions hold: each domain ends
+    before the next starts (4), so the domains are disjoint (2), and the
+    word lies in its self domain and in no other (1).  Only when that
+    check fails, or on an index with problems, do the literal loops run.
     """
     by_id = idx.by_id
+    if not idx.problems and _sequences_ordered(ds.domains.assoc, by_id, idx.n):
+        return
     seqs = [ds.domains.realized(w) for w in range(idx.n)]
 
     for w, seq in enumerate(seqs):
@@ -723,7 +797,7 @@ def iter_condition_violations(
     for w, seq in enumerate(seqs):
         for left_id, right_id in zip(seq, seq[1:]):
             left, right = by_id[left_id], by_id[right_id]
-            if max(left.members) >= min(right.members):
+            if left.span()[1] >= right.span()[0]:
                 yield Violation(
                     "ds.cond4",
                     (w, left.id, right.id),

@@ -16,10 +16,16 @@ domain and ``assoc WORD`` an empty sequence.  A SLOT is a domain id, or
 ENTRY is the entry ordinal (the entry's position among those sharing its
 form in the lexicon), so that deserialization restores the exact entry
 even when a form is ambiguous.  Rendering is canonical:
-sorted records, sorted feature pairs, one space between fields.  For any
-value x, parsing the rendered form restores x exactly; this also holds
-for structures that would not validate, since the class and feature
-columns are stored as given rather than recomputed from entries.
+sorted records, sorted feature pairs, one space between fields.  Parsing
+the rendered form restores the value exactly when each domain id, class
+and dependency type is non-empty, no domain id in a sequence is ``-``,
+none of them nor any attribute or feature value holds whitespace or
+``#``, and no attribute holds ``=``.  Fields are written as given, so
+other values read back as something else or not at all: ``-`` as an
+empty slot, ``#`` as the start of a comment, whitespace as a field
+break.  The JSON form has no such limit.  The round trip also holds for
+structures that would not validate, since the class and feature columns
+are stored as given rather than recomputed from entries.
 """
 
 from __future__ import annotations
@@ -103,10 +109,10 @@ def render_tree_text(tree: DependencyTree, lex: Lexicon) -> str:
 def render_structure_text(ds: DependencyStructure, lex: Lexicon) -> str:
     lines = _tree_lines(ds.tree, lex, ds.features)
     for d in ds.domains.domains:
-        lines.append(f"domain {d.id} " + " ".join(str(m) for m in d.sorted_members()))
+        lines.append(" ".join([f"domain {d.id}", *map(str, d.sorted_members())]))
     for w, seq in ds.domains.assoc.items():
-        rendered = " ".join("-" if did is None else did for did in seq)
-        lines.append(f"assoc {w} {rendered}")
+        slots = ["-" if did is None else did for did in seq]
+        lines.append(" ".join([f"assoc {w}", *slots]))
     for w, p in ds.positional.items():
         lines.append(f"positional {w} {p}")
     return "\n".join(lines) + "\n"

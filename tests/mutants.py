@@ -116,8 +116,8 @@ MUTANTS = (
     Mutant(
         "index-members-unsorted",
         "odgrammar/core.py",
-        "            did: tuple(sorted(items, key=lambda m: m[1]))\n",
-        "            did: tuple(items)\n",
+        "                items.sort(key=_first)\n",
+        "                pass\n",
         (
             "tests/test_core.py::TestStructureIndex::test_identity_not_set_equality",
             "tests/test_constraints.py::TestSelfVsAll::test_findings_in_surface_order",
@@ -132,6 +132,44 @@ MUTANTS = (
         (
             "tests/test_core.py::TestStructureIndex::test_immediate_members_mittelfeld",
             "tests/test_constraints.py::TestSelfVsAll::test_violated_when_noun_leads",
+        ),
+    ),
+    Mutant(
+        "index-introducer-appended",
+        "odgrammar/core.py",
+        "                members[did].insert(0, ((w, None), w, w))\n",
+        "                members[did].append(((w, None), w, w))\n",
+        ("tests/test_core.py::TestStructureIndex::test_introducer_first_on_a_tie",),
+    ),
+    Mutant(
+        "index-pairs-unsorted",
+        "odgrammar/core.py",
+        "            if len(items) > 1:\n",
+        "            if len(items) > 2:\n",
+        (
+            "tests/test_core.py::TestStructureIndex::test_identity_not_set_equality",
+            "tests/test_engine.py::TestClosureMembers::"
+            "test_closure_items_are_the_index_members",
+        ),
+    ),
+    Mutant(
+        "conditions-touching-spans-ordered",
+        "odgrammar/core.py",
+        "            if span is None or span[0] <= last:\n",
+        "            if span is None or span[0] < last:\n",
+        (
+            "tests/test_core.py::TestRealization::test_conditions_equal_the_literal_check",
+            "tests/test_validate.py::TestStages::test_overlapping_sequence_domains",
+        ),
+    ),
+    Mutant(
+        "conditions-problems-guard-dropped",
+        "odgrammar/core.py",
+        "    if not idx.problems and _sequences_ordered(",
+        "    if _sequences_ordered(",
+        (
+            "tests/test_core.py::TestRealization::test_cond1_violated_by_leaking_self",
+            "tests/test_core.py::TestRealization::test_conditions_equal_the_literal_check",
         ),
     ),
     Mutant(

@@ -46,6 +46,15 @@ each part of its answer.
   that order, ``validate_pool_size`` items of each.  One SHA-256 is
   updated with ``json.dumps([[condition, list(subjects), message], ...])``
   of each report in turn; the line gives the input count and its digest.
+- ``validate-edits``: the full ``validate_structure`` report on each of
+  8,000 seeded edited structures.  Input ``i`` draws, with
+  ``random.Random(f"validate-edits-{i}")``, one structure of
+  ``workloads.valid_structures``, renders it with
+  ``render_structure_text``, and applies ``workloads._edit_field`` one to
+  four times with the same generator.  A text ``parse_structure_text``
+  refuses contributes ``["SerializationError", message]``; every other
+  one contributes its report as in ``validate-pool``.  The line gives the
+  input count, how many of them were read, and one SHA-256 over all.
 
 No line holds a time, so two runs on the same code print the same bytes.
 To show that a change leaves the answers unchanged, run this script (the
@@ -74,6 +83,7 @@ from odgrammar import (  # noqa: E402
     DependencyEdge,
     DependencyTree,
     ResourceLimitError,
+    SerializationError,
     StructureError,
     StructureIndex,
     WordToken,
@@ -87,6 +97,7 @@ from odgrammar import (  # noqa: E402
     parse_structure_text,
     parse_tree_text,
     reference_lexicon,
+    render_structure_text,
     render_tree_text,
     validate_domain_structure,
     validate_structure,
@@ -115,6 +126,7 @@ TREE_SEED = 20261019
 TREE_COUNT = 2000
 CROSSED_COUNT = 500
 RANDOM_SEEDS = range(40)
+VALIDATE_EDITS_COUNT = 8000
 
 
 def sha(obj) -> str:
@@ -263,9 +275,7 @@ def random_lexicon_lines(seed: int):
     yield f"random seed={seed} validate\treports={len(reports)}\tdigest={sha(reports)}"
 
 
-def validate_pool_line() -> str:
-    lexica = workloads.load_lexica()
-    valid = workloads.valid_structures(lexica)
+def validate_pool_line(lexica, valid) -> str:
     digest, count = hashlib.sha256(), 0
     for kind in ("valid", "realize", "edit"):
         for i in range(workloads.validate_pool_size(kind, valid)):
@@ -277,6 +287,32 @@ def validate_pool_line() -> str:
             digest.update(json.dumps(triples).encode())
             count += 1
     return f"validate-pool\tinputs={count}\tdigest={digest.hexdigest()}"
+
+
+def validate_edits_line(lexica, valid) -> str:
+    digest, read = hashlib.sha256(), 0
+    for i in range(VALIDATE_EDITS_COUNT):
+        rng = random.Random(f"validate-edits-{i}")
+        name, base = valid[rng.randrange(len(valid))]
+        lex = lexica[name]
+        text = render_structure_text(base, lex)
+        for _ in range(rng.randint(1, 4)):
+            text = workloads._edit_field(rng, text, lex)
+        try:
+            ds = parse_structure_text(text, lex)
+        except SerializationError as exc:
+            outcome = ["SerializationError", str(exc)]
+        else:
+            read += 1
+            outcome = [
+                [v.condition, list(v.subjects), v.message]
+                for v in validate_structure(ds, lex).violations
+            ]
+        digest.update(json.dumps(outcome).encode())
+    return (
+        f"validate-edits\tinputs={VALIDATE_EDITS_COUNT}\tread={read}"
+        f"\tdigest={digest.hexdigest()}"
+    )
 
 
 def main() -> int:
@@ -327,7 +363,10 @@ def main() -> int:
     for seed in RANDOM_SEEDS:
         for line in random_lexicon_lines(seed):
             print(line)
-    print(validate_pool_line())
+    lexica = workloads.load_lexica()
+    valid = workloads.valid_structures(lexica)
+    print(validate_pool_line(lexica, valid))
+    print(validate_edits_line(lexica, valid))
     return 0
 
 

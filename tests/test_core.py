@@ -20,7 +20,9 @@ from odgrammar import (
     check_cardinality,
     domain_id,
     entries_for,
+    generate,
     load_lexicon,
+    parse_structure_text,
     parse_tree_text,
     realize_structure,
     validate_domain_structure,
@@ -28,9 +30,11 @@ from odgrammar import (
     validate_tree,
 )
 from odgrammar.core import (
+    ancestor_chain,
     derived_member_sets,
     iter_condition_violations,
     iter_ods_violations,
+    permute_tree,
 )
 
 from oracle_net import GENITIVE_LEXICON, genitive_tree_text
@@ -263,6 +267,20 @@ class TestDomainChecks:
     def test_valid_layer(self, ds):
         assert validate_domain_structure(ds.domains, 6).ok
 
+    def test_span_is_first_and_last_member(self):
+        # the span is taken as the domain is made, outside its fields
+        for members in ({3}, {0, 1, 2}, {5, 2, 9}, range(4, 8)):
+            d = OrderDomain("d", members)
+            assert d.span() == (min(d.members), max(d.members))
+            assert d == OrderDomain("d", frozenset(members))
+            assert hash(d) == hash(OrderDomain("d", frozenset(members)))
+            assert repr(d) == f"OrderDomain(id='d', members={frozenset(members)!r})"
+        with pytest.raises(ValueError) as caught:
+            OrderDomain("d", frozenset()).span()
+        with pytest.raises(ValueError) as expected:
+            min(frozenset())
+        assert str(caught.value) == str(expected.value)
+
     def test_nesting_equals_the_pairwise_check(self):
         # the nesting check sorts spans and falls back to comparing every
         # pair of domains on a crossing or a domain that is no span; both
@@ -403,6 +421,152 @@ class TestRealization:
             for v in iter_condition_violations(bad, StructureIndex(bad))
         )
 
+    def test_conditions_equal_the_literal_check(self, ds, tree):
+        # on an index without problems the conditions first check that each
+        # sequence's spans run left to right, and only on a failure run the
+        # literal loops; either way the findings must be the literal ones,
+        # in order.  Inputs: valid analyses and random placements over
+        # random word orders, with words added to and taken from domains
+        glex = load_lexicon(GENITIVE_LEXICON.read_text())
+        gtree = parse_tree_text(genitive_tree_text(1), glex)
+        valid = [ds, *(d for _, d in generate(gtree, glex).pairs)]
+        rng = random.Random(28)
+        seen = Counter()
+        for _ in range(3000):
+            if rng.random() < 0.5:
+                base = rng.choice(valid)
+            else:
+                base = random_realization(rng, rng.choice((tree, gtree)))
+            bad = edited_domains(rng, base)
+            idx = StructureIndex(bad)
+            found = [
+                (v.condition, v.subjects) for v in iter_condition_violations(bad, idx)
+            ]
+            assert found == literal_conditions(bad), bad
+            seen.update(condition_families(bad, idx, found))
+        # ordered sequences, touching, overlapping and reversed spans, and
+        # self domains that miss their word each came up many times
+        assert min(seen[f] for f in CONDITION_FAMILIES) > 100, seen
+
+
+def random_realization(rng, tree):
+    """``tree`` in a random word order, each word hosted by a random
+    transitive head in a random slot."""
+    tree, _ = permute_tree(tree, rng.sample(range(tree.n), tree.n))
+    head_of = tree.head_of()
+    positional, slot_of = {}, {}
+    for w in range(tree.n):
+        if w != tree.root:
+            p = positional[w] = rng.choice(ancestor_chain(head_of, w))
+            slot_of[w] = rng.randrange(len(tree.words[p].entry.template.slots))
+    return realize_structure(tree, positional, slot_of)
+
+
+def edited_domains(rng, ds):
+    """``ds`` with up to three domains of word sequences edited: a word
+    added, the word next to either end added, the owner added, or a word
+    taken out.  No domain is left empty."""
+    n = ds.tree.n
+    by_id = ds.domains.by_id()
+    # only a sequence of two or more domains can be misordered
+    multi = [w for w in range(n) if len(ds.domains.realized(w)) > 1]
+    for _ in range(rng.randint(0, 3)):
+        w = rng.choice(multi) if multi and rng.random() < 0.5 else rng.randrange(n)
+        d = by_id[rng.choice(ds.domains.realized(w))]
+        lo, hi = d.span()
+        kind = rng.randrange(4)
+        if kind == 0:
+            members = d.members | {rng.randrange(n)}
+        elif kind == 1:
+            members = d.members | {rng.choice((max(lo - 1, 0), min(hi + 1, n - 1)))}
+        elif kind == 2:
+            members = d.members | {w}
+        elif len(d.members) > 1:
+            members = d.members - {rng.choice(sorted(d.members))}
+        else:
+            continue
+        by_id[d.id] = OrderDomain(d.id, members)
+    return dataclasses.replace(
+        ds, domains=OrderDomainStructure(tuple(by_id.values()), ds.domains.assoc)
+    )
+
+
+def literal_conditions(ds):
+    """Linking conditions 1, 2 and 4 as (condition, subjects), read off
+    the stored sets word by word, condition by condition."""
+    by_id = ds.domains.by_id()
+    seqs = [ds.domains.realized(w) for w in range(ds.tree.n)]
+    found = []
+    for w, seq in enumerate(seqs):
+        if len([did for did in seq if w in by_id[did].members]) != 1:
+            found.append(("ds.cond1", (w,)))
+    for w, seq in enumerate(seqs):
+        for i, a in enumerate(seq):
+            for b in seq[i + 1:]:
+                if by_id[a].members & by_id[b].members:
+                    found.append(("ds.cond2", (w, a, b)))
+    for w, seq in enumerate(seqs):
+        for a, b in zip(seq, seq[1:]):
+            if max(by_id[a].members) >= min(by_id[b].members):
+                found.append(("ds.cond4", (w, a, b)))
+    return found
+
+
+CONDITION_FAMILIES = ("ordered", "touching", "overlapping", "reversed", "self-missed")
+
+
+def condition_families(ds, idx, found):
+    """The families of CONDITION_FAMILIES that ``ds`` belongs to."""
+    if idx.problems:
+        misses = any(v.condition == "ds.self-domain" for v in idx.problems)
+        return ["self-missed"] if misses else []
+    if not found:
+        return ["ordered"]
+    by_id = ds.domains.by_id()
+    families = set()
+    for w in range(ds.tree.n):
+        seq = ds.domains.realized(w)
+        for a, b in zip(seq, seq[1:]):
+            (a_first, a_last), (b_first, b_last) = by_id[a].span(), by_id[b].span()
+            if a_last == b_first:
+                families.add("touching")
+            elif b_last < a_first:
+                families.add("reversed")
+            elif a_last > b_first:
+                families.add("overlapping")
+    return sorted(families)
+
+
+# a root v hosting x, whose template has a second, non-self slot
+TIE_LEXICON = """
+dtypes: dep
+classes: V X
+root: V
+
+entry "v" class=V {
+  slot dep: class=X required extract {};
+  domains [d] self=d;
+}
+
+entry "x" class=X {
+  domains [a b] self=b;
+}
+"""
+
+TIE_STRUCTURE = """
+token 0 x 0 X
+token 1 v 0 V
+root 1
+edge 1 dep 0
+domain top 0 1
+domain d1.0 0 1
+domain d0.0 1
+domain d0.1 0
+assoc 0 d0.0 d0.1
+assoc 1 d1.0
+positional 0 1
+"""
+
 
 class TestStructureIndex:
     def test_top_and_owner(self, ds):
@@ -435,6 +599,21 @@ class TestStructureIndex:
             ((2, None), 2, 2),
             ((4, 0), 3, 4),
             ((5, 0), 5, 5),
+        )
+
+    def test_introducer_first_on_a_tie(self):
+        # a sub-domain that starts at its host's introducer can only come
+        # from a stored set insertion does not derive, here x's domain a
+        # holding v; the introducer still goes first among the members that
+        # start at its position, whatever the owners' order
+        lex = load_lexicon(TIE_LEXICON)
+        ds = parse_structure_text(TIE_STRUCTURE, lex)
+        idx = StructureIndex(ds)
+        assert idx.problems == []
+        assert idx.immediate_members("d1.0") == (
+            ((0, 1), 0, 0),
+            ((1, None), 1, 1),
+            ((0, 0), 1, 1),
         )
 
     def test_crossed(self, ds):

@@ -111,7 +111,8 @@ class TestStructureText:
     def test_invalid_structure_round_trips(self, ds, lex):
         # serialization must preserve structures the validator rejects:
         # a wrong positional head, an empty domain (`ods.empty`) and an
-        # empty sequence (`ds.assoc-arity`)
+        # empty sequence (`ds.assoc-arity`); fields are joined, so no line,
+        # not even the empty domain's or sequence's, ends in a space
         domains = ds.domains
         empty_domain = OrderDomain("dx", frozenset())
         for bad in (
@@ -131,6 +132,7 @@ class TestStructureText:
         ):
             text = render_structure_text(bad, lex)
             assert parse_structure_text(text, lex) == bad
+            assert not [line for line in text.splitlines() if line.endswith(" ")]
 
     def test_text_round_trip_equals_json_round_trip(self, lex):
         sampler = StructureSampler(1)
