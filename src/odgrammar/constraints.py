@@ -21,13 +21,12 @@ lazily in report order, and a ``check_*`` function that wraps it in a
 that already holds a checked index, reads the generator.
 
 The checks that read the domain layer navigate a `StructureIndex`.  Their
-generators take an index without problems.  The ``check_*`` functions use
-the one passed as ``index`` or build their own, and raise StructureError
-when that index reports a linking problem or the word they are asked about
-is out of range.  An index is only defined on a structure whose layers
-pass their own stages (see `StructureIndex`), so before building their own
-they also raise StructureError on the first finding of the tree stage or
-the domain stage.
+generators take an index without problems.  The ``check_*`` functions
+build their own, and raise StructureError when it reports a linking
+problem or the word they are asked about is out of range.  An index is
+only defined on a structure whose layers pass their own stages (see
+`StructureIndex`), so before building it they also raise StructureError on
+the first finding of the tree stage or the domain stage.
 """
 
 from __future__ import annotations
@@ -179,18 +178,15 @@ def admits_root(lex: "Lexicon", word_class: str) -> bool:
     return not lex.root_classes or word_class in lex.root_classes
 
 
-def _linked_index(
-    ds: DependencyStructure, index: StructureIndex | None, word: int
-) -> StructureIndex:
-    """The given index, or a new one on layers that pass their own stages;
-    StructureError if a layer or the linking failed, or ``word`` is no
-    word of the structure."""
-    if index is None:
-        for v in iter_tree_violations(ds.tree):
-            raise StructureError(v.message)
-        for v in iter_ods_violations(ds.domains, ds.tree.n):
-            raise StructureError(v.message)
-        index = StructureIndex(ds)
+def _linked_index(ds: DependencyStructure, word: int) -> StructureIndex:
+    """A new index on layers that pass their own stages; StructureError if
+    a layer or the linking failed, or ``word`` is no word of the
+    structure."""
+    for v in iter_tree_violations(ds.tree):
+        raise StructureError(v.message)
+    for v in iter_ods_violations(ds.domains, ds.tree.n):
+        raise StructureError(v.message)
+    index = StructureIndex(ds)
     if index.problems:
         raise StructureError("; ".join(v.message for v in index.problems))
     if not 0 <= word < index.n:
@@ -229,10 +225,7 @@ def iter_precedence_violations(
 
 
 def check_precedence(
-    pred: PrecedencePredicate,
-    introducer: int,
-    ds: DependencyStructure,
-    index: StructureIndex | None = None,
+    pred: PrecedencePredicate, introducer: int, ds: DependencyStructure
 ) -> ValidationReport:
     """Evaluate one predicate of the given introducer against the structure.
 
@@ -241,7 +234,7 @@ def check_precedence(
     domain it left.  Pairs whose members share a head word are skipped.
     Raises StructureError when the structure's linking is ill defined.
     """
-    idx = _linked_index(ds, index, introducer)
+    idx = _linked_index(ds, introducer)
     return ValidationReport(
         tuple(iter_precedence_violations(pred, introducer, ds, idx))
     )
@@ -277,10 +270,7 @@ def iter_cardinality_violations(
 
 
 def check_cardinality(
-    constraint: CardinalityConstraint,
-    introducer: int,
-    ds: DependencyStructure,
-    index: StructureIndex | None = None,
+    constraint: CardinalityConstraint, introducer: int, ds: DependencyStructure
 ) -> ValidationReport:
     """Count immediate members of the slot's realized domain; empty counts 0.
 
@@ -288,7 +278,7 @@ def check_cardinality(
     IndexError when the constraint's slot is not in the introducer's
     template.
     """
-    idx = _linked_index(ds, index, introducer)
+    idx = _linked_index(ds, introducer)
     return ValidationReport(
         tuple(iter_cardinality_violations(constraint, introducer, ds, idx))
     )
@@ -320,10 +310,7 @@ def iter_domain_feature_violations(
 
 
 def check_domain_features(
-    req: DomainFeatureRequirement,
-    introducer: int,
-    ds: DependencyStructure,
-    index: StructureIndex | None = None,
+    req: DomainFeatureRequirement, introducer: int, ds: DependencyStructure
 ) -> ValidationReport:
     """Every member head of the slot's realized domain must carry the features.
 
@@ -331,7 +318,7 @@ def check_domain_features(
     IndexError when the requirement's slot is not in the introducer's
     template.
     """
-    idx = _linked_index(ds, index, introducer)
+    idx = _linked_index(ds, introducer)
     return ValidationReport(
         tuple(iter_domain_feature_violations(req, introducer, ds, idx))
     )
@@ -359,10 +346,7 @@ def iter_extraction_violations(
 
 
 def check_extraction(
-    slot: "ValencySlot",
-    dependent: int,
-    ds: DependencyStructure,
-    index: StructureIndex | None = None,
+    slot: "ValencySlot", dependent: int, ds: DependencyStructure
 ) -> ValidationReport:
     """License the dependent's positional head through the slot's path set.
 
@@ -374,7 +358,7 @@ def check_extraction(
     Raises StructureError for the root, which has no direct head, and when
     the structure's linking is ill defined.
     """
-    idx = _linked_index(ds, index, dependent)
+    idx = _linked_index(ds, dependent)
     return ValidationReport(tuple(iter_extraction_violations(slot, dependent, ds, idx)))
 
 

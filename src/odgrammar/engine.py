@@ -44,11 +44,11 @@ the same sets, renamed to the order's indices.  A domain's orderings depend
 only on its owner, its slot and its members' names, so generation draws
 them once per call for each such triple.  The validator is asked for one
 finding per candidate, so a rejected candidate costs only the checks up to
-its first failing one.  Parse asks from the tree stage on.  Generation
-checks the tree stage and valency once, on the given tree: a permutation
-renames the words and keeps their heads, dependency types, classes and
-entries, so it asks about each order from the domain stage on, without
-valency.
+its first failing one.  Both searches ask `iter_structure_violations`.
+Parse asks from the tree stage on.  Generation checks the tree stage and
+valency once, on the given tree: a permutation renames the words and keeps
+their heads, dependency types, classes and entries, so it asks about each
+order with ``tree_checked`` set, from the domain stage on, without valency.
 
 Head maps and placements are one kind of search: every word makes one
 choice (a labeled head, or a host and a slot) from a list of options built
@@ -97,7 +97,7 @@ from .core import (
 )
 from .lexicon import Lexicon, entry_assignments
 from .serialize import canonical_structure
-from .validate import _iter_from_domain_stage, iter_structure_violations
+from .validate import iter_structure_violations
 
 DEFAULT_MAX_CANDIDATES = 10_000_000
 
@@ -622,7 +622,7 @@ def generate(
             ds = realize_structure(permuted, pos2, slot2, members2)
             # the tree stage and valency held on ``tree``, so they hold on
             # every permutation of it
-            if _judge(_iter_from_domain_stage(ds, lex), stats):
+            if _judge(iter_structure_violations(ds, lex, tree_checked=True), stats):
                 surface = " ".join(permuted.forms())
                 found.setdefault((surface, canonical_structure(ds, lex)), (surface, ds))
     pairs = tuple(found[key] for key in sorted(found))

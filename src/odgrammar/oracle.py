@@ -5,8 +5,9 @@ The functions in this module answer the same questions as the engine
 positional-head choice, every slot assignment, and (for ordering) every
 permutation of the input is generated.  Each tree is checked once (tree
 stage and valency, each up to its first finding), and the validator judges
-each structure over it from its domain stage on.  Nothing here knows about
-the engine's search order or its pruning; the only code shared with the
+each structure over it from its domain stage on (`iter_structure_violations`
+with ``tree_checked`` set).  Nothing here knows about the engine's search
+order or its pruning; the only code shared with the
 engine is the validator, the data model in `core` (constructors,
 realization, and the tree helpers), and the two steps that start every
 candidate tree: the enumeration of entry assignments
@@ -42,7 +43,7 @@ from .core import (
 )
 from .lexicon import Lexicon, entry_assignments
 from .serialize import canonical_structure
-from .validate import _iter_from_domain_stage
+from .validate import iter_structure_violations
 
 
 @dataclass(frozen=True)
@@ -113,7 +114,7 @@ def placements(tree: DependencyTree) -> Iterator[DependencyStructure]:
 def _valid_structures(tree: DependencyTree, lex: Lexicon):
     """Yield every valid DependencyStructure over a fixed, checked tree."""
     for ds in placements(tree):
-        if next(_iter_from_domain_stage(ds, lex), None) is None:
+        if next(iter_structure_violations(ds, lex, tree_checked=True), None) is None:
             yield ds
 
 

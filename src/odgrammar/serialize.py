@@ -79,6 +79,20 @@ def _resolve_entry(
     return bucket[ordinal]
 
 
+def _entry_ordinal(w: WordToken, lex: Lexicon) -> int:
+    """The ordinal of ``w``'s entry; SerializationError when ``w`` is bound
+    to no entry or to one the lexicon does not hold for its form."""
+    try:
+        return lex.entry_ordinal(w.entry)
+    except (AttributeError, ValueError):
+        bound = (
+            "not bound to a lexical entry"
+            if w.entry is None
+            else f"bound to an entry the lexicon does not hold for {w.form!r}"
+        )
+        raise SerializationError(f"word {w.index} is {bound}") from None
+
+
 # ---------------------------------------------------------------------------
 # text form
 
@@ -91,7 +105,7 @@ def _tree_lines(tree: DependencyTree, lex: Lexicon, features: FeatureMap) -> lis
             "token",
             str(w.index),
             w.form,
-            str(lex.entry_ordinal(w.entry)),
+            str(_entry_ordinal(w, lex)),
             tree.classes[w.index],
         ]
         fields.extend(_feat_fields(features.get(w.index, {})))
@@ -234,7 +248,7 @@ def _tree_obj(tree: DependencyTree, lex: Lexicon, features: FeatureMap | None) -
         tok = {
             "index": w.index,
             "form": w.form,
-            "entry": lex.entry_ordinal(w.entry),
+            "entry": _entry_ordinal(w, lex),
             "class": tree.classes[w.index],
         }
         if features is not None:

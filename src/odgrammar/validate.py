@@ -30,8 +30,9 @@ The tree stage and valency read the tree alone, and every structure over
 one tree, in any order of its words, shares their verdict: a permutation
 renames the words and keeps their heads, dependency types, classes and
 entries.  So generation and the oracle check each tree once themselves
-and enter at the domain stage, without valency (`_iter_from_domain_stage`).
-Parse enters at the tree stage (`iter_structure_violations`).
+and ask with ``tree_checked`` set, which skips both.  Parse, like
+`validate_structure` and `structure_is_valid`, asks without it.
+`iter_structure_violations` is the one way in for all of them.
 """
 
 from __future__ import annotations
@@ -164,26 +165,17 @@ def _iter_constraint_violations(
 
 
 def iter_structure_violations(
-    ds: DependencyStructure, lex: Lexicon
+    ds: DependencyStructure, lex: Lexicon, *, tree_checked: bool = False
 ) -> Iterator[Violation]:
-    found = False
-    for violation in iter_tree_violations(ds.tree, lex):
-        found = True
-        yield violation
-    if found:
-        yield from iter_ods_violations(ds.domains, ds.tree.n)
-        return
-    yield from _iter_from_domain_stage(ds, lex, valency=True)
+    """`validate_structure`'s findings, lazily, in report order.
 
-
-def _iter_from_domain_stage(
-    ds: DependencyStructure, lex: Lexicon, *, valency: bool = False
-) -> Iterator[Violation]:
-    """Findings of a structure whose tree passes the tree stage, in report
-    order, with the tree's valency findings only if ``valency`` is set;
-    generation and the oracle, which check valency once per tree, leave it
-    unset."""
+    With ``tree_checked`` set the caller has found no fault in the tree
+    stage or valency on this tree, and neither runs again."""
     found = False
+    if not tree_checked:
+        for violation in iter_tree_violations(ds.tree, lex):
+            found = True
+            yield violation
     for violation in iter_ods_violations(ds.domains, ds.tree.n):
         found = True
         yield violation
@@ -198,7 +190,7 @@ def _iter_from_domain_stage(
 
     yield from iter_condition_violations(ds, idx)
     yield from _iter_entry_violations(ds)
-    yield from _iter_constraint_violations(ds, lex, idx, valency)
+    yield from _iter_constraint_violations(ds, lex, idx, not tree_checked)
 
 
 def validate_structure(ds: DependencyStructure, lex: Lexicon) -> ValidationReport:

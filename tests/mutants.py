@@ -186,8 +186,8 @@ MUTANTS = (
     Mutant(
         "linked-index-domain-stage-dropped",
         "odgrammar/constraints.py",
-        "        for v in iter_ods_violations(ds.domains, ds.tree.n):\n"
-        "            raise StructureError(v.message)\n",
+        "    for v in iter_ods_violations(ds.domains, ds.tree.n):\n"
+        "        raise StructureError(v.message)\n",
         "",
         (
             "tests/test_constraints.py::test_domain_stage_failure",
@@ -447,6 +447,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "tree-checked-inverted",
+        "odgrammar/validate.py",
+        "    if not tree_checked:\n",
+        "    if tree_checked:\n",
+        (
+            "tests/test_engine.py::TestDiagnostics::"
+            "test_undeclared_class_is_rejected_by_the_tree_stage",
+            "tests/test_validate.py::TestTreeChecked::"
+            "test_equals_the_full_report_on_checked_trees",
+        ),
+    ),
+    Mutant(
         "oracle-generate-valency-first",
         "odgrammar/oracle.py",
         "    if (\n"
@@ -480,6 +492,13 @@ MUTANTS = (
             "test_text_round_trip_equals_json_round_trip",
             "tests/test_cli.py::TestValidateCommand::test_empty_domain",
         ),
+    ),
+    Mutant(
+        "serializer-entry-check-dropped",
+        "odgrammar/serialize.py",
+        "    except (AttributeError, ValueError):\n",
+        "    except ():\n",
+        ("tests/test_serialize.py::TestUnwritableWords",),
     ),
     Mutant(
         "lexicon-token-column-shifted",
@@ -528,6 +547,14 @@ EQUIVALENT = (
         reason="a crossing the sort finds where there is none only sends the "
         "family to the pairwise loop, which reports the same findings in the "
         "same order; only the time changes",
+    ),
+    Mutant(
+        "tree-checked-runs-valency",
+        "odgrammar/validate.py",
+        "idx, not tree_checked)",
+        "idx, True)",
+        reason="the searches set `tree_checked` only on trees whose valency "
+        "holds, so valency run again finds nothing; only the time changes",
     ),
 )
 

@@ -4,13 +4,16 @@ The benchmark's traced runs replace library names listed in
 ``bench/tracing.py``'s ``WRAPPED``, and its engine counts come from the
 diagnostics lines whose labels ``bench/worker.py``'s ``ENGINE_COUNTS``
 lists.  Both files are read as source here, never run, so a change to the
-library that drops one of those names or labels fails this test.
+library that drops one of those names or labels fails this test.  The
+traced verdict is ``odgrammar.engine.iter_structure_violations``, so both
+searches must judge every realized structure through that name.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
+import odgrammar.engine
 from odgrammar import generate, parse
 
 from corpus import KEY_SENTENCE
@@ -46,3 +49,22 @@ def test_every_engine_count_label_is_printed(lex):
         for line in parsed.diagnostics + generated.diagnostics
     }
     assert set(labels) <= printed, set(labels) - printed
+
+
+def test_both_searches_judge_through_the_traced_verdict(lex, monkeypatch):
+    calls = []
+    original = odgrammar.engine.iter_structure_violations
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(odgrammar.engine, "iter_structure_violations", counting)
+    validated = "realized structures validated: "
+    parsed = parse(KEY_SENTENCE.split(), lex)
+    assert validated + str(len(calls)) in parsed.diagnostics
+    assert len(calls) == 1
+    calls.clear()
+    generated = generate(parsed.structures[0].tree, lex)
+    assert validated + str(len(calls)) in generated.diagnostics
+    assert len(calls) == 6

@@ -28,6 +28,7 @@ from odgrammar import (
 
 from harness import StructureSampler
 from test_core import KEY_POSITIONAL, KEY_SLOTS, key_tree
+from test_validate import with_word_unbound, without_form
 
 
 @pytest.fixture()
@@ -270,6 +271,40 @@ class TestJson:
             parse_structure_json("{\"words\": 3}", lex)
         with pytest.raises(SerializationError):
             parse_structure_json("not json", lex)
+
+
+RENDERERS = {
+    "render_structure_text": (render_structure_text, False),
+    "render_structure_json": (render_structure_json, False),
+    "render_tree_text": (render_tree_text, True),
+    "render_tree_json": (render_tree_json, True),
+    "canonical_structure": (canonical_structure, False),
+}
+
+
+class TestUnwritableWords:
+    """A word the lexicon cannot name is refused with the word's index."""
+
+    @pytest.mark.parametrize("name", RENDERERS)
+    @pytest.mark.parametrize(
+        "malformed, message",
+        [
+            ("unbound", "word 0 is not bound to a lexical entry"),
+            (
+                "foreign",
+                "word 4 is bound to an entry the lexicon does not hold for 'Junge'",
+            ),
+        ],
+    )
+    def test_refused(self, ds, lex, name, malformed, message):
+        render, takes_tree = RENDERERS[name]
+        if malformed == "unbound":
+            ds = with_word_unbound(ds, 0)
+        else:
+            lex = without_form(lex, "Junge")
+        with pytest.raises(SerializationError) as caught:
+            render(ds.tree if takes_tree else ds, lex)
+        assert str(caught.value) == message
 
 
 # Values of every JSON type, and integers out of any word range, put in

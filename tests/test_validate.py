@@ -27,10 +27,16 @@ from odgrammar import (
     validate_structure,
     validate_tree,
 )
-from odgrammar.core import StructureIndex, derived_member_sets, iter_ods_violations
+from odgrammar.core import (
+    StructureIndex,
+    derived_member_sets,
+    iter_ods_violations,
+    iter_tree_violations,
+)
+from odgrammar.validate import iter_structure_violations
 
 from corpus import GRAMMATICAL, KEY_SENTENCE
-from harness import independent_verdict
+from harness import StructureSampler, grammatical_bases, independent_verdict
 from oracle_net import clause_lexicon, genitive_tree_text
 from test_constraints import bad_mittelfeld, clause, fronted_participle
 from test_core import KEY_POSITIONAL, KEY_SLOTS, entry, key_tree
@@ -643,6 +649,31 @@ class TestFullPipeline:
         ]
         for case in cases:
             assert structure_is_valid(case, lex) == validate_structure(case, lex).ok
+
+
+class TestTreeChecked:
+    def test_equals_the_full_report_on_checked_trees(self, lex):
+        # the searches set ``tree_checked`` only on trees that pass the
+        # tree stage and valency; there it must change nothing, and the
+        # plain call must still lead with the tree stage elsewhere
+        sampler = StructureSampler(seed=17, lex=lex, bases=grammatical_bases())
+        seen = Counter()
+        for _ in range(1500):
+            ds = sampler.next_instance()
+            if ds is None:
+                continue
+            report = validate_structure(ds, lex)
+            tree_finding = next(iter_tree_violations(ds.tree, lex), None)
+            if tree_finding is not None:
+                assert report.violations[0] == tree_finding
+                seen["tree fails"] += 1
+                continue
+            if not check_valency(ds.tree, lex).ok:
+                continue
+            checked = list(iter_structure_violations(ds, lex, tree_checked=True))
+            assert checked == list(report.violations)
+            seen["valid" if report.ok else "invalid"] += 1
+        assert min(seen[k] for k in ("valid", "invalid", "tree fails")) > 0, seen
 
 
 class TestKeySentence:
