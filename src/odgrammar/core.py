@@ -20,10 +20,10 @@ the word's realized slots, their immediate members and their member sets
 follow.  A domain contains its introducing word (if it is the self slot)
 plus every word of the domains inserted into it.  `derived_member_sets`
 closes every word in insertion order; the engine's search closes each word
-as it goes.  The validator (`odgrammar.validate`) checks each stored set
-against the same rule one domain at a time, on the linking index below,
-and derives the sets only to report a mismatch.  Validators below check
-the four linking conditions:
+as it goes.  The linking index below (`StructureIndex`) checks each stored
+set against the same rule as it sorts each domain's immediate members, and
+the validator (`odgrammar.validate`) derives the sets only to report a
+mismatch.  Validators below check the four linking conditions:
 
   1. each word lies in exactly one domain of its own sequence,
   2. the domains of one word's sequence are pairwise disjoint,
@@ -508,14 +508,13 @@ def iter_ods_violations(
             "ods.top", (), "no domain spans the whole sentence (top element missing)"
         )
 
-    by_id = ods.by_id()
     for w, seq in ods.assoc.items():
         if not 0 <= w < n_words:
             yield Violation(
                 "ods.assoc-range", (w,), f"sequence given for unknown word {w}"
             )
         for did in seq:
-            if did is not None and did not in by_id:
+            if did is not None and did not in seen_ids:
                 yield Violation(
                     "ods.assoc-unknown",
                     (w, did),
@@ -558,7 +557,25 @@ class StructureIndex:
     This is the validator's linking stage: every linking fault is recorded
     in ``problems``, in the order the validator reports them, instead of
     being raised.  The member lists are only recorded when ``problems`` is
-    empty.  Precondition: both layers pass their own stages
+    empty.  Two more records come from the same walks, and both are False
+    on an index with problems:
+
+    - ``sequences_ordered``: every realized sequence names known, non-empty
+      domains whose spans run strictly left to right, each ending before
+      the next one starts (read in the walk that finds each domain's
+      owner; see `iter_condition_violations`).
+    - ``sets_derived``: every owned domain's immediate members, sorted by
+      their first words, cover the domain's span without a gap and reach
+      no further (read as the member lists are sorted).  Then each stored
+      member set is the one insertion derives, by induction up the
+      insertion, which is acyclic on an index without problems: a domain
+      holds exactly its immediate members, its introducer when it is the
+      introducer's self slot and its sub-domains as stored, and each of
+      them is a span.  A slot left empty is empty in the derivation too,
+      since ``slot_of`` only names realized slots and the index refuses an
+      empty self slot.
+
+    Precondition: both layers pass their own stages
     (`iter_tree_violations`, `iter_ods_violations`); the index re-checks
     nothing those own, and the validator and the ``check_*`` functions
     build it only after both.
@@ -613,10 +630,19 @@ class StructureIndex:
 
         owner: dict[str, tuple[int, int]] = {}
         self.owner = owner
+        ordered = True  # see `sequences_ordered`
         for w in range(n):
+            end = -1  # a domain starting below word 0 just fails the order test
             for slot, did in enumerate(assoc.get(w, ())):
-                if did not in by_id:
+                d = by_id.get(did)
+                if d is None:
+                    ordered = ordered and did is None
                     continue
+                span = d._span  # None on an empty domain, which is unordered
+                if span is None or span[0] <= end:
+                    ordered = False
+                else:
+                    end = span[1]
                 if did in owner:
                     problems.append(
                         Violation(
@@ -710,8 +736,10 @@ class StructureIndex:
             self.crossed[w] = tuple(crossed)
 
         self.members: dict[str, tuple[SpannedMember, ...]] = {}
+        self.sequences_ordered = self.sets_derived = False
         if problems:
             return
+        self.sequences_ordered = ordered
         # each domain of a word's sequence nests in the word's insertion;
         # an introducer goes first, so the stable sort keeps it ahead of a
         # member that starts where it does
@@ -720,9 +748,22 @@ class StructureIndex:
             if slot == self_slot[w]:
                 members[did].insert(0, ((w, None), w, w))
             members[self.insertion[w]].append(((w, slot), *by_id[did].span()))
-        for items in members.values():
+        derived = True  # see `sets_derived`
+        for did, items in members.items():
             if len(items) > 1:
                 items.sort(key=_first)
+            if derived and did in owner:
+                lo, hi = by_id[did].span()
+                reach = lo - 1
+                for _, first, last in items:
+                    if first < lo or first > reach + 1:
+                        derived = False
+                        break
+                    if last > reach:
+                        reach = last
+                else:
+                    derived = reach == hi
+        self.sets_derived = derived
         self.members = {did: tuple(items) for did, items in members.items()}
 
     def immediate_members(self, did: str) -> tuple[SpannedMember, ...]:
@@ -736,41 +777,23 @@ class StructureIndex:
 # linking conditions and derived membership
 
 
-def _sequences_ordered(
-    assoc: dict[int, tuple[str | None, ...]], by_id: dict[str, OrderDomain], n: int
-) -> bool:
-    """Does the realized sequence of each word in ``range(n)`` name known,
-    non-empty domains, each ending before the next one starts?"""
-    for w in range(n):
-        last = -1  # a domain starting below word 0 just fails the check
-        for did in assoc[w]:
-            if did is None:
-                continue
-            d = by_id.get(did)
-            span = d._span if d is not None else None
-            if span is None or span[0] <= last:
-                return False
-            last = span[1]
-    return True
-
-
 def iter_condition_violations(
     ds: DependencyStructure, idx: StructureIndex
 ) -> Iterator[Violation]:
     """Linking conditions 1, 2 and 4, checked literally on the stored sets.
 
-    ``idx`` is the structure's index, built without problems, which means
-    condition 3 already holds (see the module docstring).  Such an index
-    has also checked that each word's self domain holds the word.  So when
-    every realized sequence names known, non-empty domains whose spans run
-    strictly left to right, all three conditions hold: each domain ends
-    before the next starts (4), so the domains are disjoint (2), and the
-    word lies in its self domain and in no other (1).  Only when that
-    check fails, or on an index with problems, do the literal loops run.
+    ``idx`` is the structure's index.  Built without problems, it means
+    condition 3 already holds (see the module docstring), and it has
+    checked that each word's self domain holds the word.  So when it
+    records ``sequences_ordered``, all three conditions hold: each domain
+    ends before the next starts (4), so the domains are disjoint (2), and
+    the word lies in its self domain and in no other (1); nothing is
+    walked here.  Only when that record is False, as it always is on an
+    index with problems, do the literal loops run.
     """
-    by_id = idx.by_id
-    if not idx.problems and _sequences_ordered(ds.domains.assoc, by_id, idx.n):
+    if idx.sequences_ordered:
         return
+    by_id = idx.by_id
     seqs = [ds.domains.realized(w) for w in range(idx.n)]
 
     for w, seq in enumerate(seqs):

@@ -11,13 +11,16 @@ stage (see its precondition): the index reports the linking problems it
 finds, and the final stage navigates the same index.  Within the final
 stage nothing stops at the first finding; the report lists all violations.
 
-The final stage pays for what it reads.  It checks the stored member sets
-one domain at a time against the index's immediate members
-(`_stored_sets_derive`), which holds exactly when they equal the sets
-insertion derives; only on a mismatch does `derived_member_sets` run, to
-report each differing slot.  It reads each lexical check's generator
-(``constraints.iter_*_violations``) with the index it already holds, so no
-report is built for a check that finds nothing.
+The final stage pays for what it reads.  The index records, in the walks
+that build it, whether each sequence's spans run left to right
+(``sequences_ordered``) and whether the stored member sets are the ones
+insertion derives (``sets_derived``).  The conditions' literal loops run
+only when the first record is False, and `derived_member_sets` runs only
+when the second is, to report each differing slot.  The stage reads each
+lexical check's generator (``constraints.iter_*_violations``) with the
+index it already holds, so no report is built for a check that finds
+nothing.  The stage's report order is written out once, in
+`iter_structure_violations`.
 
 `iter_structure_violations` produces the findings lazily, in report order,
 each as soon as its check has found it.  A caller that takes only the first
@@ -82,33 +85,6 @@ def _iter_entry_violations(ds: DependencyStructure) -> Iterator[Violation]:
             )
 
 
-def _stored_sets_derive(idx: StructureIndex) -> bool:
-    """Does every stored domain hold the words insertion derives for it?
-
-    Each domain of a sequence must hold exactly its immediate members
-    (``idx.members``): its introducer, when it is the introducer's self
-    slot, and its sub-domains as stored.  When every domain does, the
-    stored sets are the derived ones, by induction up the insertion, which
-    is acyclic on an index without problems; a slot left empty is then
-    empty in the derivation too, since ``idx.slot_of`` only names realized
-    slots and the index refuses an empty self slot.  Every domain here is
-    a span, so the members, each a span too (first and last word), must
-    cover the domain's span without a gap and reach no further.
-    """
-    by_id = idx.by_id
-    for did in idx.owner:
-        lo, hi = by_id[did].span()
-        reach = lo - 1
-        for _, first, last in idx.members[did]:
-            if first < lo or first > reach + 1:
-                return False
-            if last > reach:
-                reach = last
-        if reach != hi:
-            return False
-    return True
-
-
 def _iter_member_violations(
     ds: DependencyStructure, idx: StructureIndex
 ) -> Iterator[Violation]:
@@ -132,18 +108,11 @@ def _iter_member_violations(
 
 
 def _iter_constraint_violations(
-    ds: DependencyStructure, lex: Lexicon, idx: StructureIndex, valency: bool
+    ds: DependencyStructure, idx: StructureIndex
 ) -> Iterator[Violation]:
+    """The lexical constraints' findings: extraction paths, then each
+    word's cardinalities, domain features and precedence predicates."""
     tree = ds.tree
-
-    # stored member sets must match the sets the insertions generate; the
-    # derivation runs only to report a mismatch
-    if not _stored_sets_derive(idx):
-        yield from _iter_member_violations(ds, idx)
-
-    if valency:
-        yield from check_valency(tree, lex).violations
-
     crossed = idx.crossed
     for w in range(tree.n):
         # a word whose insertion crosses no head has no path to license
@@ -190,7 +159,12 @@ def iter_structure_violations(
 
     yield from iter_condition_violations(ds, idx)
     yield from _iter_entry_violations(ds)
-    yield from _iter_constraint_violations(ds, lex, idx, not tree_checked)
+    # the derivation runs only to report a stored set the index found wrong
+    if not idx.sets_derived:
+        yield from _iter_member_violations(ds, idx)
+    if not tree_checked:
+        yield from check_valency(ds.tree, lex).violations
+    yield from _iter_constraint_violations(ds, idx)
 
 
 def validate_structure(ds: DependencyStructure, lex: Lexicon) -> ValidationReport:

@@ -155,8 +155,8 @@ MUTANTS = (
     Mutant(
         "conditions-touching-spans-ordered",
         "odgrammar/core.py",
-        "            if span is None or span[0] <= last:\n",
-        "            if span is None or span[0] < last:\n",
+        "                if span is None or span[0] <= end:\n",
+        "                if span is None or span[0] < end:\n",
         (
             "tests/test_core.py::TestRealization::test_conditions_equal_the_literal_check",
             "tests/test_validate.py::TestStages::test_overlapping_sequence_domains",
@@ -165,8 +165,13 @@ MUTANTS = (
     Mutant(
         "conditions-problems-guard-dropped",
         "odgrammar/core.py",
-        "    if not idx.problems and _sequences_ordered(",
-        "    if _sequences_ordered(",
+        "        self.sequences_ordered = self.sets_derived = False\n"
+        "        if problems:\n"
+        "            return\n"
+        "        self.sequences_ordered = ordered\n",
+        "        self.sequences_ordered, self.sets_derived = ordered, False\n"
+        "        if problems:\n"
+        "            return\n",
         (
             "tests/test_core.py::TestRealization::test_cond1_violated_by_leaking_self",
             "tests/test_core.py::TestRealization::test_conditions_equal_the_literal_check",
@@ -408,11 +413,11 @@ MUTANTS = (
     # see when it fails spuriously: a mismatch only runs the derivation
     Mutant(
         "local-member-check-introducer-left-out",
-        "odgrammar/validate.py",
-        "        for _, first, last in idx.members[did]:\n",
-        "        for (_, slot), first, last in idx.members[did]:\n"
-        "            if slot is None:\n"
-        "                continue\n",
+        "odgrammar/core.py",
+        "                for _, first, last in items:\n",
+        "                for (_, slot), first, last in items:\n"
+        "                    if slot is None:\n"
+        "                        continue\n",
         (
             "tests/test_validate.py::TestDerivedMembers::"
             "test_local_check_reads_each_domain",
@@ -421,9 +426,9 @@ MUTANTS = (
     ),
     Mutant(
         "local-member-check-always-passes",
-        "odgrammar/validate.py",
-        "    by_id = idx.by_id\n    for did in idx.owner:\n",
-        "    return True\n    by_id = idx.by_id\n    for did in idx.owner:\n",
+        "odgrammar/core.py",
+        "        self.sets_derived = derived\n",
+        "        self.sets_derived = True\n",
         (
             "tests/test_validate.py::TestDerivedMembers",
             "tests/test_validate.py::TestLocalMemberCheck",
@@ -431,9 +436,9 @@ MUTANTS = (
     ),
     Mutant(
         "local-member-check-left-edge-unchecked",
-        "odgrammar/validate.py",
-        "            if first < lo or first > reach + 1:\n",
-        "            if first > reach + 1:\n",
+        "odgrammar/core.py",
+        "                    if first < lo or first > reach + 1:\n",
+        "                    if first > reach + 1:\n",
         ("tests/test_validate.py::TestLocalMemberCheck",),
     ),
     Mutant(
@@ -449,8 +454,8 @@ MUTANTS = (
     Mutant(
         "tree-checked-inverted",
         "odgrammar/validate.py",
-        "    if not tree_checked:\n",
-        "    if tree_checked:\n",
+        "    if not tree_checked:\n        for violation in iter_tree_violations(",
+        "    if tree_checked:\n        for violation in iter_tree_violations(",
         (
             "tests/test_engine.py::TestDiagnostics::"
             "test_undeclared_class_is_rejected_by_the_tree_stage",
@@ -551,8 +556,8 @@ EQUIVALENT = (
     Mutant(
         "tree-checked-runs-valency",
         "odgrammar/validate.py",
-        "idx, not tree_checked)",
-        "idx, True)",
+        "    if not tree_checked:\n        yield from check_valency(",
+        "    if True:\n        yield from check_valency(",
         reason="the searches set `tree_checked` only on trees whose valency "
         "holds, so valency run again finds nothing; only the time changes",
     ),

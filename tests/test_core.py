@@ -422,9 +422,9 @@ class TestRealization:
         )
 
     def test_conditions_equal_the_literal_check(self, ds, tree):
-        # on an index without problems the conditions first check that each
-        # sequence's spans run left to right, and only on a failure run the
-        # literal loops; either way the findings must be the literal ones,
+        # on an index without problems the conditions first read whether
+        # each sequence's spans run left to right, as the index recorded,
+        # and only otherwise run the literal loops; either way the findings must be the literal ones,
         # in order.  Inputs: valid analyses and random placements over
         # random word orders, with words added to and taken from domains
         glex = load_lexicon(GENITIVE_LEXICON.read_text())
@@ -443,6 +443,10 @@ class TestRealization:
                 (v.condition, v.subjects) for v in iter_condition_violations(bad, idx)
             ]
             assert found == literal_conditions(bad), bad
+            if not idx.problems:
+                # ordered spans rule out findings for conditions 1, 2 and 4,
+                # and unordered ones give a ds.cond4 finding
+                assert idx.sequences_ordered == (not found), bad
             seen.update(condition_families(bad, idx, found))
         # ordered sequences, touching, overlapping and reversed spans, and
         # self domains that miss their word each came up many times

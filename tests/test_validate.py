@@ -482,9 +482,9 @@ class TestDerivedMembers:
     def test_local_check_reads_each_domain(self, ds):
         # every self domain holds its introducer, and the participle domain
         # holds more than its introducer and sub-domains
-        assert validate_module._stored_sets_derive(StructureIndex(ds))
+        assert StructureIndex(ds).sets_derived
         bad = self.participle_takes_the_subject(ds)
-        assert not validate_module._stored_sets_derive(StructureIndex(bad))
+        assert not StructureIndex(bad).sets_derived
 
 
 def reference_member_findings(ds, idx):
@@ -596,7 +596,7 @@ class TestLocalMemberCheck:
                 report = validate_structure(edited, lexicon)
                 found = report.by_condition("ds.members")
                 assert [(v.condition, v.subjects, v.message) for v in found] == expected
-                assert validate_module._stored_sets_derive(idx) == (not expected)
+                assert idx.sets_derived == (not expected)
                 verdicts[bool(expected)] += 1
             kinds += taken
         assert set(kinds) == {"drop", "add", "move", "realize"}
